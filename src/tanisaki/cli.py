@@ -28,7 +28,7 @@ from .partitions import (
     parse_partition,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SWEEP_MAX_N = 7
 SWEEP_GROEBNER_MAX_N = 6
 VERIFY_MAX_N = 5
@@ -45,8 +45,6 @@ class RunConfig:
     fmt: str = "json"
     cache_dir: str | None = None
     jobs: int = 1
-    escalation_depth: int = 2
-    degree_cap: int | None = None
     suites: tuple[str, ...] = ALL_SUITES
 
     def to_dict(self):
@@ -57,8 +55,6 @@ class RunConfig:
             "order": self.order.to_dict(),
             "format": self.fmt,
             "jobs": self.jobs,
-            "escalation_depth": self.escalation_depth,
-            "degree_cap": self.degree_cap,
             "suites": list(self.suites),
         }
 
@@ -89,7 +85,7 @@ def _presentation_block(p: Partition, flavor: str, cfg: RunConfig) -> dict:
     else:
         pres = k_tanisaki_generators(p, cfg.convention)
     gb = groebner.cached_buchberger(pres, cfg.order, cfg.cache_dir)
-    monos = groebner.standard_monomials(gb, cfg.degree_cap)
+    monos = groebner.standard_monomials(gb)
     prefix = pres.convention
     block = {
         "flavor": flavor,
@@ -166,7 +162,7 @@ def _suite_truncation(p: Partition, cfg: RunConfig) -> dict:
 
 
 def _suite_filtration(p: Partition, cfg: RunConfig) -> dict:
-    return linalg.filtration_check(p, cfg.escalation_depth).to_dict()
+    return linalg.filtration_check(p).to_dict()
 
 
 def _suite_freeness(p: Partition, cfg: RunConfig) -> dict:
@@ -184,11 +180,9 @@ def _suite_stability(p: Partition, cfg: RunConfig) -> dict:
         sigma = list(range(1, n + 1))
         sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
         transpositions.append(tuple(sigma))
-    for flavor in (ideals.COHOMOLOGY, ideals.KTHEORY):
-        if flavor == ideals.COHOMOLOGY:
-            pres = tanisaki_generators(p)
-        else:
-            pres = k_tanisaki_generators(p, cfg.convention)
+    coh = tanisaki_generators(p)
+    kpres, gb = _kbasis(p, cfg)
+    for flavor, pres in ((ideals.COHOMOLOGY, coh), (ideals.KTHEORY, kpres)):
         pool = {g.poly for g in pres.generators}
         for g in pres.generators:
             for sigma in transpositions:
@@ -197,8 +191,6 @@ def _suite_stability(p: Partition, cfg: RunConfig) -> dict:
                     failures.append(
                         {"flavor": flavor, "subset": list(g.subset), "d": g.d, "sigma": list(sigma)}
                     )
-    _, gb = _kbasis(p, cfg)
-    kpres = k_tanisaki_generators(p, cfg.convention)
     for g in kpres.generators:
         for sigma in transpositions:
             checks += 1
@@ -220,10 +212,7 @@ _SUITE_FN = {
 }
 
 
-def _verify_one(payload) -> dict:
-    parts, cfg_doc = payload
-    cfg = _config_from_doc(cfg_doc)
-    p = Partition(tuple(parts))
+def _verify_one(p: Partition, cfg: RunConfig) -> dict:
     suites = {}
     ok = True
     for name in cfg.suites:
@@ -231,21 +220,6 @@ def _verify_one(payload) -> dict:
         suites[name] = doc
         ok = ok and bool(doc["ok"])
     return {**_partition_block(p), "suites": suites, "ok": ok}
-
-
-def _config_from_doc(doc) -> RunConfig:
-    return RunConfig(
-        partitions=[],
-        flavor=doc["flavor"],
-        convention=doc["convention"],
-        order=MonomialOrder.from_dict(doc["order"]),
-        fmt=doc["format"],
-        cache_dir=doc.get("cache_dir"),
-        jobs=1,
-        escalation_depth=doc["escalation_depth"],
-        degree_cap=doc.get("degree_cap"),
-        suites=tuple(doc["suites"]),
-    )
 
 
 def cmd_verify(cfg: RunConfig) -> dict:
@@ -256,13 +230,11 @@ def cmd_verify(cfg: RunConfig) -> dict:
                 f"partition {p} has n={p.n} > {VERIFY_MAX_N}: restrict --suite "
                 f"to rank-lemma or choose a smaller partition"
             )
-    cfg_doc = {**cfg.to_dict(), "cache_dir": cfg.cache_dir}
-    payloads = [(list(p.parts), cfg_doc) for p in cfg.partitions]
-    if cfg.jobs > 1 and len(payloads) > 1:
+    if cfg.jobs > 1 and len(cfg.partitions) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_verify_one, payloads))
+            results = list(pool.map(_verify_one, cfg.partitions, [cfg] * len(cfg.partitions)))
     else:
-        results = [_verify_one(pl) for pl in payloads]
+        results = [_verify_one(p, cfg) for p in cfg.partitions]
     return {"results": results, "ok": all(r["ok"] for r in results)}
 
 
@@ -435,8 +407,6 @@ def _add_common(sub):
     sub.add_argument("--format", choices=["json", "csv", "text"], default="json")
     sub.add_argument("--cache-dir", default=None, help="Groebner basis cache directory")
     sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--escalation-depth", type=int, default=2)
-    sub.add_argument("--degree-cap", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,6 +445,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         partitions = _resolve_partitions(args)
+        if args.jobs < 1:
+            raise PartitionError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = RunConfig(
             partitions=partitions,
             flavor=args.flavor,
@@ -483,8 +455,6 @@ def main(argv=None) -> int:
             fmt=args.format,
             cache_dir=args.cache_dir,
             jobs=args.jobs,
-            escalation_depth=args.escalation_depth,
-            degree_cap=args.degree_cap,
             suites=tuple(args.suite) if getattr(args, "suite", None) else ALL_SUITES,
         )
         if args.command == "presentation":

@@ -57,11 +57,6 @@ class MonomialOrder:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "priority": list(self.priority) if self.priority else None}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MonomialOrder":
-        prio = doc.get("priority")
-        return cls(doc["kind"], tuple(prio) if prio else None)
-
 
 DEGREVLEX = MonomialOrder("degrevlex")
 DEGLEX = MonomialOrder("deglex")
@@ -375,36 +370,20 @@ def reduces_to_zero(p: Polynomial, gb: GroebnerBasis) -> bool:
     return normal_form(p, gb).is_zero()
 
 
-def default_degree_cap(partition) -> int:
-    n = partition.n
-    return n * partition.springer_dimension() + n + 1
-
-
-def standard_monomials(gb: GroebnerBasis, degree_cap: int | None = None) -> list[tuple[int, ...]]:
+def standard_monomials(gb: GroebnerBasis) -> list[tuple[int, ...]]:
     """Monomials outside the leading-term ideal, sorted by (degree, exponents).
 
     Raises InfiniteQuotient when some variable has no pure-power leading
-    term (scanned up to degree_cap), since the staircase then contains an
-    infinite ray.
+    term, since the staircase then contains an infinite ray.
     """
     n = gb.n
     lts = gb.leading_monomials()
-    if degree_cap is None:
-        cap = 1 + max(sum(m) for m in lts) if lts else 1
-        if gb.source is not None:
-            cap = max(cap, default_degree_cap(gb.source.partition))
-    else:
-        cap = degree_cap
     bounds = []
     for j in range(n):
         pure = [m[j] for m in lts if sum(m) == m[j]]
         if not pure:
-            raise InfiniteQuotient(
-                f"variable {j + 1} has no pure-power leading term below degree {cap}"
-            )
+            raise InfiniteQuotient(f"variable {j + 1} has no pure-power leading term")
         bounds.append(min(pure))
-    if any(b > cap for b in bounds):
-        raise InfiniteQuotient(f"staircase exceeds degree cap {cap}")
 
     out = []
     vec = [0] * n
@@ -423,10 +402,6 @@ def standard_monomials(gb: GroebnerBasis, degree_cap: int | None = None) -> list
     descend(0)
     out.sort(key=lambda m: (sum(m), m))
     return out
-
-
-def quotient_rank(gb: GroebnerBasis, degree_cap: int | None = None) -> int:
-    return len(standard_monomials(gb, degree_cap))
 
 
 # -- Hilbert function of homogeneous ideals ----------------------------

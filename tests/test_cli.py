@@ -43,6 +43,20 @@ class TestExitCodes:
         assert cli.main(["presentation"]) == 2  # no partitions at all
         capsys.readouterr()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_two(self, capsys, jobs):
+        assert cli.main(["rank-lemma", "--n", "2", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--jobs must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--escalation-depth", "--degree-cap"])
+    def test_removed_flags_are_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["presentation", "--partition", "2,1", flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_verification_failure_is_one(self, capsys, monkeypatch):
         def broken(p, cfg):
             return {"partition": list(p.parts), "ok": False, "failures": [{"s": 1}]}
@@ -82,6 +96,7 @@ class TestReports:
             "--suite", "gamma",
         )
         assert code == 0
+        assert doc["schema_version"] == 2
         assert doc["config"]["suites"] == ["rank-lemma", "gamma"]
         res = doc["results"][0]
         assert set(res["suites"]) == {"rank-lemma", "gamma"}
@@ -175,10 +190,14 @@ class TestParallel:
 
 
 def test_console_script_end_to_end():
+    # the child must import the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tanisaki.cli", "rank-lemma", "--partition",
          "5,4,4,2,2,2,1", "--format", "json"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

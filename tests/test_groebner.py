@@ -149,7 +149,7 @@ class TestStandardMonomials:
     def test_infinite_quotient_detected(self):
         gb = buchberger([P("y1", 2)])  # y2 is free
         with pytest.raises(InfiniteQuotient):
-            standard_monomials(gb, degree_cap=10)
+            standard_monomials(gb)
 
 
 class TestHilbert:

@@ -92,14 +92,6 @@ class TestGammaOp:
     def test_line_bundle_rank_vanishing(self):
         assert gamma_op(VirtualClass(1, (1,), -1), 2).is_zero()
 
-    def test_identity_both_sides(self, rng):
-        # the dual computation inside gamma_op raises on any mismatch
-        for _ in range(120):
-            n = rng.randint(1, 4)
-            lines = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4)))
-            x = VirtualClass(n, lines, rng.randint(-4, 2))
-            gamma_op(x, rng.randint(0, 4))
-
 
 class TestRelationSweeps:
     def test_point_partition(self):

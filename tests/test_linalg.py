@@ -122,7 +122,7 @@ class TestIdealDegreeRank:
 class TestFiltration:
     def test_point(self):
         rep = filtration_check(Partition((3,)))
-        assert rep.verdict and rep.depth_used == 1
+        assert rep.verdict
         quotient = [s - i for _, s, i, _ in rep.rows]
         assert quotient == [1, 0]
 
@@ -137,7 +137,6 @@ class TestFiltration:
             rep = filtration_check(lam)
             assert rep.verdict, (lam, rep.to_dict())
             assert rep.mismatch_degree is None
-            assert rep.depth_used == 1
             # gr and ideal columns agree row by row
             for _, _, i, g in rep.rows:
                 assert i == g

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tanisaki.groebner import groebner_basis_for, normal_form
 from tanisaki.ideals import apply_permutation, k_tanisaki_generators, tanisaki_generators
-from tanisaki.lambda_ring import VirtualClass, lambda_series
+from tanisaki.lambda_ring import VirtualClass, gamma_op, lambda_series
 from tanisaki.partitions import Partition, enumerate_partitions
 from tanisaki.polynomial import Polynomial, binomial
 
@@ -103,6 +103,7 @@ class TestGammaLambdaIdentity:
                 if w:
                     rhs = rhs + series[k] * w
             assert lhs == rhs
+            assert gamma_op(x, d) == rhs
 
 
 class TestSnStability:
