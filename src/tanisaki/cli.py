@@ -16,6 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import groebner, ideals, lambda_ring, linalg
 from .groebner import MonomialOrder, InfiniteQuotient
@@ -71,9 +72,22 @@ def _partition_block(p: Partition) -> dict:
     }
 
 
-def _kbasis(p: Partition, cfg: RunConfig):
-    pres = k_tanisaki_generators(p, cfg.convention)
-    return pres, groebner.cached_buchberger(pres, cfg.order, cfg.cache_dir)
+@dataclass
+class _Context:
+    """One partition's shared work: the K-basis and the gamma sweep are
+    computed on first use, at most once, by whichever suite needs them."""
+
+    p: Partition
+    cfg: RunConfig
+
+    @cached_property
+    def kbasis(self):
+        pres = k_tanisaki_generators(self.p, self.cfg.convention)
+        return pres, groebner.cached_buchberger(pres, self.cfg.order, self.cfg.cache_dir)
+
+    @cached_property
+    def gamma(self):
+        return lambda_ring.verify_gamma_relations(self.p, self.kbasis[1])
 
 
 # -- presentation --------------------------------------------------------
@@ -125,28 +139,25 @@ def cmd_presentation(cfg: RunConfig) -> dict:
 # -- verify ---------------------------------------------------------------
 
 
-def _suite_rank_lemma(p: Partition, cfg: RunConfig) -> dict:
-    rep = linalg.verify_rank_lemma(p)
-    return rep.to_dict()
+def _suite_rank_lemma(ctx: _Context) -> dict:
+    return linalg.verify_rank_lemma(ctx.p).to_dict()
 
 
-def _suite_gamma(p: Partition, cfg: RunConfig) -> dict:
-    _, gb = _kbasis(p, cfg)
-    return lambda_ring.verify_gamma_relations(p, gb).to_dict()
+def _suite_gamma(ctx: _Context) -> dict:
+    return ctx.gamma.to_dict()
 
 
-def _suite_lambda(p: Partition, cfg: RunConfig) -> dict:
-    _, gb = _kbasis(p, cfg)
-    gamma = lambda_ring.verify_gamma_relations(p, gb)
-    lam = lambda_ring.equivalent_lambda_relations(p, gb)
+def _suite_lambda(ctx: _Context) -> dict:
+    lam = lambda_ring.equivalent_lambda_relations(ctx.p, ctx.kbasis[1])
     doc = lam.to_dict()
-    doc["agrees_with_gamma"] = gamma.ok == lam.ok
+    doc["agrees_with_gamma"] = ctx.gamma.ok == lam.ok
     doc["ok"] = doc["ok"] and doc["agrees_with_gamma"]
     return doc
 
 
-def _suite_truncation(p: Partition, cfg: RunConfig) -> dict:
-    _, gb = _kbasis(p, cfg)
+def _suite_truncation(ctx: _Context) -> dict:
+    p, cfg = ctx.p, ctx.cfg
+    _, gb = ctx.kbasis
     failures = []
     checks = 0
     for s in range(1, p.n + 1):
@@ -161,17 +172,18 @@ def _suite_truncation(p: Partition, cfg: RunConfig) -> dict:
     return {"partition": list(p.parts), "checks": checks, "failures": failures, "ok": not failures}
 
 
-def _suite_filtration(p: Partition, cfg: RunConfig) -> dict:
-    return linalg.filtration_check(p).to_dict()
+def _suite_filtration(ctx: _Context) -> dict:
+    return linalg.filtration_check(ctx.p).to_dict()
 
 
-def _suite_freeness(p: Partition, cfg: RunConfig) -> dict:
-    return linalg.integral_freeness_check(p).to_dict()
+def _suite_freeness(ctx: _Context) -> dict:
+    return linalg.integral_freeness_check(ctx.p).to_dict()
 
 
-def _suite_stability(p: Partition, cfg: RunConfig) -> dict:
+def _suite_stability(ctx: _Context) -> dict:
     """Adjacent transpositions permute each generating set into itself and
     land in the ideal (checked by normal form on the K side)."""
+    p = ctx.p
     n = p.n
     failures = []
     checks = 0
@@ -181,7 +193,7 @@ def _suite_stability(p: Partition, cfg: RunConfig) -> dict:
         sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
         transpositions.append(tuple(sigma))
     coh = tanisaki_generators(p)
-    kpres, gb = _kbasis(p, cfg)
+    kpres, gb = ctx.kbasis
     for flavor, pres in ((ideals.COHOMOLOGY, coh), (ideals.KTHEORY, kpres)):
         pool = {g.poly for g in pres.generators}
         for g in pres.generators:
@@ -213,10 +225,11 @@ _SUITE_FN = {
 
 
 def _verify_one(p: Partition, cfg: RunConfig) -> dict:
+    ctx = _Context(p, cfg)
     suites = {}
     ok = True
     for name in cfg.suites:
-        doc = _SUITE_FN[name](p, cfg)
+        doc = _SUITE_FN[name](ctx)
         suites[name] = doc
         ok = ok and bool(doc["ok"])
     return {**_partition_block(p), "suites": suites, "ok": ok}
@@ -269,7 +282,7 @@ def cmd_sweep(cfg: RunConfig) -> dict:
 
 def cmd_gamma(cfg: RunConfig, subset, d: int) -> dict:
     p = cfg.partitions[0]
-    _, gb = _kbasis(p, cfg)
+    _, gb = _Context(p, cfg).kbasis
     poly, nf, vanished = lambda_ring.gamma_membership(p, gb, subset, d)
     s = len(subset)
     q = p.dual().p_function(s)

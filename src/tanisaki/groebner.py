@@ -1,15 +1,17 @@
 """Buchberger Groebner-basis engine over exact rationals.
 
-Completion runs on primitive integer polynomials (gcd-normalized pseudo
-reduction), so no Fraction ever enters the hot loop; the finished basis is
-converted to the unique reduced monic form.  Both classic Buchberger
-criteria are applied and the pair queue uses the normal (lowest lcm degree
-first) strategy with monomial-order tie-breaks, so completion is
-deterministic for a fixed input and order.
+Completion and normal forms run on one kernel, `_Engine.reduce`, over
+primitive integer polynomials (gcd-normalized pseudo reduction), so no
+Fraction ever enters the hot loop; the finished basis is converted to the
+unique reduced monic form.  Both classic Buchberger criteria are applied
+and the pair queue uses the normal (lowest lcm degree first) strategy with
+monomial-order tie-breaks, so completion is deterministic for a fixed input
+and order.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import heapq
 import json
@@ -17,7 +19,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import add, sub
 
@@ -74,8 +76,15 @@ class GroebnerBasis:
         return self.polys[0].n if self.polys else 0
 
     def leading_monomials(self) -> list[tuple[int, ...]]:
-        key = self.order.key
-        return [max(p.terms, key=key) for p in self.polys]
+        return list(self._engine.lms)
+
+    @cached_property
+    def _engine(self) -> "_Engine":
+        """The basis as primitive integer polynomials, built on first use."""
+        eng = _Engine(self.order)
+        for p in self.polys:
+            eng.add(_integral(p)[0])
+        return eng
 
     def __len__(self):
         return len(self.polys)
@@ -107,16 +116,17 @@ def _primitive(terms, lm):
     return terms
 
 
-def _to_int_terms(p: Polynomial):
+def _integral(p: Polynomial):
+    """Integer terms and the positive denominator den with p == terms / den."""
     den = 1
     for c in p.terms.values():
         if isinstance(c, Fraction):
             den = den * c.denominator // gcd(den, c.denominator)
-    return {m: int(c * den) for m, c in p.terms.items()}
+    return {m: int(c * den) for m, c in p.terms.items()}, den
 
 
 class _Engine:
-    """Mutable completion state: parallel arrays of basis data."""
+    """Mutable reduction state: parallel arrays of basis data."""
 
     def __init__(self, order: MonomialOrder):
         self.key = order.key
@@ -132,32 +142,30 @@ class _Engine:
         self.terms.append(terms)
         self.lms.append(lm)
         self.lcs.append(terms[lm])
-        k = (self.key(lm), idx)
-        lo, hi = 0, len(self.scan)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (self.key(self.lms[self.scan[mid]]), self.scan[mid]) < k:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.scan.insert(lo, idx)
+        bisect.insort(self.scan, idx, key=lambda i: (self.key(self.lms[i]), i))
         return idx
 
-    def find_reducer(self, m, skip=-1):
-        for i in self.scan:
-            if i != skip and _divides(self.lms[i], m):
-                return i
-        return -1
+    def find_reducer(self, m, skip=-1, rng=None):
+        """First divisor of m in scan order, or rng's choice among all of them."""
+        if rng is None:
+            for i in self.scan:
+                if i != skip and _divides(self.lms[i], m):
+                    return i
+            return -1
+        found = [i for i in self.scan if i != skip and _divides(self.lms[i], m)]
+        return rng.choice(found) if found else -1
 
-    def reduce(self, terms, skip=-1):
-        """Full normal-form reduction up to a positive scalar multiple."""
+    def reduce(self, terms, skip=-1, rng=None):
+        """Full reduction: (remainder, scale) with remainder == scale * normal
+        form and scale > 0.  rng, when given, picks each step's reducer."""
         terms = dict(terms)
         remainder = {}
+        scale = 1
         key = self.key
         steps = 0
         while terms:
             lm = max(terms, key=key)
-            i = self.find_reducer(lm, skip)
+            i = self.find_reducer(lm, skip, rng)
             if i < 0:
                 remainder[lm] = terms.pop(lm)
                 continue
@@ -168,6 +176,7 @@ class _Engine:
             if mt < 0:
                 mt, mg = -mt, -mg
             if mt != 1:
+                scale *= mt
                 for m in terms:
                     terms[m] *= mt
                 for m in remainder:
@@ -201,11 +210,12 @@ class _Engine:
                         if g == 1:
                             break
                 if g > 1:
+                    scale = Fraction(scale, g)
                     for m in terms:
                         terms[m] //= g
                     for m in remainder:
                         remainder[m] //= g
-        return remainder
+        return remainder, scale
 
 
 def _s_poly_int(ti, lmi, lci, tj, lmj, lcj):
@@ -246,9 +256,9 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     key = order.key
 
     # seed with inter-reduced input, smallest leading monomials first
-    seeds = sorted((_to_int_terms(g) for g in gens), key=lambda t: key(max(t, key=key)))
+    seeds = sorted((_integral(g)[0] for g in gens), key=lambda t: key(max(t, key=key)))
     for t in seeds:
-        r = eng.reduce(t)
+        r, _ = eng.reduce(t)
         if r:
             eng.add(r)
 
@@ -292,7 +302,7 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
         s = _s_poly_int(eng.terms[i], eng.lms[i], eng.lcs[i], eng.terms[j], eng.lms[j], eng.lcs[j])
         if not s:
             continue
-        r = eng.reduce(s)
+        r, _ = eng.reduce(s)
         if r:
             push_pairs(eng.add(r))
 
@@ -303,29 +313,21 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
         if not any(_divides(eng.lms[k], eng.lms[i]) for k in kept):
             kept.append(i)
 
-    # tail-reduce to the unique auto-reduced form
+    # tail-reduce to the unique auto-reduced form; leading monomials of a
+    # minimal basis never change, so one pass leaves every element reduced
     final = _Engine(order)
     for i in kept:
         final.add(eng.terms[i])
-    changed = True
-    while changed:
-        changed = False
-        for pos in range(len(final.terms)):
-            r = final.reduce(final.terms[pos], skip=pos)
-            lm = max(r, key=key)
-            r = _primitive(r, lm)
-            if r != final.terms[pos]:
-                final.terms[pos] = r
-                final.lms[pos] = lm
-                final.lcs[pos] = r[lm]
-                changed = True
+    for pos in range(len(final.terms)):
+        r, _ = final.reduce(final.terms[pos], skip=pos)
+        r = _primitive(r, final.lms[pos])
+        final.terms[pos] = r
+        final.lcs[pos] = r[final.lms[pos]]
 
     monic = []
-    for t in final.terms:
-        lm = max(t, key=key)
+    for t, lm in zip(final.terms, final.lms):
         lc = t[lm]
         monic.append(Polynomial(n, {m: Fraction(c, lc) for m, c in t.items()}))
-    monic.sort(key=lambda p: key(max(p.terms, key=key)))
     return GroebnerBasis(tuple(monic), order, pres)
 
 
@@ -335,39 +337,18 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
 def normal_form(p: Polynomial, gb: GroebnerBasis, rng=None) -> Polynomial:
     """Unique remainder of p modulo gb: no term divisible by a leading term.
 
-    rng, when given, picks among eligible reducers at every step; the result
-    must not depend on the choice (confluence), which the test suite checks.
+    The basis's integer engine reduces p's integral multiple; one division
+    at the end gives the exact rational remainder.  rng, when given, picks
+    among eligible reducers at every step; the result must not depend on the
+    choice (confluence), which the test suite checks.
     """
     if not gb.polys:
         raise GroebnerError("empty basis")
-    n = gb.polys[0].n
-    if p.n != n:
-        raise GroebnerError(f"variable count mismatch: {p.n} vs {n}")
-    key = gb.order.key
-    lms = gb.leading_monomials()
-    terms = {m: Fraction(c) for m, c in p.terms.items()}
-    remainder: dict = {}
-    while terms:
-        lm = max(terms, key=key)
-        eligible = [i for i, m in enumerate(lms) if _divides(m, lm)]
-        if not eligible:
-            remainder[lm] = terms.pop(lm)
-            continue
-        i = eligible[0] if rng is None else rng.choice(eligible)
-        c = terms[lm]
-        shift = tuple(map(sub, lm, lms[i]))
-        for me, ce in gb.polys[i].terms.items():
-            k2 = tuple(map(add, me, shift))
-            v = terms.get(k2, 0) - c * ce
-            if v:
-                terms[k2] = v
-            else:
-                del terms[k2]
-    return Polynomial(n, remainder)
-
-
-def reduces_to_zero(p: Polynomial, gb: GroebnerBasis) -> bool:
-    return normal_form(p, gb).is_zero()
+    if p.n != gb.n:
+        raise GroebnerError(f"variable count mismatch: {p.n} vs {gb.n}")
+    terms, den = _integral(p)
+    remainder, scale = gb._engine.reduce(terms, rng=rng)
+    return Polynomial(gb.n, {m: Fraction(c, scale * den) for m, c in remainder.items()})
 
 
 def standard_monomials(gb: GroebnerBasis) -> list[tuple[int, ...]]:

@@ -6,7 +6,7 @@ import sys
 import jsonschema
 import pytest
 
-from tanisaki import cli
+from tanisaki import cli, groebner, lambda_ring
 
 SCHEMA = json.load(
     open(os.path.join(os.path.dirname(cli.__file__), "report_schema.json"))
@@ -58,8 +58,8 @@ class TestExitCodes:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_verification_failure_is_one(self, capsys, monkeypatch):
-        def broken(p, cfg):
-            return {"partition": list(p.parts), "ok": False, "failures": [{"s": 1}]}
+        def broken(ctx):
+            return {"partition": list(ctx.p.parts), "ok": False, "failures": [{"s": 1}]}
 
         monkeypatch.setitem(cli._SUITE_FN, "rank-lemma", broken)
         code, out = run_cli(
@@ -178,6 +178,32 @@ class TestCacheIntegration:
         run_cli(capsys, *args)
         after = {f: os.path.getmtime(os.path.join(cache, f)) for f in os.listdir(cache)}
         assert files == after
+
+
+class TestSharedPartitionWork:
+    def test_basis_and_gamma_sweep_once_per_partition(self, capsys, monkeypatch, tmp_path):
+        seen = {"basis": [], "gamma": []}
+        cached_buchberger = groebner.cached_buchberger
+        verify_gamma_relations = lambda_ring.verify_gamma_relations
+
+        def basis(pres, *args):
+            seen["basis"].append(pres.partition.parts)
+            return cached_buchberger(pres, *args)
+
+        def gamma(p, gb):
+            seen["gamma"].append(p.parts)
+            return verify_gamma_relations(p, gb)
+
+        monkeypatch.setattr(groebner, "cached_buchberger", basis)
+        monkeypatch.setattr(lambda_ring, "verify_gamma_relations", gamma)
+        code, doc = run_json(
+            capsys, "verify", "--n", "3", "--suite", "gamma", "--suite", "lambda",
+            "--suite", "truncation", "--suite", "stability", "--cache-dir", str(tmp_path),
+        )
+        assert code == 0
+        parts = [tuple(r["partition"]) for r in doc["results"]]
+        assert seen == {"basis": parts, "gamma": parts}
+        assert all(r["suites"]["lambda"]["agrees_with_gamma"] for r in doc["results"])
 
 
 class TestParallel:

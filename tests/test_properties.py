@@ -6,11 +6,12 @@ Every group drives at least 100 randomized cases.
 """
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanisaki.groebner import groebner_basis_for, normal_form
+from tanisaki.groebner import buchberger, groebner_basis_for, normal_form
 from tanisaki.ideals import apply_permutation, k_tanisaki_generators, tanisaki_generators
 from tanisaki.lambda_ring import VirtualClass, gamma_op, lambda_series
 from tanisaki.partitions import Partition, enumerate_partitions
@@ -48,18 +49,52 @@ class TestRingAxioms:
 class TestConfluence:
     def test_normal_form_is_reduction_path_independent(self):
         cases = 0
-        for parts in ((2, 1), (2, 1, 1), (2, 2)):
-            lam = Partition(parts)
-            gb = groebner_basis_for(k_tanisaki_generators(lam, "v"))
-            n = lam.n
-            gen = random.Random(42 + n)
-            for trial in range(40):
-                p = random_polynomial(gen, n, max_terms=6, max_exp=4)
-                baseline = normal_form(p, gb)
-                for replay in range(3):
-                    chooser = random.Random(1000 * trial + replay)
-                    assert normal_form(p, gb, rng=chooser) == baseline
-                    cases += 1
+        for rational in (False, True):
+            for parts in ((2, 1), (2, 1, 1), (2, 2)):
+                lam = Partition(parts)
+                gb = groebner_basis_for(k_tanisaki_generators(lam, "v"))
+                n = lam.n
+                gen = random.Random(42 + n)
+                for trial in range(40):
+                    p = random_polynomial(gen, n, max_terms=6, max_exp=4, rational=rational)
+                    baseline = normal_form(p, gb)
+                    for replay in range(3):
+                        chooser = random.Random(1000 * trial + replay)
+                        assert normal_form(p, gb, rng=chooser) == baseline
+                        cases += 1
+        assert cases >= 100
+
+
+class TestNormalFormRemainder:
+    def test_rational_remainder_is_exact(self):
+        bases = [
+            groebner_basis_for(k_tanisaki_generators(Partition(parts), "u"))
+            for parts in ((2, 1), (2, 1, 1), (2, 2))
+        ]
+        # leading coefficients 2 and 3 once cleared of denominators
+        bases.append(buchberger([
+            Polynomial(2, {(1, 0): 2, (0, 1): -1}),
+            Polynomial(2, {(0, 2): 1, (0, 0): -3}),
+        ]))
+        bases.append(buchberger([
+            Polynomial(3, {(1, 0, 0): 3, (0, 1, 0): -1, (0, 0, 0): 1}),
+            Polynomial(3, {(0, 2, 0): 2, (0, 0, 1): -1}),
+            Polynomial(3, {(0, 0, 2): 1, (0, 0, 0): -5}),
+        ]))
+        gen = random.Random(23)
+        cases = 0
+        for gb in bases:
+            lms = gb.leading_monomials()
+            for _ in range(25):
+                p = random_polynomial(gen, gb.n, max_terms=6, max_exp=4, rational=True)
+                c = Fraction(gen.choice((-1, 1)) * gen.randint(1, 9), gen.randint(1, 9))
+                nf = normal_form(p, gb)
+                assert normal_form(p - nf, gb).is_zero()
+                assert normal_form(p * c, gb) == nf * c
+                assert not any(
+                    all(a <= b for a, b in zip(lm, m)) for lm in lms for m in nf.terms
+                )
+                cases += 1
         assert cases >= 100
 
 
