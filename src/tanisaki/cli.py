@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -110,7 +111,7 @@ def _presentation_block(p: Partition, flavor: str, cfg: RunConfig) -> dict:
         "quotient_rank": len(monos),
     }
     if flavor == ideals.COHOMOLOGY:
-        block["hilbert_series"] = list(groebner.hilbert_series(pres, cfg.order))
+        block["hilbert_series"] = list(groebner.staircase_series(monos))
     return block
 
 
@@ -453,6 +454,19 @@ def _resolve_partitions(args) -> list[Partition]:
     return parts
 
 
+def _check_cache_dir(path: str) -> None:
+    """Create the cache directory if needed; a path that cannot hold cache
+    files is a configuration error, not a verification failure."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except FileExistsError:
+        raise PartitionError(f"--cache-dir {path!r} is not a directory") from None
+    except OSError as exc:
+        raise PartitionError(f"--cache-dir {path!r} cannot be created: {exc.strerror}") from None
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise PartitionError(f"--cache-dir {path!r} is not writable")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -460,6 +474,8 @@ def main(argv=None) -> int:
         partitions = _resolve_partitions(args)
         if args.jobs < 1:
             raise PartitionError(f"--jobs must be >= 1, got {args.jobs}")
+        if args.cache_dir is not None:
+            _check_cache_dir(args.cache_dir)
         cfg = RunConfig(
             partitions=partitions,
             flavor=args.flavor,

@@ -125,11 +125,24 @@ def _integral(p: Polynomial):
     return {m: int(c * den) for m, c in p.terms.items()}, den
 
 
+class _OrderKeys(dict):
+    """Exponent tuple -> order key, computed by MonomialOrder.key on first lookup."""
+
+    def __init__(self, order: MonomialOrder):
+        super().__init__()
+        self.order_key = order.key
+
+    def __missing__(self, exps):
+        k = self[exps] = self.order_key(exps)
+        return k
+
+
 class _Engine:
     """Mutable reduction state: parallel arrays of basis data."""
 
     def __init__(self, order: MonomialOrder):
-        self.key = order.key
+        # every key lookup after a monomial's first runs at dict speed
+        self.key = _OrderKeys(order).__getitem__
         self.terms: list[dict] = []
         self.lms: list[tuple] = []
         self.lcs: list[int] = []
@@ -253,7 +266,7 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
         raise GroebnerError("mixed variable counts in generator list")
 
     eng = _Engine(order)
-    key = order.key
+    key = eng.key
 
     # seed with inter-reduced input, smallest leading monomials first
     seeds = sorted((_integral(g)[0] for g in gens), key=lambda t: key(max(t, key=key)))
@@ -415,10 +428,12 @@ def hilbert_function(pres: IdealPresentation, d: int, order: MonomialOrder = DEG
 def hilbert_series(pres: IdealPresentation, order: MonomialOrder = DEGREVLEX) -> tuple[int, ...]:
     """Coefficients of the Hilbert series up to the top nonzero degree."""
     _require_homogeneous(pres)
-    gb = groebner_basis_for(pres, order)
-    monos = standard_monomials(gb)
-    top = max(sum(m) for m in monos)
-    series = [0] * (top + 1)
+    return staircase_series(standard_monomials(groebner_basis_for(pres, order)))
+
+
+def staircase_series(monos) -> tuple[int, ...]:
+    """Number of staircase monomials in each degree, up to the top one."""
+    series = [0] * (max(sum(m) for m in monos) + 1)
     for m in monos:
         series[sum(m)] += 1
     return tuple(series)
@@ -442,10 +457,11 @@ def cache_path(pres: IdealPresentation, order: MonomialOrder, cache_dir: str) ->
     return os.path.join(cache_dir, name)
 
 
-def basis_to_dict(gb: GroebnerBasis, pres: IdealPresentation) -> dict:
+def basis_to_dict(gb: GroebnerBasis, pres: IdealPresentation, digest: str | None = None) -> dict:
+    """The cache document; digest, when known, is source_hash(pres, gb.order)."""
     return {
         "schema_version": 1,
-        "source_hash": source_hash(pres, gb.order),
+        "source_hash": digest or source_hash(pres, gb.order),
         "order": gb.order.to_dict(),
         "basis": [p.render(pres.convention) for p in gb.polys],
     }
@@ -474,7 +490,7 @@ def cached_buchberger(
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(basis_to_dict(gb, pres), fh, sort_keys=True, indent=2)
+            json.dump(basis_to_dict(gb, pres, want), fh, sort_keys=True, indent=2)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:

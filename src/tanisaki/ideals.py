@@ -86,33 +86,37 @@ def tanisaki_generators(partition: Partition) -> IdealPresentation:
     return IdealPresentation(partition, COHOMOLOGY, "y", tuple(records))
 
 
-def h_polynomial(subset, d: int, q: int, n: int) -> Polynomial:
+def h_polynomial(subset, d: int, q: int, n: int, convention: str = "u") -> Polynomial:
     """The degree-d K-relation for a subset with q trivial summands.
 
-    h_d = sum_{0<=k<=d} (-1)^(d-k) * e_k(u-subset) * C(q+d-k-1, q-1), the
-    t^d coefficient of prod(1 + u_i t) * (1+t)^(-q).  Its top graded piece
-    is e_d(subset) and its augmentation vanishes whenever d >= s+1-q.
+    h_d is the t^d coefficient of prod(1 + u_i t) * (1+t)^(-q), so in
+    u-variables h_d = sum_{0<=k<=d} e_k(u-subset) * C(-q, d-k).  Substituting
+    u_i = 1 + v_i turns the series into (1+t)^(s-q) * prod(1 + v_i t/(1+t)),
+    so in v-variables h_d = sum_k e_k(v-subset) * C(s-q-k, d-k).  Its top
+    graded piece is e_d(subset) and it vanishes at u = 1 (v = 0) whenever
+    d >= s+1-q.
     """
     subset = check_subset(subset, n)
     if d < 1:
         raise PartitionError(f"h polynomial degree must be >= 1, got {d}")
     if q < 0:
         raise PartitionError(f"q must be >= 0, got {q}")
-    if q == 0:
-        # (1+t)^0 contributes nothing: plain elementary symmetric
-        return elementary_symmetric(n, d, subset)
-    acc = Polynomial.zero(n)
-    for k in range(d + 1):
-        w = binomial(q + d - k - 1, q - 1)
-        if w == 0:
-            continue
-        term = elementary_symmetric(n, k, subset) * w
-        acc = acc + (term if (d - k) % 2 == 0 else -term)
-    return acc
+    if convention not in ("u", "v"):
+        raise PartitionError(f"convention must be 'u' or 'v', got {convention!r}")
+    s = len(subset)
+    terms = {}
+    for k in range(min(d, s) + 1):
+        w = binomial(s - q - k, d - k) if convention == "v" else binomial(-q, d - k)
+        if w:
+            # e_k is homogeneous of degree k, so the summands never share a monomial
+            for m, c in elementary_symmetric(n, k, subset).terms.items():
+                terms[m] = c * w
+    return Polynomial(n, terms)
 
 
 def k_tanisaki_generators(partition: Partition, convention: str = "u") -> IdealPresentation:
-    """K-theory-flavor generators h_d(u-subset) over the same (s, subset, d) grid."""
+    """K-theory-flavor generators h_d over the same (s, subset, d) grid,
+    written in the variables of the convention."""
     if convention not in ("u", "v"):
         raise PartitionError(f"convention must be 'u' or 'v', got {convention!r}")
     n = partition.n
@@ -123,9 +127,7 @@ def k_tanisaki_generators(partition: Partition, convention: str = "u") -> IdealP
         q = dual.p_function(s)
         for subset in enumerate_subsets(n, s):
             for d in _d_range(s, q):
-                poly = h_polynomial(subset, d, q, n)
-                if convention == "v":
-                    poly = to_v_convention(poly)
+                poly = h_polynomial(subset, d, q, n, convention)
                 if poly in seen:
                     continue
                 seen.add(poly)

@@ -57,6 +57,16 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", [(), ("sub",)])
+    def test_unusable_cache_dir_is_two(self, capsys, tmp_path, below):
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("")
+        cache = os.path.join(str(blocker), *below)
+        assert cli.main(["presentation", "--partition", "2,1", "--cache-dir", cache]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--cache-dir" in captured.err
+
     def test_verification_failure_is_one(self, capsys, monkeypatch):
         def broken(ctx):
             return {"partition": list(ctx.p.parts), "ok": False, "failures": [{"s": 1}]}
@@ -168,6 +178,23 @@ class TestCacheIntegration:
         _, b = run_cli(capsys, *args)
         assert a == b
         assert json.load(open(victim))  # rewritten as valid JSON
+
+    def test_warm_presentation_never_completes(self, capsys, monkeypatch, tmp_path):
+        args = ("presentation", "--partition", "3,2,1", "--flavor", "both",
+                "--cache-dir", str(tmp_path))
+        _, cold = run_cli(capsys, *args)
+        groebner.groebner_basis_for.cache_clear()
+        calls = []
+        buchberger = groebner.buchberger
+
+        def counting(*a, **kw):
+            calls.append(a)
+            return buchberger(*a, **kw)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        _, warm = run_cli(capsys, *args)
+        assert warm == cold
+        assert calls == []
 
     def test_cache_hit_reuses_file(self, capsys, tmp_path):
         cache = str(tmp_path)

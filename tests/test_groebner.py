@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -96,6 +97,23 @@ class TestBuchberger:
     def test_empty_rejected(self):
         with pytest.raises(GroebnerError):
             buchberger([])
+
+
+class TestKeyMemo:
+    def test_each_monomial_keyed_at_most_twice(self, monkeypatch):
+        # once by the completion engine, once by the tail-reduction engine
+        pres = k_tanisaki_generators(Partition((2, 2, 1)), "v")
+        counts = Counter()
+        key = MonomialOrder.key
+
+        def counting(self, exps):
+            counts[exps] += 1
+            return key(self, exps)
+
+        monkeypatch.setattr(MonomialOrder, "key", counting)
+        buchberger(pres)
+        assert counts
+        assert max(counts.values()) <= 2
 
 
 class TestNormalForm:

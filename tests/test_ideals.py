@@ -135,11 +135,14 @@ class TestKGenerators:
             assert Polynomial.variable(n, j) - 1 in polys
 
     def test_convention_shift_round_trip(self):
-        for lam in enumerate_partitions(4):
-            pres_u = k_tanisaki_generators(lam, "u")
-            pres_v = k_tanisaki_generators(lam, "v")
-            assert [to_v_convention(p) for p in pres_u.polynomials()] == pres_v.polynomials()
-            assert [to_u_convention(p) for p in pres_v.polynomials()] == pres_u.polynomials()
+        # the shift route checks the closed-form v generators, their order
+        # and their deduplication
+        for n in range(1, 7):
+            for lam in enumerate_partitions(n):
+                pres_u = k_tanisaki_generators(lam, "u")
+                pres_v = k_tanisaki_generators(lam, "v")
+                assert [to_v_convention(p) for p in pres_u.polynomials()] == pres_v.polynomials()
+                assert [to_u_convention(p) for p in pres_v.polynomials()] == pres_u.polynomials()
 
     def test_generator_invariants(self):
         for n in range(1, 6):
