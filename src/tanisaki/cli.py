@@ -174,7 +174,15 @@ def _suite_truncation(ctx: _Context) -> dict:
 
 
 def _suite_filtration(ctx: _Context) -> dict:
-    return linalg.filtration_check(ctx.p).to_dict()
+    """The K side is the staircase of the v-convention degrevlex basis,
+    whatever --convention and --order say: the filtration is defined in the
+    v-variables and needs a degree-compatible order.  The basis comes from
+    the in-memory completion, never the file cache; under default flags it
+    is the entry ctx.kbasis already completed."""
+    kpres = k_tanisaki_generators(ctx.p, "v")
+    gb = groebner.groebner_basis_for(kpres, groebner.DEGREVLEX)
+    series = groebner.staircase_series(groebner.standard_monomials(gb))
+    return linalg.filtration_check(ctx.p, series).to_dict()
 
 
 def _suite_freeness(ctx: _Context) -> dict:

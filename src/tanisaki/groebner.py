@@ -467,10 +467,23 @@ def basis_to_dict(gb: GroebnerBasis, pres: IdealPresentation, digest: str | None
     }
 
 
+def _certified(gb: GroebnerBasis, pres: IdealPresentation) -> bool:
+    """Whether a loaded basis can stand for pres: a finite staircase of the
+    multinomial rank, and every source generator reducing to zero."""
+    try:
+        monos = standard_monomials(gb)
+    except InfiniteQuotient:
+        return False
+    if len(monos) != pres.partition.multinomial_rank():
+        return False
+    eng = gb._engine
+    return all(not eng.reduce(_integral(g)[0])[0] for g in pres.polynomials())
+
+
 def cached_buchberger(
     pres: IdealPresentation, order: MonomialOrder = DEGREVLEX, cache_dir: str | None = None
 ) -> GroebnerBasis:
-    """File-cached completion; corrupted or stale entries are recomputed."""
+    """File-cached completion; corrupted, stale or wrong entries are recomputed."""
     if cache_dir is None:
         return groebner_basis_for(pres, order)
     path = cache_path(pres, order, cache_dir)
@@ -482,7 +495,9 @@ def cached_buchberger(
             polys = tuple(
                 Polynomial.parse(text, pres.n, pres.convention) for text in doc["basis"]
             )
-            return GroebnerBasis(polys, order, pres)
+            gb = GroebnerBasis(polys, order, pres)
+            if _certified(gb, pres):
+                return gb
     except (OSError, ValueError, KeyError):
         pass
     gb = groebner_basis_for(pres, order)

@@ -1,9 +1,13 @@
 """Independent exact-linear-algebra verification layer.
 
 Everything here works degreewise on explicit spanning vectors and never
-consults the Groebner engine, so the two routes can cross-check each other.
-Kernels are exact: integer rows with gcd normalization for ranks, unimodular
-elimination plus a dense Smith-normal-form residual for torsion checks.
+imports the Groebner engine, so the two routes can cross-check each other.
+The one exception is an input: the filtration check receives the K side as
+a staircase series (standard monomials per degree) from its caller, and
+compares it with cohomology ranks this module computes itself.  Kernels
+are exact: a unimodular unit-pivot phase first, then integer rows with gcd
+normalization for ranks, or a dense Smith-normal-form residual for torsion
+checks.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
 
-from .ideals import IdealPresentation, k_tanisaki_generators, tanisaki_generators
+from .ideals import IdealPresentation, tanisaki_generators
 from .partitions import Partition
 from .polynomial import Polynomial
 
@@ -179,8 +183,18 @@ def smith_normal_form(matrix) -> list[int]:
     return [abs(A[i][i]) for i in range(t)]
 
 
-def _invariant_factors_sparse(rows) -> list[int]:
-    """Invariant factors via a unit-pivot sparse phase + dense residual."""
+def _unit_pivots(rows) -> tuple[int, list[dict[int, int]]]:
+    """Eliminate with +-1 pivots: (number of pivots, residual rows).
+
+    Each step takes the shortest live row that has a unit entry (smallest
+    row index on ties) and clears its smallest unit column from every other
+    row.  These are unimodular row operations, so the pivots contribute
+    invariant factors 1 and the residual rows, which vanish in every pivot
+    column, carry the rest of the rank and of the Smith form.  Candidates
+    come from a lazy heap of (length, row index): a row is pushed again
+    whenever it changes, and stale entries or rows without a unit are
+    skipped when popped.
+    """
     live = {}
     col_index: dict[int, set[int]] = {}
     for rid, row in enumerate(rows):
@@ -189,22 +203,23 @@ def _invariant_factors_sparse(rows) -> list[int]:
             live[rid] = row
             for c in row:
                 col_index.setdefault(c, set()).add(rid)
+    heap = [(len(row), rid) for rid, row in live.items()]
+    heapq.heapify(heap)
     ones = 0
-    while True:
-        pick = None
-        for rid in sorted(live):
-            row = live[rid]
-            units = [c for c, v in row.items() if v in (1, -1)]
-            if units and (pick is None or len(row) < len(live[pick[0]])):
-                pick = (rid, min(units))
-        if pick is None:
-            break
-        rid, c = pick
-        piv = live.pop(rid)
+    while heap:
+        size, rid = heapq.heappop(heap)
+        piv = live.get(rid)
+        if piv is None or len(piv) != size:
+            continue  # picked or changed since this entry was pushed
+        units = [c for c, v in piv.items() if v in (1, -1)]
+        if not units:
+            continue  # pushed again if an elimination changes it
+        c = min(units)
+        del live[rid]
         for col in piv:
             col_index[col].discard(rid)
         s = piv[c]
-        for other in sorted(col_index.get(c, ())):
+        for other in list(col_index[c]):
             row = live[other]
             f = row[c] * s  # piv[c] = +-1, so the multiplier is exact
             for col, v in piv.items():
@@ -216,17 +231,25 @@ def _invariant_factors_sparse(rows) -> list[int]:
                 else:
                     row.pop(col, None)
                     col_index[col].discard(other)
-            if not row:
+            if row:
+                heapq.heappush(heap, (len(row), other))
+            else:
                 del live[other]
         ones += 1
+    return ones, [live[rid] for rid in sorted(live)]
+
+
+def _invariant_factors_sparse(rows) -> list[int]:
+    """Invariant factors via the unit-pivot sparse phase + dense residual."""
+    ones, residual = _unit_pivots(rows)
     factors = [1] * ones
-    if live:
-        cols = sorted({c for row in live.values() for c in row})
+    if residual:
+        cols = sorted({c for row in residual for c in row})
         pos = {c: i for i, c in enumerate(cols)}
         dense = []
-        for rid in sorted(live):
+        for row in residual:
             drow = [0] * len(cols)
-            for c, v in live[rid].items():
+            for c, v in row.items():
                 drow[pos[c]] = v
             dense.append(drow)
         factors += smith_normal_form(dense)
@@ -264,7 +287,7 @@ def ideal_degree_rank(pres: IdealPresentation, d: int) -> int:
     """Rank of the degree-d slice of a homogeneous ideal, by elimination."""
     n = pres.n
     cols = {m: i for i, m in enumerate(monomials_of_degree(n, d))}
-    ech = SparseEchelon()
+    rows = []
     for rec in pres.generators:
         poly = rec.poly
         e = poly.degree()
@@ -272,9 +295,18 @@ def ideal_degree_rank(pres: IdealPresentation, d: int) -> int:
             continue
         if any(sum(m) != e for m in poly.terms):
             raise ValueError("ideal_degree_rank requires homogeneous generators")
-        for row in _shifted_rows(poly, monomials_of_degree(n, d - e), cols):
-            ech.add(row)
-    return ech.rank
+        rows.extend(_shifted_rows(poly, monomials_of_degree(n, d - e), cols))
+    return _sparse_rank(rows)
+
+
+def _sparse_rank(rows) -> int:
+    """Rank over Q of sparse integer rows: unit pivots first, then the
+    fraction-free echelon on the residual."""
+    ones, residual = _unit_pivots(rows)
+    ech = SparseEchelon()
+    for row in residual:
+        ech.add(row)
+    return ones + ech.rank
 
 
 # -- Jordan form and the rank lemma ---------------------------------------
@@ -404,55 +436,24 @@ class FiltrationReport:
         ]
 
 
-def _graded_dims(gens: list[Polynomial], n: int, top: int) -> list[int]:
-    """Leading-form dimensions, per degree, of the generators' truncated multiples.
-
-    Columns are monomials of degree <= top ordered by descending degree, so a
-    pivot's block records the exact degree of the leading form it certifies.
-    """
-    cols = {}
-    for d in range(top, -1, -1):
-        for m in monomials_of_degree(n, d):
-            cols[m] = len(cols)
-    col_degree = {i: sum(m) for m, i in cols.items()}
-
-    ech = SparseEchelon()
-    dims = [0] * (top + 1)
-    for g in gens:
-        e = g.degree()
-        if not 0 <= e <= top:
-            continue
-        for row in _shifted_rows(g, _monomials_up_to(n, top - e), cols):
-            piv = ech.add(row)
-            if piv is not None:
-                dims[col_degree[piv]] += 1
-    return dims
-
-
-def _monomials_up_to(n: int, d: int):
-    for e in range(d + 1):
-        yield from monomials_of_degree(n, e)
-
-
-def filtration_check(partition: Partition) -> FiltrationReport:
+def filtration_check(partition: Partition, k_series) -> FiltrationReport:
     """Compare the degree filtration of the K-ideal against the graded ideal.
 
-    Per degree d the leading forms of the truncated multiples m * g of the
-    K-generators (in the v-convention) must span exactly the degree-d slice
-    of the cohomology ideal; the cumulative quotient rank must equal the
-    multinomial rank.  No products of generators are formed: expanding g_b
-    in g_a * g_b * m of degree <= top writes it as a sum of c_t * g_a * (t*m)
-    with deg(t*m) <= top - deg(g_a), each already a multiple row, so products
-    add nothing to the row space and the echelon's pivots are unchanged.
+    k_series[d] is the number of degree-d standard monomials of the K-ideal
+    in the v-convention under a degree-compatible order (degrevlex); degrees
+    past its end count 0.  For such an order the leading monomial of f is
+    that of its top-degree form, so in(I) = in(gr I) and the gr column is
+    dim S_d - k_series[d].  Per degree d it must equal the rank of the
+    degree-d slice of the cohomology ideal, which this module computes by
+    elimination; the cumulative quotient rank must equal the multinomial
+    rank.
     """
     n = partition.n
     top = partition.springer_dimension() + 1
     coh = tanisaki_generators(partition)
     ideal_dims = [ideal_degree_rank(coh, d) for d in range(top + 1)]
     s_dims = [dim_graded_piece(n, d) for d in range(top + 1)]
-
-    kgens = [g.poly for g in k_tanisaki_generators(partition, "v").generators]
-    gr_dims = _graded_dims(kgens, n, top)
+    gr_dims = [s_dims[d] - (k_series[d] if d < len(k_series) else 0) for d in range(top + 1)]
     mismatch = next((d for d in range(top + 1) if gr_dims[d] != ideal_dims[d]), None)
 
     findings = []

@@ -15,6 +15,7 @@ from tanisaki.groebner import (
     groebner_basis_for,
     hilbert_series,
     normal_form,
+    staircase_series,
     standard_monomials,
 )
 from tanisaki.ideals import (
@@ -125,7 +126,7 @@ def test_criterion_07_filtration():
     findings = []
     for n in range(1, 6):
         for lam in enumerate_partitions(n):
-            rep = filtration_check(lam)
+            rep = filtration_check(lam, staircase_series(standard_monomials(kbasis(lam))))
             assert rep.verdict, (lam, rep.to_dict())
             if rep.findings:
                 findings.append((lam, rep.findings))

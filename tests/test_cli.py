@@ -207,6 +207,44 @@ class TestCacheIntegration:
         assert files == after
 
 
+class TestCacheCertification:
+    """A cached basis that does not present the ideal is recomputed."""
+
+    def _rewrite_with(self, capsys, monkeypatch, tmp_path, parts, basis):
+        args = ("verify", "--partition", parts, "--suite", "gamma", "--suite", "stability",
+                "--suite", "truncation", "--cache-dir", str(tmp_path))
+        code, cold = run_cli(capsys, *args)
+        assert code == 0
+        path = tmp_path / f"gb_{parts.replace(',', '-')}_ktheory_v_degrevlex.json"
+        good = path.read_text()
+        doc = json.loads(good)
+        doc["basis"] = basis  # source_hash untouched
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+        groebner.groebner_basis_for.cache_clear()
+        calls = []
+        buchberger = groebner.buchberger
+
+        def counting(*a, **kw):
+            calls.append(a)
+            return buchberger(*a, **kw)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        code, warm = run_cli(capsys, *args)
+        assert code == 0
+        assert warm == cold
+        assert len(calls) == 1
+        assert path.read_text() == good
+
+    def test_unit_ideal_basis_is_recomputed(self, capsys, monkeypatch, tmp_path):
+        self._rewrite_with(capsys, monkeypatch, tmp_path, "3", ["1"])
+
+    def test_basis_missing_a_generator_is_recomputed(self, capsys, monkeypatch, tmp_path):
+        # staircase 1, v1, v1^2 has the multinomial rank 3, but v1 + v2 + v3
+        # does not reduce to zero
+        self._rewrite_with(capsys, monkeypatch, tmp_path, "2,1", ["v1^3", "v2", "v3"])
+
+
 class TestSharedPartitionWork:
     def test_basis_and_gamma_sweep_once_per_partition(self, capsys, monkeypatch, tmp_path):
         seen = {"basis": [], "gamma": []}
@@ -231,6 +269,27 @@ class TestSharedPartitionWork:
         parts = [tuple(r["partition"]) for r in doc["results"]]
         assert seen == {"basis": parts, "gamma": parts}
         assert all(r["suites"]["lambda"]["agrees_with_gamma"] for r in doc["results"])
+
+
+class TestFiltrationFlags:
+    def test_filtration_ignores_convention_and_order(self, capsys, monkeypatch):
+        _, default = run_json(capsys, "verify", "--n", "4", "--suite", "filtration")
+        # the staircase series happens to agree under every convention and
+        # order here, so also check which basis the suite asks for
+        asked = []
+        groebner_basis_for = groebner.groebner_basis_for
+
+        def recording(pres, *args):
+            asked.append((pres.convention, args))
+            return groebner_basis_for(pres, *args)
+
+        monkeypatch.setattr(groebner, "groebner_basis_for", recording)
+        _, other = run_json(capsys, "verify", "--n", "4", "--suite", "filtration",
+                            "--convention", "u", "--order", "lex")
+        blocks = [r["suites"]["filtration"] for r in default["results"]]
+        assert blocks == [r["suites"]["filtration"] for r in other["results"]]
+        assert all(b["ok"] for b in blocks)
+        assert asked == [("v", (groebner.DEGREVLEX,))] * len(blocks)
 
 
 class TestParallel:

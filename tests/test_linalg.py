@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from tanisaki.groebner import groebner_basis_for, standard_monomials
+from tanisaki.groebner import DEGREVLEX, groebner_basis_for, staircase_series, standard_monomials
 from tanisaki.ideals import k_tanisaki_generators, tanisaki_generators
 from tanisaki.linalg import (
+    SparseEchelon,
+    _shifted_rows,
     dim_graded_piece,
     filtration_check,
     ideal_degree_rank,
@@ -119,22 +121,56 @@ class TestIdealDegreeRank:
         assert all(sum(m) == 2 for m in monos)
 
 
+def k_series(lam):
+    """Per-degree K-staircase counts: v-convention, degrevlex, as verify uses."""
+    gb = groebner_basis_for(k_tanisaki_generators(lam, "v"), DEGREVLEX)
+    return staircase_series(standard_monomials(gb))
+
+
+def echelon_graded_dims(lam, top):
+    """Leading-form dimensions, per degree, of the truncated multiples m * g
+    of the v-convention K-generators: an oracle for the gr column that never
+    completes a Groebner basis.
+
+    Columns are monomials of degree <= top ordered by descending degree, so a
+    pivot's block records the exact degree of the leading form it certifies.
+    """
+    n = lam.n
+    cols = {}
+    for d in range(top, -1, -1):
+        for m in monomials_of_degree(n, d):
+            cols[m] = len(cols)
+    col_degree = {i: sum(m) for m, i in cols.items()}
+    ech = SparseEchelon()
+    dims = [0] * (top + 1)
+    for rec in k_tanisaki_generators(lam, "v").generators:
+        e = rec.poly.degree()
+        if not 0 <= e <= top:
+            continue
+        shifts = (m for k in range(top - e + 1) for m in monomials_of_degree(n, k))
+        for row in _shifted_rows(rec.poly, shifts, cols):
+            piv = ech.add(row)
+            if piv is not None:
+                dims[col_degree[piv]] += 1
+    return dims
+
+
 class TestFiltration:
     def test_point(self):
-        rep = filtration_check(Partition((3,)))
+        rep = filtration_check(Partition((3,)), k_series(Partition((3,))))
         assert rep.verdict
         quotient = [s - i for _, s, i, _ in rep.rows]
         assert quotient == [1, 0]
 
     def test_hook(self):
-        rep = filtration_check(Partition((2, 1)))
+        rep = filtration_check(Partition((2, 1)), k_series(Partition((2, 1))))
         assert rep.verdict
         quotient = [s - i for _, s, i, _ in rep.rows]
         assert quotient == [1, 2, 0]
 
     def test_n4_sweep(self):
         for lam in enumerate_partitions(4):
-            rep = filtration_check(lam)
+            rep = filtration_check(lam, k_series(lam))
             assert rep.verdict, (lam, rep.to_dict())
             assert rep.mismatch_degree is None
             # gr and ideal columns agree row by row
@@ -143,19 +179,26 @@ class TestFiltration:
 
     def test_quotient_dims_sum_to_rank(self):
         for lam in enumerate_partitions(4):
-            rep = filtration_check(lam)
+            rep = filtration_check(lam, k_series(lam))
             top = lam.springer_dimension()
             assert sum(s - i for d, s, i, _ in rep.rows if d <= top) == lam.multinomial_rank()
 
     def test_pass_implies_standard_monomial_count(self):
         for lam in enumerate_partitions(4):
-            rep = filtration_check(lam)
+            rep = filtration_check(lam, k_series(lam))
             gb = groebner_basis_for(k_tanisaki_generators(lam, "v"))
             assert rep.verdict
             assert len(standard_monomials(gb)) == lam.multinomial_rank()
 
+    def test_gr_column_matches_echelon_oracle(self):
+        lams = [lam for n in range(1, 5) for lam in enumerate_partitions(n)]
+        for lam in lams + [Partition((2, 1, 1, 1))]:
+            rep = filtration_check(lam, k_series(lam))
+            top = lam.springer_dimension() + 1
+            assert [g for _, _, _, g in rep.rows] == echelon_graded_dims(lam, top), lam
+
     def test_report_serialization(self):
-        rep = filtration_check(Partition((2, 2)))
+        rep = filtration_check(Partition((2, 2)), k_series(Partition((2, 2))))
         doc = rep.to_dict()
         assert doc["verdict"] == "pass" and doc["ok"] is True
         assert len(doc["rows"]) == len(rep.rows)

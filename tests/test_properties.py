@@ -14,6 +14,12 @@ from hypothesis import strategies as st
 from tanisaki.groebner import buchberger, groebner_basis_for, normal_form
 from tanisaki.ideals import apply_permutation, k_tanisaki_generators, tanisaki_generators
 from tanisaki.lambda_ring import VirtualClass, gamma_op, lambda_series
+from tanisaki.linalg import (
+    _invariant_factors_sparse,
+    _sparse_rank,
+    rank_rational,
+    smith_normal_form,
+)
 from tanisaki.partitions import Partition, enumerate_partitions
 from tanisaki.polynomial import Polynomial, binomial
 
@@ -168,3 +174,32 @@ class TestSnStability:
                 gb = groebner_basis_for(pres)
                 assert normal_form(image, gb).is_zero()
             cases += 1
+
+
+def random_integer_matrix(gen: random.Random):
+    """Small integer matrix with zero rows, non-unit entries and, often,
+    rows that are integer combinations of earlier rows."""
+    rows, cols = gen.randint(1, 6), gen.randint(1, 6)
+    entries = (0, 0, 0, 1, -1, 2, -2, 3, -3, 4, 6, -9)
+    mat = []
+    for _ in range(rows):
+        kind = gen.random()
+        if kind < 0.15:
+            mat.append([0] * cols)
+        elif kind < 0.35 and mat:
+            a, b = gen.choice(mat), gen.choice(mat)
+            s, t = gen.randint(-3, 3), gen.randint(-3, 3)
+            mat.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            mat.append([gen.choice(entries) for _ in range(cols)])
+    return mat
+
+
+class TestUnitPivotKernel:
+    def test_sparse_kernels_match_dense_references(self):
+        gen = random.Random(31)
+        for _ in range(200):
+            mat = random_integer_matrix(gen)
+            rows = [{j: v for j, v in enumerate(r) if v} for r in mat]
+            assert _invariant_factors_sparse(rows) == smith_normal_form(mat), mat
+            assert _sparse_rank(rows) == rank_rational(mat), mat
