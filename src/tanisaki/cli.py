@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -176,11 +175,14 @@ def _suite_truncation(ctx: _Context) -> dict:
 def _suite_filtration(ctx: _Context) -> dict:
     """The K side is the staircase of the v-convention degrevlex basis,
     whatever --convention and --order say: the filtration is defined in the
-    v-variables and needs a degree-compatible order.  The basis comes from
-    the in-memory completion, never the file cache; under default flags it
-    is the entry ctx.kbasis already completed."""
-    kpres = k_tanisaki_generators(ctx.p, "v")
-    gb = groebner.groebner_basis_for(kpres, groebner.DEGREVLEX)
+    v-variables and needs a degree-compatible order.  When the run itself is
+    v and degrevlex, that is ctx.kbasis, cached or not (a certified cached
+    basis has the same leading terms); otherwise it is completed in memory."""
+    if ctx.cfg.convention == "v" and ctx.cfg.order == groebner.DEGREVLEX:
+        gb = ctx.kbasis[1]
+    else:
+        kpres = k_tanisaki_generators(ctx.p, "v")
+        gb = groebner.groebner_basis_for(kpres, groebner.DEGREVLEX)
     series = groebner.staircase_series(groebner.standard_monomials(gb))
     return linalg.filtration_check(ctx.p, series).to_dict()
 
@@ -253,6 +255,9 @@ def cmd_verify(cfg: RunConfig) -> dict:
                 f"to rank-lemma or choose a smaller partition"
             )
     if cfg.jobs > 1 and len(cfg.partitions) > 1:
+        # imported here: multiprocessing would otherwise load at every start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_verify_one, cfg.partitions, [cfg] * len(cfg.partitions)))
     else:

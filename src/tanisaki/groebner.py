@@ -3,10 +3,17 @@
 Completion and normal forms run on one kernel, `_Engine.reduce`, over
 primitive integer polynomials (gcd-normalized pseudo reduction), so no
 Fraction ever enters the hot loop; the finished basis is converted to the
-unique reduced monic form.  Both classic Buchberger criteria are applied
-and the pair queue uses the normal (lowest lcm degree first) strategy with
-monomial-order tie-breaks, so completion is deterministic for a fixed input
-and order.
+unique reduced monic form.  Inside the engine every monomial is one int
+(`_Packing`): int order is the monomial order, a product is a sum, and a
+divisibility test is a subtraction and a mask.  Exponent tuples are packed
+when polynomials enter the engine and unpacked when they leave it; a
+monomial too wide for the fields (a total degree of 2^15 or more under a
+graded order, an exponent of 2^15 or more under lex) raises GroebnerError
+instead.  Both
+classic Buchberger criteria are applied and the pair queue uses the normal
+(lowest lcm degree first) strategy with monomial-order tie-breaks, so
+completion is deterministic for a fixed input and order.  A loaded cache
+entry is certified before use (`_certified`).
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import add, sub
+from operator import le, mul, sub
 
 from .ideals import IdealPresentation, presentation_json
 from .polynomial import Polynomial
@@ -76,14 +83,15 @@ class GroebnerBasis:
         return self.polys[0].n if self.polys else 0
 
     def leading_monomials(self) -> list[tuple[int, ...]]:
-        return list(self._engine.lms)
+        eng = self._engine
+        return [eng.packing.unpack(m) for m in eng.lms]
 
     @cached_property
     def _engine(self) -> "_Engine":
         """The basis as primitive integer polynomials, built on first use."""
-        eng = _Engine(self.order)
+        eng = _Engine(self.order, self.n)
         for p in self.polys:
-            eng.add(_integral(p)[0])
+            eng.add(_integral(p, eng.packing)[0])
         return eng
 
     def __len__(self):
@@ -92,12 +100,62 @@ class GroebnerBasis:
 
 # -- integer kernel ----------------------------------------------------
 
+_FIELD = 16  # bits per packed field; the top one is a guard bit
+_LIMIT = 1 << (_FIELD - 1)  # every field of a packable monomial stays below it
 
-def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+
+class _Packing:
+    """Exponent vectors of n variables as one int whose int order is the
+    monomial order (Bachmann-Schoenemann, ISSAC 1998).
+
+    Fields of _FIELD bits, most significant first: the order fields, then
+    one exponent field per variable in priority order.  Degrevlex has the
+    partial sums e_1+...+e_k of the priority-permuted exponents, k = n..2
+    (e_1 itself is the top exponent field); deglex has the degree; lex has
+    none.  Every field is linear in the exponents, so a product is a sum and
+    a quotient a difference.  While every field stays below its guard bit,
+    a | b is ((b | guard) - a) & guard == guard: no field borrows from the
+    next, and each field of b keeps its guard bit exactly when it is at
+    least a's.
+    """
+
+    def __init__(self, order: MonomialOrder, n: int):
+        perm = list(order.priority) if order.priority is not None else list(range(1, n + 1))
+        if sorted(perm) != list(range(1, n + 1)):
+            raise GroebnerError(f"priority {order.priority} is not a permutation of 1..{n}")
+        sums = {"degrevlex": range(n, 1, -1), "deglex": (n,), "lex": ()}[order.kind]
+        fields = [range(1, k + 1) for k in sums] + [(k,) for k in range(1, n + 1)]
+        units = [0] * n
+        self.guard = 0
+        self.exponent_guard = 0  # the guard bits of the exponent fields alone
+        self.shifts = [0] * n  # bit offset of each variable's exponent field
+        for pos, ks in enumerate(reversed(fields)):
+            shift = pos * _FIELD
+            self.guard |= 1 << (shift + _FIELD - 1)
+            for k in ks:
+                units[perm[k - 1] - 1] += 1 << shift
+            if pos < n:
+                self.exponent_guard |= 1 << (shift + _FIELD - 1)
+                self.shifts[perm[n - pos - 1] - 1] = shift
+        self.units = tuple(units)
+        self.graded = order.kind != "lex"
+
+    def pack(self, exps) -> int:
+        widest = sum(exps) if self.graded else max(exps, default=0)
+        if widest >= _LIMIT:
+            raise GroebnerError(f"monomial {tuple(exps)} is too wide to pack below {_LIMIT}")
+        return sum(map(mul, exps, self.units))
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        return tuple((m >> s) & (_LIMIT - 1) for s in self.shifts)
+
+    def lcm(self, a: int, b: int) -> tuple[int, int] | None:
+        """(degree, packed lcm) of a and b, or None when they are coprime."""
+        ea, eb = self.unpack(a), self.unpack(b)
+        if not any(map(min, ea, eb)):
+            return None
+        m = tuple(map(max, ea, eb))
+        return sum(m), self.pack(m)
 
 
 def _primitive(terms, lm):
@@ -116,56 +174,52 @@ def _primitive(terms, lm):
     return terms
 
 
-def _integral(p: Polynomial):
-    """Integer terms and the positive denominator den with p == terms / den."""
+def _integral(p: Polynomial, packing: _Packing):
+    """Packed integer terms and the positive denominator den with
+    p == terms / den."""
     den = 1
     for c in p.terms.values():
         if isinstance(c, Fraction):
             den = den * c.denominator // gcd(den, c.denominator)
-    return {m: int(c * den) for m, c in p.terms.items()}, den
-
-
-class _OrderKeys(dict):
-    """Exponent tuple -> order key, computed by MonomialOrder.key on first lookup."""
-
-    def __init__(self, order: MonomialOrder):
-        super().__init__()
-        self.order_key = order.key
-
-    def __missing__(self, exps):
-        k = self[exps] = self.order_key(exps)
-        return k
+    pack = packing.pack
+    return {pack(m): int(c * den) for m, c in p.terms.items()}, den
 
 
 class _Engine:
-    """Mutable reduction state: parallel arrays of basis data."""
+    """Mutable reduction state: parallel arrays of basis data, every
+    monomial packed by the engine's _Packing."""
 
-    def __init__(self, order: MonomialOrder):
-        # every key lookup after a monomial's first runs at dict speed
-        self.key = _OrderKeys(order).__getitem__
+    def __init__(self, order: MonomialOrder, n: int):
+        self.packing = _Packing(order, n)
         self.terms: list[dict] = []
-        self.lms: list[tuple] = []
+        self.lms: list[int] = []
         self.lcs: list[int] = []
-        self.scan: list[int] = []  # indices sorted by (lm key, idx) for reducer choice
+        self.scan: list[tuple[int, int]] = []  # (lm, idx), sorted: reducer choice order
 
     def add(self, terms):
-        lm = max(terms, key=self.key)
+        lm = max(terms)
         terms = _primitive(terms, lm)
         idx = len(self.terms)
         self.terms.append(terms)
         self.lms.append(lm)
         self.lcs.append(terms[lm])
-        bisect.insort(self.scan, idx, key=lambda i: (self.key(self.lms[i]), i))
+        bisect.insort(self.scan, (lm, idx))
         return idx
 
     def find_reducer(self, m, skip=-1, rng=None):
-        """First divisor of m in scan order, or rng's choice among all of them."""
-        if rng is None:
-            for i in self.scan:
-                if i != skip and _divides(self.lms[i], m):
+        """First divisor of m in scan order, or rng's choice among all of
+        them.  A divisor never exceeds m, so the scan stops at the first
+        larger leading monomial."""
+        g = self.packing.guard
+        mg = m | g
+        found = []
+        for lm, i in self.scan:
+            if lm > m:
+                break
+            if (mg - lm) & g == g and i != skip:
+                if rng is None:
                     return i
-            return -1
-        found = [i for i in self.scan if i != skip and _divides(self.lms[i], m)]
+                found.append(i)
         return rng.choice(found) if found else -1
 
     def reduce(self, terms, skip=-1, rng=None):
@@ -174,10 +228,12 @@ class _Engine:
         terms = dict(terms)
         remainder = {}
         scale = 1
-        key = self.key
+        guard = self.packing.guard
         steps = 0
         while terms:
-            lm = max(terms, key=key)
+            lm = max(terms)
+            if lm & guard:
+                raise GroebnerError(f"a monomial grew too wide to pack below {_LIMIT}")
             i = self.find_reducer(lm, skip, rng)
             if i < 0:
                 remainder[lm] = terms.pop(lm)
@@ -194,22 +250,14 @@ class _Engine:
                     terms[m] *= mt
                 for m in remainder:
                     remainder[m] *= mt
-            shift = tuple(map(sub, lm, self.lms[i]))
-            if any(shift):
-                for me, ce in self.terms[i].items():
-                    k2 = tuple(map(add, me, shift))
-                    v = terms.get(k2, 0) - mg * ce
-                    if v:
-                        terms[k2] = v
-                    else:
-                        del terms[k2]
-            else:
-                for me, ce in self.terms[i].items():
-                    v = terms.get(me, 0) - mg * ce
-                    if v:
-                        terms[me] = v
-                    else:
-                        del terms[me]
+            shift = lm - self.lms[i]
+            for me, ce in self.terms[i].items():
+                me += shift
+                v = terms.get(me, 0) - mg * ce
+                if v:
+                    terms[me] = v
+                else:
+                    del terms[me]
             steps += 1
             if steps % 64 == 0 and terms:
                 g = 0
@@ -230,24 +278,22 @@ class _Engine:
                         remainder[m] //= g
         return remainder, scale
 
-
-def _s_poly_int(ti, lmi, lci, tj, lmj, lcj):
-    lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
-    si = tuple(map(sub, lcm, lmi))
-    sj = tuple(map(sub, lcm, lmj))
-    g0 = gcd(lci, lcj)
-    mi, mj = lcj // g0, lci // g0
-    res = {}
-    for m, c in ti.items():
-        res[tuple(map(add, m, si))] = mi * c
-    for m, c in tj.items():
-        k = tuple(map(add, m, sj))
-        v = res.get(k, 0) - mj * c
-        if v:
-            res[k] = v
-        else:
-            del res[k]
-    return res
+    def s_poly(self, i, j, lcm):
+        """Integer S-polynomial of basis elements i and j, whose leading
+        monomials have the packed lcm."""
+        si, sj = lcm - self.lms[i], lcm - self.lms[j]
+        lci, lcj = self.lcs[i], self.lcs[j]
+        g0 = gcd(lci, lcj)
+        mi, mj = lcj // g0, lci // g0
+        res = {m + si: mi * c for m, c in self.terms[i].items()}
+        for m, c in self.terms[j].items():
+            m += sj
+            v = res.get(m, 0) - mj * c
+            if v:
+                res[m] = v
+            else:
+                del res[m]
+        return res
 
 
 def buchberger(source, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
@@ -265,11 +311,12 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     if any(g.n != n for g in gens):
         raise GroebnerError("mixed variable counts in generator list")
 
-    eng = _Engine(order)
-    key = eng.key
+    eng = _Engine(order, n)
+    packing = eng.packing
+    guard, exponent_guard = packing.guard, packing.exponent_guard
 
     # seed with inter-reduced input, smallest leading monomials first
-    seeds = sorted((_integral(g)[0] for g in gens), key=lambda t: key(max(t, key=key)))
+    seeds = sorted((_integral(g, packing)[0] for g in gens), key=max)
     for t in seeds:
         r, _ = eng.reduce(t)
         if r:
@@ -281,38 +328,38 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     def push_pairs(j):
         lmj = eng.lms[j]
         for i in range(j):
-            lmi = eng.lms[i]
-            lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
-            if lcm == tuple(map(add, lmi, lmj)):
+            pair = packing.lcm(eng.lms[i], lmj)
+            if pair is None:
                 continue  # coprime leading terms: S-poly reduces to 0
             pending.add((i, j))
-            heapq.heappush(heap, (sum(lcm), key(lcm), i, j))
+            heapq.heappush(heap, (*pair, i, j))
 
     for j in range(len(eng.terms)):
         push_pairs(j)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, lcm, i, j = heapq.heappop(heap)
         pending.discard((i, j))
-        lmi, lmj = eng.lms[i], eng.lms[j]
-        lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
+        lcm_g = lcm | guard
+        # guard bits of the exponent fields where lm_i (lm_j) is below the lcm
+        short_i = ~((eng.lms[i] | guard) - lcm) & exponent_guard
+        short_j = ~((eng.lms[j] | guard) - lcm) & exponent_guard
         chained = False
-        for k in range(len(eng.terms)):
-            if k == i or k == j or not _divides(eng.lms[k], lcm):
+        for k, lmk in enumerate(eng.lms):
+            if k == i or k == j or (lcm_g - lmk) & guard != guard:
                 continue
-            lmk = eng.lms[k]
+            short_k = ~((lmk | guard) - lcm) & exponent_guard
             # strict sub-lcm guards keep the chain criterion sound when
-            # several pairs share one lcm
-            if tuple(max(a, b) for a, b in zip(lmi, lmk)) == lcm:
-                continue
-            if tuple(max(a, b) for a, b in zip(lmj, lmk)) == lcm:
+            # several pairs share one lcm: lcm(lm_i, lm_k) != lcm and
+            # lcm(lm_j, lm_k) != lcm
+            if not short_i & short_k or not short_j & short_k:
                 continue
             if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
                 chained = True
                 break
         if chained:
             continue
-        s = _s_poly_int(eng.terms[i], eng.lms[i], eng.lcs[i], eng.terms[j], eng.lms[j], eng.lcs[j])
+        s = eng.s_poly(i, j, lcm)
         if not s:
             continue
         r, _ = eng.reduce(s)
@@ -320,15 +367,15 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
             push_pairs(eng.add(r))
 
     # minimal generating set of the leading-term ideal
-    order_idx = sorted(range(len(eng.terms)), key=lambda i: (key(eng.lms[i]), i))
     kept: list[int] = []
-    for i in order_idx:
-        if not any(_divides(eng.lms[k], eng.lms[i]) for k in kept):
+    for lm, i in eng.scan:
+        lm_g = lm | guard
+        if not any((lm_g - eng.lms[k]) & guard == guard for k in kept):
             kept.append(i)
 
     # tail-reduce to the unique auto-reduced form; leading monomials of a
     # minimal basis never change, so one pass leaves every element reduced
-    final = _Engine(order)
+    final = _Engine(order, n)
     for i in kept:
         final.add(eng.terms[i])
     for pos in range(len(final.terms)):
@@ -337,10 +384,11 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
         final.terms[pos] = r
         final.lcs[pos] = r[final.lms[pos]]
 
+    unpack = packing.unpack
     monic = []
     for t, lm in zip(final.terms, final.lms):
         lc = t[lm]
-        monic.append(Polynomial(n, {m: Fraction(c, lc) for m, c in t.items()}))
+        monic.append(Polynomial(n, {unpack(m): Fraction(c, lc) for m, c in t.items()}))
     return GroebnerBasis(tuple(monic), order, pres)
 
 
@@ -359,9 +407,11 @@ def normal_form(p: Polynomial, gb: GroebnerBasis, rng=None) -> Polynomial:
         raise GroebnerError("empty basis")
     if p.n != gb.n:
         raise GroebnerError(f"variable count mismatch: {p.n} vs {gb.n}")
-    terms, den = _integral(p)
-    remainder, scale = gb._engine.reduce(terms, rng=rng)
-    return Polynomial(gb.n, {m: Fraction(c, scale * den) for m, c in remainder.items()})
+    eng = gb._engine
+    terms, den = _integral(p, eng.packing)
+    remainder, scale = eng.reduce(terms, rng=rng)
+    unpack = eng.packing.unpack
+    return Polynomial(gb.n, {unpack(m): Fraction(c, scale * den) for m, c in remainder.items()})
 
 
 def standard_monomials(gb: GroebnerBasis) -> list[tuple[int, ...]]:
@@ -379,6 +429,14 @@ def standard_monomials(gb: GroebnerBasis) -> list[tuple[int, ...]]:
             raise InfiniteQuotient(f"variable {j + 1} has no pure-power leading term")
         bounds.append(min(pure))
 
+    # a leading monomial whose last variable is t < j was already tested at
+    # depth t on the same prefix, and one ending after j cannot divide yet
+    ending = [[] for _ in range(n)]
+    for m in lts:
+        last = max((j for j, e in enumerate(m) if e), default=-1)
+        if last >= 0:
+            ending[last].append(m)
+
     out = []
     vec = [0] * n
 
@@ -388,7 +446,7 @@ def standard_monomials(gb: GroebnerBasis) -> list[tuple[int, ...]]:
             return
         for e in range(bounds[j]):
             vec[j] = e
-            if any(_divides(m, vec) for m in lts):
+            if any(all(map(le, m, vec)) for m in ending[j]):
                 break  # larger e stays divisible by the same leading term
             descend(j + 1)
         vec[j] = 0
@@ -468,8 +526,13 @@ def basis_to_dict(gb: GroebnerBasis, pres: IdealPresentation, digest: str | None
 
 
 def _certified(gb: GroebnerBasis, pres: IdealPresentation) -> bool:
-    """Whether a loaded basis can stand for pres: a finite staircase of the
-    multinomial rank, and every source generator reducing to zero."""
+    """Whether a loaded basis G can stand for pres.
+
+    Every non-coprime S-pair of G reduces to zero, so G is a Groebner basis
+    of (G); its finite staircase has the multinomial rank, so Q[x]/(G) has
+    the rank of Q[x]/I; and every source generator reduces to zero, so
+    I is inside (G).  Together these give (G) = I.
+    """
     try:
         monos = standard_monomials(gb)
     except InfiniteQuotient:
@@ -477,7 +540,14 @@ def _certified(gb: GroebnerBasis, pres: IdealPresentation) -> bool:
     if len(monos) != pres.partition.multinomial_rank():
         return False
     eng = gb._engine
-    return all(not eng.reduce(_integral(g)[0])[0] for g in pres.polynomials())
+    if any(eng.reduce(_integral(g, eng.packing)[0])[0] for g in pres.polynomials()):
+        return False
+    for j in range(len(eng.lms)):
+        for i in range(j):
+            pair = eng.packing.lcm(eng.lms[i], eng.lms[j])
+            if pair is not None and eng.reduce(eng.s_poly(i, j, pair[1]))[0]:
+                return False
+    return True
 
 
 def cached_buchberger(

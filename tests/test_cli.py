@@ -196,6 +196,22 @@ class TestCacheIntegration:
         assert warm == cold
         assert calls == []
 
+    def test_warm_verify_never_completes(self, capsys, monkeypatch, tmp_path):
+        args = ("verify", "--n", "4", "--cache-dir", str(tmp_path))
+        _, cold = run_cli(capsys, *args)
+        groebner.groebner_basis_for.cache_clear()
+        calls = []
+        buchberger = groebner.buchberger
+
+        def counting(*a, **kw):
+            calls.append(a)
+            return buchberger(*a, **kw)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        _, warm = run_cli(capsys, *args)
+        assert warm == cold
+        assert calls == []
+
     def test_cache_hit_reuses_file(self, capsys, tmp_path):
         cache = str(tmp_path)
         args = ("presentation", "--partition", "3,1", "--flavor", "ktheory",
@@ -243,6 +259,11 @@ class TestCacheCertification:
         # staircase 1, v1, v1^2 has the multinomial rank 3, but v1 + v2 + v3
         # does not reduce to zero
         self._rewrite_with(capsys, monkeypatch, tmp_path, "2,1", ["v1^3", "v2", "v3"])
+
+    def test_basis_of_a_larger_ideal_is_recomputed(self, capsys, monkeypatch, tmp_path):
+        # staircase 1, v2 has the rank 2 and every generator reduces to zero,
+        # but the S-pair of v1 + v2 and v1 - 1 leaves v2 + 1: the unit ideal
+        self._rewrite_with(capsys, monkeypatch, tmp_path, "1,1", ["v1 + v2", "v2^2", "v1 - 1"])
 
 
 class TestSharedPartitionWork:
@@ -299,6 +320,24 @@ class TestParallel:
         _, b = run_cli(capsys, *serial, "--jobs", "3")
         da, db = json.loads(a), json.loads(b)
         assert da["results"] == db["results"]
+
+
+def test_presentation_leaves_process_pool_unimported():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import contextlib, io, sys\n"
+        "from tanisaki import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['presentation', '--partition', '2,1'])\n"
+        "print(code, sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+        " if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout == "0 []\n", proc.stderr
 
 
 def test_console_script_end_to_end():

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import random
-from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanisaki.groebner import (
     DEGLEX,
@@ -21,6 +23,8 @@ from tanisaki.groebner import (
     normal_form,
     s_polynomial,
     standard_monomials,
+    _LIMIT,
+    _Packing,
 )
 from tanisaki.ideals import k_tanisaki_generators, tanisaki_generators
 from tanisaki.linalg import dim_graded_piece, ideal_degree_rank
@@ -99,21 +103,94 @@ class TestBuchberger:
             buchberger([])
 
 
-class TestKeyMemo:
-    def test_each_monomial_keyed_at_most_twice(self, monkeypatch):
-        # once by the completion engine, once by the tail-reduction engine
+ORDERS = (LEX, DEGLEX, DEGREVLEX, MonomialOrder("degrevlex", (3, 1, 2)))
+NEAR_LIMIT = st.one_of(st.integers(0, 3), st.integers(_LIMIT - 4, _LIMIT - 1))
+
+
+def packable(order, exps):
+    """Whether every field of the packed monomial stays below its guard bit."""
+    return (sum(exps) if order.kind != "lex" else max(exps)) < _LIMIT
+
+
+class TestPackedMonomials:
+    def test_buchberger_never_calls_order_key(self, monkeypatch):
         pres = k_tanisaki_generators(Partition((2, 2, 1)), "v")
-        counts = Counter()
+        calls = []
         key = MonomialOrder.key
 
         def counting(self, exps):
-            counts[exps] += 1
+            calls.append(exps)
             return key(self, exps)
 
         monkeypatch.setattr(MonomialOrder, "key", counting)
-        buchberger(pres)
-        assert counts
-        assert max(counts.values()) <= 2
+        gb = buchberger(pres)
+        assert len(standard_monomials(gb)) == 30
+        assert calls == []
+
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.kind}{o.priority or ''}")
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(a=st.tuples(NEAR_LIMIT, NEAR_LIMIT, NEAR_LIMIT),
+           b=st.tuples(NEAR_LIMIT, NEAR_LIMIT, NEAR_LIMIT))
+    def test_packed_ops_match_exponent_vectors(self, order, a, b):
+        packing = _Packing(order, 3)
+        for e in (a, b):
+            if not packable(order, e):
+                with pytest.raises(GroebnerError):
+                    packing.pack(e)
+        if not (packable(order, a) and packable(order, b)):
+            return
+        pa, pb = packing.pack(a), packing.pack(b)
+        assert packing.unpack(pa) == a
+        assert (pa < pb) == (order.key(a) < order.key(b))
+        assert (pa == pb) == (a == b)
+        g = packing.guard
+        assert (((pb | g) - pa) & g == g) == all(x <= y for x, y in zip(a, b))
+        # a product too wide to pack shows up as a guard bit, never as a carry
+        ab = tuple(x + y for x, y in zip(a, b))
+        if packable(order, ab):
+            assert pa + pb == packing.pack(ab)
+        else:
+            assert (pa + pb) & g
+
+    def test_priority_must_be_a_permutation(self):
+        with pytest.raises(GroebnerError):
+            buchberger([P("y1 + y2 + y3", 3)], MonomialOrder("lex", (1, 2)))
+
+    def test_too_wide_is_an_error(self):
+        with pytest.raises(GroebnerError):
+            _Packing(LEX, 2).pack((_LIMIT, 0))
+        with pytest.raises(GroebnerError):
+            _Packing(DEGREVLEX, 2).pack((_LIMIT - 1, 1))
+        # the lcm of these leading monomials has degree 40000
+        with pytest.raises(GroebnerError):
+            buchberger([P("y1^20000*y2 - 1", 2), P("y1*y2^20000 - 1", 2)])
+        # reducing y1^20000 by y1 - y2^2 under lex grows y2 past the field
+        gb = buchberger([P("y1 - y2^2", 2)], LEX)
+        with pytest.raises(GroebnerError):
+            normal_form(P("y1^20000", 2), gb)
+
+
+def golden_lines():
+    """Rendered reduced bases and staircases: every partition of n <= 5 under
+    lex, deglex and degrevlex, and every partition of 6 under degrevlex, in
+    cohomology and in both K conventions."""
+    cases = [(lam, order) for n in range(1, 6) for lam in enumerate_partitions(n)
+             for order in (LEX, DEGLEX, DEGREVLEX)]
+    cases += [(lam, DEGREVLEX) for lam in enumerate_partitions(6)]
+    for lam, order in cases:
+        for pres in (tanisaki_generators(lam), k_tanisaki_generators(lam, "u"),
+                     k_tanisaki_generators(lam, "v")):
+            gb = buchberger(pres, order)
+            basis = "; ".join(p.render(pres.convention) for p in gb.polys)
+            stairs = " ".join(map(str, standard_monomials(gb)))
+            yield f"{lam.parts} {pres.flavor} {pres.convention} {order.kind}: {basis} | {stairs}"
+
+
+class TestGolden:
+    def test_bases_and_staircases_match_recorded_digest(self):
+        # recorded from the tuple-keyed engine that preceded packed monomials
+        digest = hashlib.sha256("\n".join(golden_lines()).encode()).hexdigest()
+        assert digest == "e53d1c90b6eb75ada15822754b9e4d3a681050e7180b22863d2f19cb449ae794"
 
 
 class TestNormalForm:
