@@ -7,7 +7,6 @@ from .groebner import (
     InfiniteQuotient,
     MonomialOrder,
     buchberger,
-    hilbert_function,
     hilbert_series,
     normal_form,
     standard_monomials,
@@ -19,7 +18,6 @@ from .ideals import (
     h_polynomial,
     k_tanisaki_generators,
     tanisaki_generators,
-    to_u_convention,
     to_v_convention,
     truncation_certificate,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "filtration_check",
     "gamma_op",
     "h_polynomial",
-    "hilbert_function",
     "hilbert_series",
     "ideal_degree_rank",
     "integral_freeness_check",
@@ -85,7 +82,6 @@ __all__ = [
     "smith_normal_form",
     "standard_monomials",
     "tanisaki_generators",
-    "to_u_convention",
     "to_v_convention",
     "truncation_certificate",
     "verify_gamma_relations",

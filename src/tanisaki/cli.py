@@ -33,6 +33,8 @@ SCHEMA_VERSION = 2
 SWEEP_MAX_N = 7
 SWEEP_GROEBNER_MAX_N = 6
 VERIFY_MAX_N = 5
+PRESENTATION_MAX_N = 8  # presentation and gamma complete a Groebner basis
+RANK_LEMMA_MAX_N = 40
 HEAVY_SUITES = ("gamma", "lambda", "truncation", "filtration", "freeness", "stability")
 ALL_SUITES = ("rank-lemma",) + HEAVY_SUITES
 
@@ -247,13 +249,6 @@ def _verify_one(p: Partition, cfg: RunConfig) -> dict:
 
 
 def cmd_verify(cfg: RunConfig) -> dict:
-    heavy = [s for s in cfg.suites if s in HEAVY_SUITES]
-    for p in cfg.partitions:
-        if heavy and p.n > VERIFY_MAX_N:
-            raise PartitionError(
-                f"partition {p} has n={p.n} > {VERIFY_MAX_N}: restrict --suite "
-                f"to rank-lemma or choose a smaller partition"
-            )
     if cfg.jobs > 1 and len(cfg.partitions) > 1:
         # imported here: multiprocessing would otherwise load at every start
         from concurrent.futures import ProcessPoolExecutor
@@ -273,19 +268,17 @@ def cmd_sweep(cfg: RunConfig) -> dict:
     for p in cfg.partitions:
         t0 = time.perf_counter()
         row = _partition_block(p)
+        kth = k_tanisaki_generators(p, cfg.convention)
+        row["generator_count"] = len(kth.generators)
         if p.n <= SWEEP_GROEBNER_MAX_N:
             coh = tanisaki_generators(p)
-            kth = k_tanisaki_generators(p, cfg.convention)
             gb_c = groebner.cached_buchberger(coh, cfg.order, cfg.cache_dir)
             gb_k = groebner.cached_buchberger(kth, cfg.order, cfg.cache_dir)
             row["gb_size_cohomology"] = len(gb_c)
             row["gb_size_ktheory"] = len(gb_k)
-            row["generator_count"] = len(kth.generators)
         else:
-            kth = k_tanisaki_generators(p, cfg.convention)
             row["gb_size_cohomology"] = None
             row["gb_size_ktheory"] = None
-            row["generator_count"] = len(kth.generators)
         row["time_ms"] = round((time.perf_counter() - t0) * 1000, 3)
         results.append(row)
     return {"results": results, "ok": True}
@@ -456,11 +449,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _n_cap(args) -> tuple[int, str]:
+    """The largest n the command accepts, and how to name that cap."""
+    if args.command in ("presentation", "gamma"):
+        return PRESENTATION_MAX_N, args.command
+    if args.command == "sweep":
+        return SWEEP_MAX_N, "sweep"
+    if args.command == "verify" and set(args.suite or ALL_SUITES) & set(HEAVY_SUITES):
+        return VERIFY_MAX_N, "verify with suites other than rank-lemma"
+    return RANK_LEMMA_MAX_N, "the rank lemma"
+
+
 def _resolve_partitions(args) -> list[Partition]:
+    """The partitions to run; an n over the command's cap is refused before
+    any partition of it is enumerated or used."""
     parts = [parse_partition(t) for t in args.partition]
+    sizes = [p.n for p in parts]
     if args.n is not None:
         if args.n < 1:
             raise PartitionError(f"--n must be >= 1, got {args.n}")
+        sizes.append(args.n)
+    cap, name = _n_cap(args)
+    if any(n > cap for n in sizes):
+        raise PartitionError(f"{name} is capped at n={cap}, got n={max(sizes)}")
+    if args.n is not None:
         parts.extend(enumerate_partitions(args.n))
     if not parts:
         raise PartitionError("no partitions given: use --partition or --n")
@@ -506,8 +518,6 @@ def main(argv=None) -> int:
         elif args.command == "verify":
             doc = cmd_verify(cfg)
         elif args.command == "sweep":
-            if any(p.n > SWEEP_MAX_N for p in partitions):
-                raise PartitionError(f"sweep is capped at n={SWEEP_MAX_N}")
             doc = cmd_sweep(cfg)
         elif args.command == "gamma":
             if len(partitions) != 1:

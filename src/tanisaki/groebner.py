@@ -456,7 +456,7 @@ def standard_monomials(gb: GroebnerBasis) -> list[tuple[int, ...]]:
     return out
 
 
-# -- Hilbert function of homogeneous ideals ----------------------------
+# -- Hilbert series of homogeneous ideals ------------------------------
 
 
 def _require_homogeneous(pres: IdealPresentation):
@@ -465,22 +465,13 @@ def _require_homogeneous(pres: IdealPresentation):
             continue
         degs = {sum(m) for m in g.poly.terms}
         if len(degs) != 1:
-            raise GroebnerError("hilbert_function requires homogeneous generators")
+            raise GroebnerError("hilbert_series requires homogeneous generators")
 
 
 @lru_cache(maxsize=None)
 def groebner_basis_for(pres: IdealPresentation, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     """Session-cached completion, keyed by the presentation value."""
     return buchberger(pres, order)
-
-
-def hilbert_function(pres: IdealPresentation, d: int, order: MonomialOrder = DEGREVLEX) -> int:
-    """Rank of the degree-d graded piece of the quotient by a homogeneous ideal."""
-    if d < 0:
-        raise GroebnerError(f"degree must be >= 0, got {d}")
-    _require_homogeneous(pres)
-    gb = groebner_basis_for(pres, order)
-    return sum(1 for m in standard_monomials(gb) if sum(m) == d)
 
 
 def hilbert_series(pres: IdealPresentation, order: MonomialOrder = DEGREVLEX) -> tuple[int, ...]:

@@ -54,11 +54,6 @@ def to_v_convention(p: Polynomial) -> Polynomial:
     return p.shift_variables(1)
 
 
-def to_u_convention(p: Polynomial) -> Polynomial:
-    """Inverse of to_v_convention."""
-    return p.shift_variables(-1)
-
-
 def _d_range(s: int, q: int) -> range:
     """Degrees kept for a size-s subset with q = p_dual(s): max(1, s+1-q)..s."""
     return range(max(1, s + 1 - q), s + 1)

@@ -4,10 +4,12 @@ Everything here works degreewise on explicit spanning vectors and never
 imports the Groebner engine, so the two routes can cross-check each other.
 The one exception is an input: the filtration check receives the K side as
 a staircase series (standard monomials per degree) from its caller, and
-compares it with cohomology ranks this module computes itself.  Kernels
-are exact: a unimodular unit-pivot phase first, then integer rows with gcd
-normalization for ranks, or a dense Smith-normal-form residual for torsion
-checks.
+compares it with cohomology ranks this module computes itself.  Ideal
+slices take one exact route: a unimodular unit-pivot phase, then a dense
+Smith-normal-form residual.  A slice's rank is its number of invariant
+factors, and each slice is eliminated once per process (`_slice`), so the
+filtration and freeness checks share the work.  `SparseEchelon` serves
+only `rank_rational`, the dense-matrix oracle.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 
 from .ideals import IdealPresentation, tanisaki_generators
@@ -283,8 +286,12 @@ def _shifted_rows(poly: Polynomial, shifts, cols):
         yield {cols[tuple(a + b for a, b in zip(pm, m))]: c for pm, c in items}
 
 
-def ideal_degree_rank(pres: IdealPresentation, d: int) -> int:
-    """Rank of the degree-d slice of a homogeneous ideal, by elimination."""
+@lru_cache(maxsize=None)
+def _slice(pres: IdealPresentation, d: int) -> tuple[int, tuple[int, ...]]:
+    """(rank, invariant factors other than 1) of the degree-d slice of a
+    homogeneous ideal: the rows g * m over every generator g and every
+    monomial m of degree d - deg g, eliminated by unit pivots and a Smith
+    residual.  The only place slice rows are built."""
     n = pres.n
     cols = {m: i for i, m in enumerate(monomials_of_degree(n, d))}
     rows = []
@@ -296,17 +303,14 @@ def ideal_degree_rank(pres: IdealPresentation, d: int) -> int:
         if any(sum(m) != e for m in poly.terms):
             raise ValueError("ideal_degree_rank requires homogeneous generators")
         rows.extend(_shifted_rows(poly, monomials_of_degree(n, d - e), cols))
-    return _sparse_rank(rows)
+    factors = _invariant_factors_sparse(rows)
+    return len(factors), tuple(f for f in factors if f != 1)
 
 
-def _sparse_rank(rows) -> int:
-    """Rank over Q of sparse integer rows: unit pivots first, then the
-    fraction-free echelon on the residual."""
-    ones, residual = _unit_pivots(rows)
-    ech = SparseEchelon()
-    for row in residual:
-        ech.add(row)
-    return ones + ech.rank
+def ideal_degree_rank(pres: IdealPresentation, d: int) -> int:
+    """Rank of the degree-d slice of a homogeneous ideal: the number of
+    invariant factors of its memoised elimination."""
+    return _slice(pres, d)[0]
 
 
 # -- Jordan form and the rank lemma ---------------------------------------
@@ -385,24 +389,13 @@ class FreenessReport:
 
 
 def integral_freeness_check(partition: Partition) -> FreenessReport:
-    """Degreewise Smith-form check that the cohomology quotient is Z-free."""
+    """Check that the cohomology quotient is Z-free: for d = 1..top every
+    invariant factor of the degree-d slice is 1.  The slices are the
+    memoised ones whose ranks the filtration check reads."""
     pres = tanisaki_generators(partition)
-    n = partition.n
     top = partition.springer_dimension() + 1
-    degrees = []
-    ok = True
-    for d in range(1, top + 1):
-        cols = {m: i for i, m in enumerate(monomials_of_degree(n, d))}
-        rows = []
-        for rec in pres.generators:
-            e = rec.poly.degree()
-            if 0 <= e <= d:
-                rows.extend(_shifted_rows(rec.poly, monomials_of_degree(n, d - e), cols))
-        factors = _invariant_factors_sparse(rows)
-        bad = tuple(f for f in factors if f != 1)
-        degrees.append((d, len(factors), bad))
-        ok = ok and not bad
-    return FreenessReport(partition, tuple(degrees), ok)
+    degrees = tuple((d, *_slice(pres, d)) for d in range(1, top + 1))
+    return FreenessReport(partition, degrees, not any(bad for _, _, bad in degrees))
 
 
 # -- the filtration comparison ---------------------------------------------

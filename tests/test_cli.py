@@ -6,7 +6,8 @@ import sys
 import jsonschema
 import pytest
 
-from tanisaki import cli, groebner, lambda_ring
+from tanisaki import cli, groebner, lambda_ring, linalg
+from tanisaki.partitions import Partition
 
 SCHEMA = json.load(
     open(os.path.join(os.path.dirname(cli.__file__), "report_schema.json"))
@@ -42,6 +43,33 @@ class TestExitCodes:
         capsys.readouterr()
         assert cli.main(["presentation"]) == 2  # no partitions at all
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ("presentation", "--partition", "99999999999"),
+        ("presentation", "--partition", "25"),
+        ("presentation", "--partition", "9"),
+        ("gamma", "--partition", "99999999999", "--subset", "1", "--d", "1"),
+        ("rank-lemma", "--partition", "99999999999"),
+        ("rank-lemma", "--n", "41"),
+        ("verify", "--partition", "99999999999", "--suite", "rank-lemma"),
+        ("verify", "--n", "100"),
+        ("sweep", "--n", "100"),
+    ])
+    def test_n_over_the_command_cap_is_two(self, capsys, monkeypatch, argv):
+        def started(*args):
+            raise AssertionError("partition work started past the cap")
+
+        # refused before any partition is enumerated or used
+        monkeypatch.setattr(cli, "enumerate_partitions", started)
+        monkeypatch.setattr(Partition, "dual", started)
+        assert cli.main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "capped at n=" in captured.err
+
+    def test_rank_lemma_runs_at_its_cap(self, capsys):
+        code, doc = run_json(capsys, "rank-lemma", "--partition", "20,20")
+        assert code == 0 and doc["results"][0]["n"] == cli.RANK_LEMMA_MAX_N
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_two(self, capsys, jobs):
@@ -290,6 +318,24 @@ class TestSharedPartitionWork:
         parts = [tuple(r["partition"]) for r in doc["results"]]
         assert seen == {"basis": parts, "gamma": parts}
         assert all(r["suites"]["lambda"]["agrees_with_gamma"] for r in doc["results"])
+
+    def test_each_cohomology_slice_eliminated_once(self, capsys, monkeypatch):
+        # the slice memo lives for the whole process: start it empty
+        linalg._slice.cache_clear()
+        calls = []
+        unit_pivots = linalg._unit_pivots
+
+        def counting(rows):
+            calls.append(1)
+            return unit_pivots(rows)
+
+        monkeypatch.setattr(linalg, "_unit_pivots", counting)
+        code, doc = run_json(
+            capsys, "verify", "--n", "3", "--suite", "filtration", "--suite", "freeness"
+        )
+        assert code == 0
+        # filtration ranks the slices d = 0..dim + 1; freeness reads d >= 1 back
+        assert len(calls) == sum(r["dimension"] + 2 for r in doc["results"])
 
 
 class TestFiltrationFlags:

@@ -16,7 +16,6 @@ from tanisaki.ideals import apply_permutation, k_tanisaki_generators, tanisaki_g
 from tanisaki.lambda_ring import VirtualClass, gamma_op, lambda_series
 from tanisaki.linalg import (
     _invariant_factors_sparse,
-    _sparse_rank,
     rank_rational,
     smith_normal_form,
 )
@@ -202,4 +201,4 @@ class TestUnitPivotKernel:
             mat = random_integer_matrix(gen)
             rows = [{j: v for j, v in enumerate(r) if v} for r in mat]
             assert _invariant_factors_sparse(rows) == smith_normal_form(mat), mat
-            assert _sparse_rank(rows) == rank_rational(mat), mat
+            assert len(_invariant_factors_sparse(rows)) == rank_rational(mat), mat
