@@ -106,7 +106,10 @@ def _presentation_block(p: Partition, flavor: str, cfg: RunConfig) -> dict:
     block = {
         "flavor": flavor,
         "convention": prefix,
-        "generators": ideals.presentation_to_dict(pres)["generators"],
+        "generators": [
+            {"subset": list(g.subset), "d": g.d, "q": g.q, "poly": g.poly.render(prefix)}
+            for g in pres.generators
+        ],
         "groebner_basis": [q.render(prefix) for q in gb.polys],
         "standard_monomials": [_render_monomial(m, prefix) for m in monos],
         "quotient_rank": len(monos),
@@ -178,8 +181,8 @@ def _suite_filtration(ctx: _Context) -> dict:
     """The K side is the staircase of the v-convention degrevlex basis,
     whatever --convention and --order say: the filtration is defined in the
     v-variables and needs a degree-compatible order.  When the run itself is
-    v and degrevlex, that is ctx.kbasis, cached or not (a certified cached
-    basis has the same leading terms); otherwise it is completed in memory."""
+    v and degrevlex, that is ctx.kbasis; otherwise it is completed in
+    memory."""
     if ctx.cfg.convention == "v" and ctx.cfg.order == groebner.DEGREVLEX:
         gb = ctx.kbasis[1]
     else:
@@ -425,7 +428,9 @@ def _add_common(sub):
                      help="variable convention for K-theory computations")
     sub.add_argument("--order", choices=["degrevlex", "deglex", "lex"], default="degrevlex")
     sub.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    sub.add_argument("--cache-dir", default=None, help="Groebner basis cache directory")
+    sub.add_argument("--cache-dir", default=None,
+                     help="directory to write each reduced Groebner basis to as JSON "
+                          "(written, never read back)")
     sub.add_argument("--jobs", type=int, default=1)
 
 
@@ -528,6 +533,11 @@ def main(argv=None) -> int:
                 raise PartitionError(f"bad --subset {args.subset!r}") from None
             if args.d < 0:
                 raise PartitionError("--d must be >= 0")
+            # the verify sweep stops at s + 2, and gamma^d(sum [L_i] - s),
+            # the t^d coefficient of prod(1 + ([L_i] - 1) t), is zero for d > s
+            d_max = partitions[0].n + 2
+            if args.d > d_max:
+                raise PartitionError(f"--d must be <= n + 2 = {d_max}, got {args.d}")
             doc = cmd_gamma(cfg, subset, args.d)
         else:
             doc = cmd_rank_lemma(cfg)

@@ -12,14 +12,13 @@ graded order, an exponent of 2^15 or more under lex) raises GroebnerError
 instead.  Both
 classic Buchberger criteria are applied and the pair queue uses the normal
 (lowest lcm degree first) strategy with monomial-order tie-breaks, so
-completion is deterministic for a fixed input and order.  A loaded cache
-entry is certified before use (`_certified`).
+completion is deterministic for a fixed input and order.  Basis files
+(`cached_buchberger`) are written and never read back.
 """
 
 from __future__ import annotations
 
 import bisect
-import hashlib
 import heapq
 import json
 import os
@@ -30,7 +29,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from operator import le, mul, sub
 
-from .ideals import IdealPresentation, presentation_json
+from .ideals import IdealPresentation
 from .polynomial import Polynomial
 
 
@@ -488,12 +487,12 @@ def staircase_series(monos) -> tuple[int, ...]:
     return tuple(series)
 
 
-# -- persistent basis cache --------------------------------------------
-
-
-def source_hash(pres: IdealPresentation, order: MonomialOrder) -> str:
-    payload = presentation_json(pres) + json.dumps(order.to_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+# -- basis files -------------------------------------------------------
+#
+# Bases are written, never read.  The reduced basis of an ideal under an
+# order is unique, so a file could save only the time its completion takes,
+# and certifying that a loaded basis presents the ideal (every generator and
+# every S-pair reduced on it) costs more than completing the ideal afresh.
 
 
 def cache_path(pres: IdealPresentation, order: MonomialOrder, cache_dir: str) -> str:
@@ -506,69 +505,29 @@ def cache_path(pres: IdealPresentation, order: MonomialOrder, cache_dir: str) ->
     return os.path.join(cache_dir, name)
 
 
-def basis_to_dict(gb: GroebnerBasis, pres: IdealPresentation, digest: str | None = None) -> dict:
-    """The cache document; digest, when known, is source_hash(pres, gb.order)."""
+def basis_to_dict(gb: GroebnerBasis, pres: IdealPresentation) -> dict:
     return {
-        "schema_version": 1,
-        "source_hash": digest or source_hash(pres, gb.order),
+        "schema_version": 2,
         "order": gb.order.to_dict(),
         "basis": [p.render(pres.convention) for p in gb.polys],
     }
 
 
-def _certified(gb: GroebnerBasis, pres: IdealPresentation) -> bool:
-    """Whether a loaded basis G can stand for pres.
-
-    Every non-coprime S-pair of G reduces to zero, so G is a Groebner basis
-    of (G); its finite staircase has the multinomial rank, so Q[x]/(G) has
-    the rank of Q[x]/I; and every source generator reduces to zero, so
-    I is inside (G).  Together these give (G) = I.
-    """
-    try:
-        monos = standard_monomials(gb)
-    except InfiniteQuotient:
-        return False
-    if len(monos) != pres.partition.multinomial_rank():
-        return False
-    eng = gb._engine
-    if any(eng.reduce(_integral(g, eng.packing)[0])[0] for g in pres.polynomials()):
-        return False
-    for j in range(len(eng.lms)):
-        for i in range(j):
-            pair = eng.packing.lcm(eng.lms[i], eng.lms[j])
-            if pair is not None and eng.reduce(eng.s_poly(i, j, pair[1]))[0]:
-                return False
-    return True
-
-
 def cached_buchberger(
     pres: IdealPresentation, order: MonomialOrder = DEGREVLEX, cache_dir: str | None = None
 ) -> GroebnerBasis:
-    """File-cached completion; corrupted, stale or wrong entries are recomputed."""
-    if cache_dir is None:
-        return groebner_basis_for(pres, order)
-    path = cache_path(pres, order, cache_dir)
-    want = source_hash(pres, order)
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("source_hash") == want and doc.get("order") == order.to_dict():
-            polys = tuple(
-                Polynomial.parse(text, pres.n, pres.convention) for text in doc["basis"]
-            )
-            gb = GroebnerBasis(polys, order, pres)
-            if _certified(gb, pres):
-                return gb
-    except (OSError, ValueError, KeyError):
-        pass
+    """Session-cached completion; with a cache_dir, the basis is also
+    written there atomically."""
     gb = groebner_basis_for(pres, order)
+    if cache_dir is None:
+        return gb
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(basis_to_dict(gb, pres, want), fh, sort_keys=True, indent=2)
+            json.dump(basis_to_dict(gb, pres), fh, sort_keys=True, indent=2)
             fh.write("\n")
-        os.replace(tmp, path)
+        os.replace(tmp, cache_path(pres, order, cache_dir))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

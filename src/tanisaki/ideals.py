@@ -8,14 +8,11 @@ v_j = u_j - 1, in Z[v_1..v_n].
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 
 from .partitions import Partition, PartitionError, check_subset, enumerate_subsets
 from .polynomial import Polynomial, binomial, elementary_symmetric
-
-SCHEMA_VERSION = 1
 
 COHOMOLOGY = "cohomology"
 KTHEORY = "ktheory"
@@ -177,49 +174,3 @@ def apply_permutation(p: Polynomial, sigma) -> Polynomial:
     """Variable substitution x_j -> x_{sigma(j)} for a 1-based permutation."""
     return p.permute_variables(sigma)
 
-
-# -- serialization ----------------------------------------------------
-
-
-def presentation_to_dict(pres: IdealPresentation) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "partition": list(pres.partition.parts),
-        "n": pres.n,
-        "flavor": pres.flavor,
-        "convention": pres.convention,
-        "generators": [
-            {
-                "subset": list(g.subset),
-                "d": g.d,
-                "q": g.q,
-                "poly": g.poly.render(pres.convention),
-            }
-            for g in pres.generators
-        ],
-    }
-
-
-def presentation_from_dict(doc: dict) -> IdealPresentation:
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise PartitionError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    partition = Partition(tuple(doc["partition"]))
-    n = partition.n
-    if doc["n"] != n:
-        raise PartitionError(f"inconsistent n: {doc['n']} vs partition sum {n}")
-    convention = doc["convention"]
-    records = tuple(
-        GeneratorRecord(
-            Polynomial.parse(g["poly"], n, convention),
-            tuple(g["subset"]),
-            g["d"],
-            g["q"],
-            doc["flavor"],
-        )
-        for g in doc["generators"]
-    )
-    return IdealPresentation(partition, doc["flavor"], convention, records)
-
-
-def presentation_json(pres: IdealPresentation) -> str:
-    return json.dumps(presentation_to_dict(pres), sort_keys=True, indent=2)

@@ -328,12 +328,6 @@ def jordan_matrix(partition: Partition) -> list[list[int]]:
     return mat
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 @dataclass(frozen=True)
 class RankLemmaReport:
     partition: Partition
@@ -349,16 +343,24 @@ class RankLemmaReport:
 
 
 def verify_rank_lemma(partition: Partition) -> RankLemmaReport:
-    """Check p_dual(s) == rank(J^(n-s)) for every s in 1..n."""
+    """Check p_dual(s) == rank(J^(n-s)) for every s in 1..n.  The powers
+    of J are kept as sparse rows {col: value} and ranked by elimination."""
     n = partition.n
     dual = partition.dual()
-    jmat = jordan_matrix(partition)
-    power = [[int(i == j) for j in range(n)] for i in range(n)]  # J^0
+    jrows = [{c: v for c, v in enumerate(row) if v} for row in jordan_matrix(partition)]
+    power = [{i: 1} for i in range(n)]  # J^0
     ranks = [0] * (n + 1)  # ranks[k] = rank(J^k)
     for k in range(n + 1):
-        ranks[k] = rank_rational(power)
+        ranks[k] = len(_invariant_factors_sparse(power))
         if k < n:
-            power = _mat_mul(power, jmat)
+            nxt = []
+            for row in power:
+                acc = {}
+                for c, v in row.items():
+                    for j, w in jrows[c].items():
+                        acc[j] = acc.get(j, 0) + v * w
+                nxt.append({j: v for j, v in acc.items() if v})
+            power = nxt
     rows = []
     ok = True
     for s in range(1, n + 1):

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -12,6 +14,16 @@ from tanisaki.partitions import Partition
 SCHEMA = json.load(
     open(os.path.join(os.path.dirname(cli.__file__), "report_schema.json"))
 )
+
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+
+
+def readme_examples():
+    """Every `tanisaki ...` line of the README's CLI code block."""
+    text = open(README).read()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("tanisaki ")]
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +117,21 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("d", ["6", "1000000000"])
+    def test_gamma_degree_over_n_plus_two_is_two(self, capsys, monkeypatch, d):
+        def expanded(*args):
+            raise AssertionError("lambda series expanded past the bound")
+
+        monkeypatch.setattr(lambda_ring, "lambda_series", expanded)
+        assert cli.main(["gamma", "--partition", "2,1", "--subset", "1", "--d", d]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--d must be <= n + 2 = 5" in captured.err
+
+    def test_gamma_at_n_plus_two_runs(self, capsys):
+        code, doc = run_json(capsys, "gamma", "--partition", "2,1", "--subset", "1", "--d", "5")
+        assert code == 0 and doc["results"][0]["in_ideal"]
+
     def test_gamma_below_claimed_range_still_passes(self, capsys):
         code, doc = run_json(
             capsys, "gamma", "--partition", "2,1", "--subset", "1,2", "--d", "0"
@@ -112,6 +139,12 @@ class TestExitCodes:
         assert code == 0
         r = doc["results"][0]
         assert r["gamma_polynomial"] == "1" and not r["claimed"]
+
+
+@pytest.mark.parametrize("line", readme_examples())
+def test_readme_example_runs(capsys, line):
+    assert cli.main(shlex.split(line)[1:]) == 0
+    capsys.readouterr()
 
 
 class TestReports:
@@ -207,48 +240,20 @@ class TestCacheIntegration:
         assert a == b
         assert json.load(open(victim))  # rewritten as valid JSON
 
-    def test_warm_presentation_never_completes(self, capsys, monkeypatch, tmp_path):
-        args = ("presentation", "--partition", "3,2,1", "--flavor", "both",
+    def test_redundant_cached_basis_is_not_reported(self, capsys, tmp_path):
+        # a cached basis with a repeated element still presents the ideal,
+        # but it is not the reduced basis the report must show
+        args = ("presentation", "--partition", "2,1", "--flavor", "ktheory",
                 "--cache-dir", str(tmp_path))
-        _, cold = run_cli(capsys, *args)
-        groebner.groebner_basis_for.cache_clear()
-        calls = []
-        buchberger = groebner.buchberger
-
-        def counting(*a, **kw):
-            calls.append(a)
-            return buchberger(*a, **kw)
-
-        monkeypatch.setattr(groebner, "buchberger", counting)
-        _, warm = run_cli(capsys, *args)
+        code, cold = run_cli(capsys, *args)
+        assert code == 0
+        path = tmp_path / "gb_2-1_ktheory_v_degrevlex.json"
+        doc = json.loads(path.read_text())
+        doc["basis"] = doc["basis"] + doc["basis"][:1]
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        code, warm = run_cli(capsys, *args)
+        assert code == 0
         assert warm == cold
-        assert calls == []
-
-    def test_warm_verify_never_completes(self, capsys, monkeypatch, tmp_path):
-        args = ("verify", "--n", "4", "--cache-dir", str(tmp_path))
-        _, cold = run_cli(capsys, *args)
-        groebner.groebner_basis_for.cache_clear()
-        calls = []
-        buchberger = groebner.buchberger
-
-        def counting(*a, **kw):
-            calls.append(a)
-            return buchberger(*a, **kw)
-
-        monkeypatch.setattr(groebner, "buchberger", counting)
-        _, warm = run_cli(capsys, *args)
-        assert warm == cold
-        assert calls == []
-
-    def test_cache_hit_reuses_file(self, capsys, tmp_path):
-        cache = str(tmp_path)
-        args = ("presentation", "--partition", "3,1", "--flavor", "ktheory",
-                "--cache-dir", cache)
-        run_cli(capsys, *args)
-        files = {f: os.path.getmtime(os.path.join(cache, f)) for f in os.listdir(cache)}
-        run_cli(capsys, *args)
-        after = {f: os.path.getmtime(os.path.join(cache, f)) for f in os.listdir(cache)}
-        assert files == after
 
 
 class TestCacheCertification:
@@ -262,7 +267,7 @@ class TestCacheCertification:
         path = tmp_path / f"gb_{parts.replace(',', '-')}_ktheory_v_degrevlex.json"
         good = path.read_text()
         doc = json.loads(good)
-        doc["basis"] = basis  # source_hash untouched
+        doc["basis"] = basis  # order and schema_version untouched
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
         groebner.groebner_basis_for.cache_clear()

@@ -310,7 +310,7 @@ class TestCache:
         assert cached_buchberger(pres, DEGREVLEX, cache).polys == gb1.polys
 
         doc = json.loads(blob)
-        doc["source_hash"] = "0" * 64
+        doc["basis"] = ["1"]
         open(path, "w").write(json.dumps(doc))
         gb2 = cached_buchberger(pres, DEGREVLEX, cache)
         assert gb2.polys == gb1.polys
@@ -326,4 +326,5 @@ class TestCache:
         pres = tanisaki_generators(Partition((2, 1)))
         gb = groebner_basis_for(pres)
         doc = basis_to_dict(gb, pres)
-        assert set(doc) == {"schema_version", "source_hash", "order", "basis"}
+        assert set(doc) == {"schema_version", "order", "basis"}
+        assert doc["schema_version"] == 2

@@ -1,14 +1,8 @@
-import json
 from math import comb
-
-import pytest
 
 from tanisaki.ideals import (
     h_polynomial,
     k_tanisaki_generators,
-    presentation_from_dict,
-    presentation_json,
-    presentation_to_dict,
     tanisaki_generators,
     to_v_convention,
     truncation_certificate,
@@ -197,19 +191,3 @@ class TestTruncationCertificate:
                     for subset in enumerate_subsets(n, s):
                         truncation_certificate(lam, subset)  # self-verifying
 
-
-class TestSerialization:
-    @pytest.mark.parametrize("flavor", ["cohomology", "ktheory"])
-    def test_bit_exact_round_trip(self, flavor):
-        for lam in enumerate_partitions(4):
-            if flavor == "cohomology":
-                pres = tanisaki_generators(lam)
-            else:
-                pres = k_tanisaki_generators(lam, "v")
-            doc = presentation_to_dict(pres)
-            again = presentation_from_dict(doc)
-            assert again == pres
-            assert presentation_json(again) == presentation_json(pres)
-            assert json.dumps(presentation_to_dict(again), sort_keys=True) == json.dumps(
-                doc, sort_keys=True
-            )
