@@ -14,7 +14,6 @@ from .groebner import (
 from .ideals import (
     GeneratorRecord,
     IdealPresentation,
-    apply_permutation,
     h_polynomial,
     k_tanisaki_generators,
     tanisaki_generators,
@@ -60,7 +59,6 @@ __all__ = [
     "PartitionError",
     "Polynomial",
     "VirtualClass",
-    "apply_permutation",
     "binomial",
     "buchberger",
     "elementary_symmetric",

@@ -215,14 +215,14 @@ def _suite_stability(ctx: _Context) -> dict:
         for g in pres.generators:
             for sigma in transpositions:
                 checks += 1
-                if ideals.apply_permutation(g.poly, sigma) not in pool:
+                if g.poly.permute_variables(sigma) not in pool:
                     failures.append(
                         {"flavor": flavor, "subset": list(g.subset), "d": g.d, "sigma": list(sigma)}
                     )
     for g in kpres.generators:
         for sigma in transpositions:
             checks += 1
-            if not groebner.normal_form(ideals.apply_permutation(g.poly, sigma), gb).is_zero():
+            if not groebner.normal_form(g.poly.permute_variables(sigma), gb).is_zero():
                 failures.append(
                     {"flavor": "ktheory-nf", "subset": list(g.subset), "d": g.d, "sigma": list(sigma)}
                 )

@@ -25,7 +25,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 from operator import le, mul, sub
 
@@ -75,6 +75,7 @@ LEX = MonomialOrder("lex")
 class GroebnerBasis:
     polys: tuple[Polynomial, ...]  # monic, auto-reduced, sorted by leading monomial
     order: MonomialOrder
+    engine: "_Engine" = field(compare=False, repr=False)  # polys as primitive integer terms
     source: IdealPresentation | None = field(default=None, compare=False)
 
     @property
@@ -82,16 +83,7 @@ class GroebnerBasis:
         return self.polys[0].n if self.polys else 0
 
     def leading_monomials(self) -> list[tuple[int, ...]]:
-        eng = self._engine
-        return [eng.packing.unpack(m) for m in eng.lms]
-
-    @cached_property
-    def _engine(self) -> "_Engine":
-        """The basis as primitive integer polynomials, built on first use."""
-        eng = _Engine(self.order, self.n)
-        for p in self.polys:
-            eng.add(_integral(p, eng.packing)[0])
-        return eng
+        return [self.engine.packing.unpack(m) for m in self.engine.lms]
 
     def __len__(self):
         return len(self.polys)
@@ -388,7 +380,7 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     for t, lm in zip(final.terms, final.lms):
         lc = t[lm]
         monic.append(Polynomial(n, {unpack(m): Fraction(c, lc) for m, c in t.items()}))
-    return GroebnerBasis(tuple(monic), order, pres)
+    return GroebnerBasis(tuple(monic), order, final, pres)
 
 
 # -- normal forms and the staircase -----------------------------------
@@ -406,7 +398,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis, rng=None) -> Polynomial:
         raise GroebnerError("empty basis")
     if p.n != gb.n:
         raise GroebnerError(f"variable count mismatch: {p.n} vs {gb.n}")
-    eng = gb._engine
+    eng = gb.engine
     terms, den = _integral(p, eng.packing)
     remainder, scale = eng.reduce(terms, rng=rng)
     unpack = eng.packing.unpack

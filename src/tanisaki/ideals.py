@@ -38,10 +38,6 @@ class IdealPresentation:
     def n(self) -> int:
         return self.partition.n
 
-    @property
-    def dual(self) -> Partition:
-        return self.partition.dual()
-
     def polynomials(self) -> list[Polynomial]:
         return [g.poly for g in self.generators]
 
@@ -56,26 +52,32 @@ def _d_range(s: int, q: int) -> range:
     return range(max(1, s + 1 - q), s + 1)
 
 
+def _presentation(partition: Partition, flavor: str, convention: str, poly) -> IdealPresentation:
+    """One generator poly(subset, d, q) per size s, size-s subset and d in
+    _d_range(s, q), where q = p_dual(s).
+
+    For d >= 1 distinct (subset, d) pairs have distinct top-degree forms
+    e_d(subset), so no generator repeats.
+    """
+    n = partition.n
+    dual = partition.dual()
+    records = []
+    for s in range(1, n + 1):
+        q = dual.p_function(s)
+        for subset in enumerate_subsets(n, s):
+            for d in _d_range(s, q):
+                records.append(GeneratorRecord(poly(subset, d, q), subset, d, q, flavor))
+    return IdealPresentation(partition, flavor, convention, tuple(records))
+
+
 def tanisaki_generators(partition: Partition) -> IdealPresentation:
     """Cohomology-flavor generators e_d(y-subset) for d >= s + 1 - p_dual(s).
 
     Generators with d > s are identically zero and omitted; the d-range is
     bounded above by s, which loses nothing for homogeneous generators.
     """
-    n = partition.n
-    dual = partition.dual()
-    records = []
-    seen = set()
-    for s in range(1, n + 1):
-        q = dual.p_function(s)
-        for subset in enumerate_subsets(n, s):
-            for d in _d_range(s, q):
-                poly = elementary_symmetric(n, d, subset)
-                if poly in seen:
-                    continue
-                seen.add(poly)
-                records.append(GeneratorRecord(poly, subset, d, q, COHOMOLOGY))
-    return IdealPresentation(partition, COHOMOLOGY, "y", tuple(records))
+    return _presentation(partition, COHOMOLOGY, "y",
+                         lambda subset, d, q: elementary_symmetric(partition.n, d, subset))
 
 
 def h_polynomial(subset, d: int, q: int, n: int, convention: str = "u") -> Polynomial:
@@ -111,20 +113,8 @@ def k_tanisaki_generators(partition: Partition, convention: str = "u") -> IdealP
     written in the variables of the convention."""
     if convention not in ("u", "v"):
         raise PartitionError(f"convention must be 'u' or 'v', got {convention!r}")
-    n = partition.n
-    dual = partition.dual()
-    records = []
-    seen = set()
-    for s in range(1, n + 1):
-        q = dual.p_function(s)
-        for subset in enumerate_subsets(n, s):
-            for d in _d_range(s, q):
-                poly = h_polynomial(subset, d, q, n, convention)
-                if poly in seen:
-                    continue
-                seen.add(poly)
-                records.append(GeneratorRecord(poly, subset, d, q, KTHEORY))
-    return IdealPresentation(partition, KTHEORY, convention, tuple(records))
+    return _presentation(partition, KTHEORY, convention,
+                         lambda subset, d, q: h_polynomial(subset, d, q, partition.n, convention))
 
 
 def truncation_certificate(partition: Partition, subset) -> list[dict]:
@@ -168,9 +158,3 @@ def truncation_certificate(partition: Partition, subset) -> list[dict]:
             )
         out.append({"m": m, "h": h, "combination": combo})
     return out
-
-
-def apply_permutation(p: Polynomial, sigma) -> Polynomial:
-    """Variable substitution x_j -> x_{sigma(j)} for a 1-based permutation."""
-    return p.permute_variables(sigma)
-

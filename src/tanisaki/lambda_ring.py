@@ -32,11 +32,6 @@ class VirtualClass:
                 raise PartitionError(f"line index {i} out of range 1..{self.n}")
         object.__setattr__(self, "lines", lines)
 
-    @property
-    def rank(self) -> int:
-        """Augmentation of the class: number of lines plus the shift."""
-        return len(self.lines) + self.shift
-
     def shifted(self, delta: int) -> "VirtualClass":
         return VirtualClass(self.n, self.lines, self.shift + delta)
 

@@ -424,12 +424,6 @@ class FiltrationReport:
             "findings": list(self.findings),
         }
 
-    def to_csv_rows(self):
-        return [
-            [str(self.partition), d, s, i, g, "pass" if i == g else "fail"]
-            for d, s, i, g in self.rows
-        ]
-
 
 def filtration_check(partition: Partition, k_series) -> FiltrationReport:
     """Compare the degree filtration of the K-ideal against the graded ideal.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 from typing import Iterator
 
 
@@ -140,7 +140,3 @@ def enumerate_partitions(n: int) -> list[Partition]:
             take = min(cap, rest)
             cur.append(take)
             rest -= take
-
-
-def subset_count(n: int, s: int) -> int:
-    return comb(n, s)

@@ -9,9 +9,9 @@ a fresh canonical instance.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 
 class PolynomialError(ValueError):
@@ -157,9 +157,6 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)
 
-    def coefficient(self, exps) -> int | Fraction:
-        return self.terms.get(tuple(exps), 0)
-
     def graded_component(self, d: int) -> "Polynomial":
         if d < 0:
             raise PolynomialError(f"degree must be >= 0, got {d}")
@@ -235,7 +232,7 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
+        return hash((self.n, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -272,70 +269,6 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self.n}, {self.render()})"
 
-    @classmethod
-    def parse(cls, text: str, n: int, prefix: str = "u") -> "Polynomial":
-        """Parse the grammar produced by render (sums of monomial terms)."""
-        tokens = re.findall(
-            rf"(\d+/\d+|\d+|{re.escape(prefix)}\d+|[+\-*^])|(\S)", text
-        )
-        bad = [b for _, b in tokens if b]
-        if bad:
-            raise PolynomialError(f"unexpected character {bad[0]!r} in polynomial text")
-        toks = [t for t, _ in tokens if t]
-        terms: dict[tuple, object] = {}
-        i = 0
-        var_re = re.compile(rf"^{re.escape(prefix)}(\d+)$")
-        while i < len(toks):
-            sign = 1
-            while i < len(toks) and toks[i] in "+-":
-                if toks[i] == "-":
-                    sign = -sign
-                i += 1
-            if i >= len(toks):
-                raise PolynomialError("dangling sign in polynomial text")
-            coeff = Fraction(sign)
-            exps = [0] * n
-            expect_factor = True
-            while i < len(toks):
-                t = toks[i]
-                if t in "+-":
-                    break
-                if t == "*":
-                    i += 1
-                    expect_factor = True
-                    continue
-                if not expect_factor:
-                    raise PolynomialError(f"missing operator before {t!r}")
-                mvar = var_re.match(t)
-                if mvar:
-                    j = int(mvar.group(1))
-                    if not 1 <= j <= n:
-                        raise PolynomialError(f"variable {t} out of range for n={n}")
-                    e = 1
-                    if i + 1 < len(toks) and toks[i + 1] == "^":
-                        if i + 2 >= len(toks) or not toks[i + 2].isdigit():
-                            raise PolynomialError("malformed exponent")
-                        e = int(toks[i + 2])
-                        i += 2
-                    exps[j - 1] += e
-                elif "/" in t:
-                    num, den = t.split("/")
-                    coeff *= Fraction(int(num), int(den))
-                elif t.isdigit():
-                    coeff *= int(t)
-                else:
-                    raise PolynomialError(f"unexpected token {t!r}")
-                i += 1
-                expect_factor = False
-            key = tuple(exps)
-            prev = terms.get(key, 0)
-            total = prev + coeff
-            if total:
-                terms[key] = total
-            else:
-                terms.pop(key, None)
-        return cls(n, terms)
-
 
 @lru_cache(maxsize=None)
 def elementary_symmetric(n: int, k: int, indices: tuple[int, ...] | None = None) -> Polynomial:
@@ -347,14 +280,12 @@ def elementary_symmetric(n: int, k: int, indices: tuple[int, ...] | None = None)
         raise PolynomialError(f"elementary symmetric index must be >= 0, got {k}")
     if indices is None:
         indices = tuple(range(1, n + 1))
-    if k == 0:
-        return Polynomial.constant(n, 1)
-    if k > len(indices):
-        return Polynomial.zero(n)
-    # column DP over prod (1 + x_i t): coeffs[j] accumulates e_j
-    coeffs = [Polynomial.constant(n, 1)] + [Polynomial.zero(n)] * k
-    for i in indices:
-        x = Polynomial.variable(n, i)
-        for j in range(min(k, len(indices)), 0, -1):
-            coeffs[j] = coeffs[j] + coeffs[j - 1] * x
-    return coeffs[k]
+    if len(set(indices)) != len(indices) or not all(1 <= i <= n for i in indices):
+        raise PolynomialError(f"variable indices {indices} must be distinct and in 1..{n}")
+    terms = {}
+    for chosen in combinations(indices, k):
+        e = [0] * n
+        for i in chosen:
+            e[i - 1] = 1
+        terms[tuple(e)] = 1
+    return Polynomial(n, terms)

@@ -18,6 +18,11 @@ def random_polynomial(rng: random.Random, n: int, max_terms=5, max_exp=3, max_co
     return Polynomial(n, {m: c for m, c in terms.items() if c})
 
 
+def variables(n: int) -> list[Polynomial]:
+    """The variables x_1..x_n, for writing fixtures as Python expressions."""
+    return [Polynomial.variable(n, j) for j in range(1, n + 1)]
+
+
 def random_point(rng: random.Random, n: int):
     return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
 

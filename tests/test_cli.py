@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -203,6 +204,20 @@ class TestReports:
         assert "overall: pass" in out
 
 
+# sha256 of stdout for reports that a refactor must leave byte-identical;
+# a change that means to alter one of them updates its digest here
+REPORT_DIGESTS = {
+    "verify --n 4":
+        "7a32f76427dd13f152fea958626fe186f5ffc50b54da64f144865959bf6f0df5",
+    "verify --n 4 --convention u --order lex --format csv":
+        "554fd357b41836e1a0bbda267876a1a6dffdd0781661db287011e14de8ec600a",
+    "presentation --partition 3,2,1 --flavor both":
+        "51962c1d3af06c38d34b903e04bafe61e70c1cc252aa255a2943c0ee44cc40fe",
+    "gamma --partition 3,2 --subset 1,2,3 --d 1 --format text":
+        "736f31e29096009ed41e85a53fa0f68c2d74052230e47740ceee4230914b27ea",
+}
+
+
 class TestDeterminism:
     def test_verify_byte_identical(self, capsys):
         args = ("verify", "--partition", "2,1", "--suite", "gamma", "--suite", "truncation")
@@ -223,6 +238,12 @@ class TestDeterminism:
         _, a = run_cli(capsys, *args)
         _, b = run_cli(capsys, *args)
         assert a == b
+
+    @pytest.mark.parametrize("line", list(REPORT_DIGESTS))
+    def test_reports_match_recorded_digests(self, capsys, line):
+        code, out = run_cli(capsys, *line.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[line]
 
 
 class TestCacheIntegration:

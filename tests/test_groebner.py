@@ -30,9 +30,7 @@ from tanisaki.linalg import dim_graded_piece, ideal_degree_rank
 from tanisaki.partitions import Partition, enumerate_partitions
 from tanisaki.polynomial import Polynomial, elementary_symmetric
 
-
-def P(text, n, prefix="y"):
-    return Polynomial.parse(text, n, prefix)
+from conftest import variables
 
 
 def coinvariant_series_oracle(n):
@@ -49,7 +47,8 @@ def coinvariant_series_oracle(n):
 
 class TestBuchberger:
     def test_flag_n2(self):
-        gb = buchberger([P("y1*y2", 2), P("y1 + y2", 2)])
+        y1, y2 = variables(2)
+        gb = buchberger([y1 * y2, y1 + y2])
         assert [p.render("y") for p in gb.polys] == ["y1 + y2", "y2^2"]
 
     def test_linear_generators_fixed(self):
@@ -153,20 +152,21 @@ class TestPackedMonomials:
 
     def test_priority_must_be_a_permutation(self):
         with pytest.raises(GroebnerError):
-            buchberger([P("y1 + y2 + y3", 3)], MonomialOrder("lex", (1, 2)))
+            buchberger([sum(variables(3))], MonomialOrder("lex", (1, 2)))
 
     def test_too_wide_is_an_error(self):
         with pytest.raises(GroebnerError):
             _Packing(LEX, 2).pack((_LIMIT, 0))
         with pytest.raises(GroebnerError):
             _Packing(DEGREVLEX, 2).pack((_LIMIT - 1, 1))
+        y1, y2 = variables(2)
         # the lcm of these leading monomials has degree 40000
         with pytest.raises(GroebnerError):
-            buchberger([P("y1^20000*y2 - 1", 2), P("y1*y2^20000 - 1", 2)])
+            buchberger([y1**20000 * y2 - 1, y1 * y2**20000 - 1])
         # reducing y1^20000 by y1 - y2^2 under lex grows y2 past the field
-        gb = buchberger([P("y1 - y2^2", 2)], LEX)
+        gb = buchberger([y1 - y2**2], LEX)
         with pytest.raises(GroebnerError):
-            normal_form(P("y1^20000", 2), gb)
+            normal_form(y1**20000, gb)
 
 
 def golden_lines():
@@ -200,10 +200,11 @@ class TestNormalForm:
 
     def test_hook_k_square_reduction(self):
         gb = buchberger(k_tanisaki_generators(Partition((2, 1)), "u"))
-        nf = normal_form(P("u1^2", 3, "u"), gb)
+        u1, u2, u3 = variables(3)
+        nf = normal_form(u1**2, gb)
         # frozen degrevlex remainder; congruent to 2*u1 - 1 modulo the ideal
-        assert nf == P("-2*u2 - 2*u3 + 5", 3, "u")
-        assert normal_form(nf - P("2*u1 - 1", 3, "u"), gb).is_zero()
+        assert nf == -2 * u2 - 2 * u3 + 5
+        assert normal_form(nf - (2 * u1 - 1), gb).is_zero()
 
     def test_confluence_under_random_reducer_choice(self):
         gb = buchberger(k_tanisaki_generators(Partition((2, 1, 1)), "v"))
@@ -241,7 +242,7 @@ class TestStandardMonomials:
         assert by_degree == [1, 2, 2, 1]
 
     def test_infinite_quotient_detected(self):
-        gb = buchberger([P("y1", 2)])  # y2 is free
+        gb = buchberger([variables(2)[0]])  # y2 is free
         with pytest.raises(InfiniteQuotient):
             standard_monomials(gb)
 

@@ -10,9 +10,7 @@ from tanisaki.ideals import (
 from tanisaki.partitions import Partition, enumerate_partitions, enumerate_subsets
 from tanisaki.polynomial import Polynomial, elementary_symmetric
 
-
-def P(text, n, prefix="u"):
-    return Polynomial.parse(text, n, prefix)
+from conftest import variables
 
 
 class TestCohomologyGenerators:
@@ -25,11 +23,12 @@ class TestCohomologyGenerators:
 
     def test_hook_2_1(self):
         pres = tanisaki_generators(Partition((2, 1)))
+        y1, y2, y3 = variables(3)
         expected = {
-            P("y1*y2", 3, "y"), P("y1*y3", 3, "y"), P("y2*y3", 3, "y"),
-            P("y1 + y2 + y3", 3, "y"),
-            P("y1*y2 + y1*y3 + y2*y3", 3, "y"),
-            P("y1*y2*y3", 3, "y"),
+            y1 * y2, y1 * y3, y2 * y3,
+            y1 + y2 + y3,
+            y1 * y2 + y1 * y3 + y2 * y3,
+            y1 * y2 * y3,
         }
         assert set(pres.polynomials()) == expected
 
@@ -64,12 +63,25 @@ class TestCohomologyGenerators:
                 assert len(pres.generators) == expected
 
 
+class TestNoRepeatedGenerators:
+    def test_generators_pairwise_distinct(self):
+        # distinct (subset, d) pairs have distinct top-degree forms e_d(subset)
+        for n in range(1, 7):
+            for lam in enumerate_partitions(n):
+                for pres in (tanisaki_generators(lam), k_tanisaki_generators(lam, "u"),
+                             k_tanisaki_generators(lam, "v")):
+                    polys = pres.polynomials()
+                    assert len(set(polys)) == len(polys), (lam, pres.convention)
+
+
 class TestHPolynomial:
     def test_pair_with_one_trivial_summand(self):
-        assert h_polynomial((1, 2), 2, 1, 2) == P("u1*u2 - u1 - u2 + 1", 2)
+        u1, u2 = variables(2)
+        assert h_polynomial((1, 2), 2, 1, 2) == u1 * u2 - u1 - u2 + 1
 
     def test_degree_one_full_triple(self):
-        assert h_polynomial((1, 2, 3), 1, 3, 3) == P("u1 + u2 + u3 - 3", 3)
+        u1, u2, u3 = variables(3)
+        assert h_polynomial((1, 2, 3), 1, 3, 3) == u1 + u2 + u3 - 3
 
     def test_degree_three_full_triple(self):
         h3 = h_polynomial((1, 2, 3), 3, 3, 3)
@@ -104,21 +116,22 @@ class TestHPolynomial:
 class TestKGenerators:
     def test_hook_u_convention(self):
         pres = k_tanisaki_generators(Partition((2, 1)), "u")
+        u1, u2, u3 = variables(3)
         expected = {
-            P("u1*u2 - u1 - u2 + 1", 3), P("u1*u3 - u1 - u3 + 1", 3),
-            P("u2*u3 - u2 - u3 + 1", 3),
-            P("u1 + u2 + u3 - 3", 3),
-            P("u1*u2 + u1*u3 + u2*u3 - 3*u1 - 3*u2 - 3*u3 + 6", 3),
-            P("u1*u2*u3 - 3*u1*u2 - 3*u1*u3 - 3*u2*u3 + 6*u1 + 6*u2 + 6*u3 - 10", 3),
+            u1 * u2 - u1 - u2 + 1, u1 * u3 - u1 - u3 + 1,
+            u2 * u3 - u2 - u3 + 1,
+            u1 + u2 + u3 - 3,
+            u1 * u2 + u1 * u3 + u2 * u3 - 3 * u1 - 3 * u2 - 3 * u3 + 6,
+            u1 * u2 * u3 - 3 * u1 * u2 - 3 * u1 * u3 - 3 * u2 * u3
+            + 6 * u1 + 6 * u2 + 6 * u3 - 10,
         }
         assert set(pres.polynomials()) == expected
 
     def test_hook_v_convention_pairs(self):
         pres = k_tanisaki_generators(Partition((2, 1)), "v")
         pairs = [g.poly for g in pres.generators if len(g.subset) == 2]
-        assert set(pairs) == {
-            P("v1*v2", 3, "v"), P("v1*v3", 3, "v"), P("v2*v3", 3, "v")
-        }
+        v1, v2, v3 = variables(3)
+        assert set(pairs) == {v1 * v2, v1 * v3, v2 * v3}
 
     def test_one_row_contains_unit_shifted_variables(self):
         n = 3

@@ -13,9 +13,7 @@ from tanisaki.lambda_ring import (
 from tanisaki.partitions import Partition, enumerate_partitions
 from tanisaki.polynomial import Polynomial, binomial
 
-
-def P(text, n):
-    return Polynomial.parse(text, n, "u")
+from conftest import variables
 
 
 def kbasis(lam):
@@ -35,10 +33,11 @@ class TestLambdaSeries:
 
     def test_virtual_pair_minus_one(self):
         series = lambda_series(VirtualClass(2, (1, 2), -1), 3)
+        u1, u2 = variables(2)
         assert series[0] == Polynomial.constant(2, 1)
-        assert series[1] == P("u1 + u2 - 1", 2)
-        assert series[2] == P("u1*u2 - u1 - u2 + 1", 2)
-        assert series[3] == P("-u1*u2 + u1 + u2 - 1", 2)
+        assert series[1] == u1 + u2 - 1
+        assert series[2] == u1 * u2 - u1 - u2 + 1
+        assert series[3] == -u1 * u2 + u1 + u2 - 1
 
     def test_series_oracle_by_direct_convolution(self):
         # multiply (1+u1 t)(1+u2 t) by the alternating geometric series by hand
@@ -104,7 +103,8 @@ class TestRelationSweeps:
         lam = Partition((2, 1))
         gb = kbasis(lam)
         poly = gamma_op(VirtualClass(3, (1, 2), -2), 2)
-        assert poly == P("u1*u2 - u1 - u2 + 1", 3)
+        u1, u2, _ = variables(3)
+        assert poly == u1 * u2 - u1 - u2 + 1
         assert normal_form(to_v_convention(poly), gb).is_zero()
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -131,7 +131,7 @@ class TestRelationSweeps:
         lam = Partition((3,))
         gb = kbasis(lam)
         poly, nf, vanished = gamma_membership(lam, gb, (1,), 1)
-        assert poly == P("u1 - 1", 3)
+        assert poly == variables(3)[0] - 1
         assert vanished and nf.is_zero()
 
     def test_full_subset_relations_follow_from_flag_presentation(self):

@@ -202,8 +202,6 @@ class TestFiltration:
         doc = rep.to_dict()
         assert doc["verdict"] == "pass" and doc["ok"] is True
         assert len(doc["rows"]) == len(rep.rows)
-        csv_rows = rep.to_csv_rows()
-        assert all(len(r) == 6 for r in csv_rows)
 
 
 class TestFreeness:
