@@ -105,7 +105,7 @@ def h_polynomial(subset, d: int, q: int, n: int, convention: str = "u") -> Polyn
             # e_k is homogeneous of degree k, so the summands never share a monomial
             for m, c in elementary_symmetric(n, k, subset).terms.items():
                 terms[m] = c * w
-    return Polynomial(n, terms)
+    return Polynomial._of(n, terms)
 
 
 def k_tanisaki_generators(partition: Partition, convention: str = "u") -> IdealPresentation:

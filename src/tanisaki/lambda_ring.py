@@ -10,6 +10,7 @@ then determine every exterior-power coefficient exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .groebner import GroebnerBasis, normal_form
 from .ideals import to_v_convention
@@ -42,6 +43,32 @@ class VirtualClass:
         return acc
 
 
+@lru_cache(maxsize=None)
+def _line_product(n: int, lines: tuple[int, ...]) -> tuple[Polynomial, ...]:
+    """The coefficients of prod_{i in lines} (1 + u_i t), from t^0 to
+    t^len(lines), expanded once per line multiset by the splitting rule."""
+    coeffs = [Polynomial.constant(n, 1)] + [Polynomial.zero(n)] * len(lines)
+    for i in lines:
+        u = Polynomial.variable(n, i)
+        for k in range(len(lines), 0, -1):
+            coeffs[k] = coeffs[k] + coeffs[k - 1] * u
+    return tuple(coeffs)
+
+
+def _lambda_coefficient(x: VirtualClass, k: int) -> Polynomial:
+    """lambda^k(x), the t^k coefficient of prod_i (1 + u_i t) * (1 + t)^shift:
+    sum_j C(shift, k - j) times the t^j coefficient of the line product."""
+    product = _line_product(x.n, x.lines)
+    terms = {}
+    for j in range(min(k, len(x.lines)) + 1):
+        w = binomial(x.shift, k - j)
+        if w:
+            # product[j] is homogeneous of degree j, so no two j share a monomial
+            for m, c in product[j].terms.items():
+                terms[m] = c * w
+    return Polynomial._of(x.n, terms)
+
+
 def lambda_series(x: VirtualClass, truncation: int) -> list[Polynomial]:
     """Exterior-power coefficients lambda^0(x) .. lambda^truncation(x).
 
@@ -50,23 +77,7 @@ def lambda_series(x: VirtualClass, truncation: int) -> list[Polynomial]:
     """
     if truncation < 0:
         raise PartitionError(f"truncation must be >= 0, got {truncation}")
-    n = x.n
-    coeffs = [Polynomial.constant(n, 1)] + [Polynomial.zero(n)] * truncation
-    for i in x.lines:
-        u = Polynomial.variable(n, i)
-        for k in range(truncation, 0, -1):
-            coeffs[k] = coeffs[k] + coeffs[k - 1] * u
-    if x.shift:
-        shifted = []
-        for k in range(truncation + 1):
-            acc = Polynomial.zero(n)
-            for j in range(k + 1):
-                w = binomial(x.shift, k - j)
-                if w:
-                    acc = acc + coeffs[j] * w
-            shifted.append(acc)
-        coeffs = shifted
-    return coeffs
+    return [_lambda_coefficient(x, k) for k in range(truncation + 1)]
 
 
 def gamma_op(x: VirtualClass, d: int) -> Polynomial:
@@ -80,7 +91,7 @@ def gamma_op(x: VirtualClass, d: int) -> Polynomial:
         raise PartitionError(f"gamma index must be >= 0, got {d}")
     if d == 0:
         return Polynomial.constant(x.n, 1)
-    return lambda_series(x.shifted(d - 1), d)[d]
+    return _lambda_coefficient(x.shifted(d - 1), d)
 
 
 # -- relation sweeps -----------------------------------------------------
@@ -119,7 +130,7 @@ def _sweep(partition: Partition, gb: GroebnerBasis, kind: str, extra: int = 2) -
                 if kind == "gamma":
                     poly = gamma_op(VirtualClass(n, subset, -s), d)
                 else:
-                    poly = lambda_series(VirtualClass(n, subset, -q), d)[d]
+                    poly = _lambda_coefficient(VirtualClass(n, subset, -q), d)
                 if in_v:
                     poly = to_v_convention(poly)
                 vanished = normal_form(poly, gb).is_zero()

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
+from operator import add
 
 from .ideals import IdealPresentation, tanisaki_generators
 from .partitions import Partition
@@ -283,7 +284,7 @@ def _shifted_rows(poly: Polynomial, shifts, cols):
     """Yield poly * m as a row {cols[monomial]: int coefficient} per shift m."""
     items = [(pm, int(c)) for pm, c in poly.terms.items()]
     for m in shifts:
-        yield {cols[tuple(a + b for a, b in zip(pm, m))]: c for pm, c in items}
+        yield {cols[tuple(map(add, pm, m))]: c for pm, c in items}
 
 
 @lru_cache(maxsize=None)

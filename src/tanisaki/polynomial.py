@@ -3,7 +3,9 @@
 Terms are stored in a dict keyed by fixed-length exponent tuples; coefficients
 are Python ints with a transparent Fraction escape hatch, so no arithmetic is
 ever approximate.  Polynomials are immutable values: every operation returns
-a fresh canonical instance.
+a fresh canonical instance.  Input is validated once, by the public
+constructor and at each scalar operand; results that arithmetic builds from
+valid polynomials are canonical by construction and are not checked again.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 
 
 class PolynomialError(ValueError):
@@ -29,12 +32,20 @@ def binomial(a: int, b: int) -> int:
 
 
 def _norm_coeff(c):
-    """Collapse integral Fractions to int; reject floats."""
+    """Collapse integral Fractions and bools to int; reject floats."""
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
     if isinstance(c, int):
-        return c
+        return int(c)
     raise PolynomialError(f"coefficient must be exact (int or Fraction), got {type(c).__name__}")
+
+
+def _collapse(c):
+    """c, a sum or product of canonical coefficients, with an integral
+    Fraction turned into its int."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
 
 
 def degrevlex_key(exps: tuple[int, ...]):
@@ -69,6 +80,16 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _of(cls, n: int, terms: dict) -> "Polynomial":
+        """Wrap a term dict that is already canonical: no zero coefficient,
+        length-n exponent tuples, int or non-integral Fraction coefficients.
+        Nothing is checked; the dict is stored, not copied."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    @classmethod
     def zero(cls, n: int) -> "Polynomial":
         return cls(n, {})
 
@@ -87,52 +108,49 @@ class Polynomial:
 
     # -- ring operations ----------------------------------------------
 
-    def _check(self, other: "Polynomial"):
+    def _operand(self, other) -> "Polynomial":
+        """other as a polynomial in the same variables; a scalar is validated."""
+        if not isinstance(other, Polynomial):
+            return Polynomial.constant(self.n, other)
         if self.n != other.n:
             raise PolynomialError(f"variable count mismatch: {self.n} vs {other.n}")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.n, other)
-        self._check(other)
+        other = self._operand(other)
         res = dict(self.terms)
         for m, c in other.terms.items():
             v = res.get(m, 0) + c
             if v:
-                res[m] = v
+                res[m] = _collapse(v)
             else:
-                res.pop(m, None)
-        return Polynomial(self.n, res)
+                del res[m]
+        return Polynomial._of(self.n, res)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.n, other)
-        return self + (-other)
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Polynomial(self.n, {m: -c for m, c in self.terms.items()})
+        return Polynomial._of(self.n, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            other = _norm_coeff(other)
             if other == 0:
                 return Polynomial.zero(self.n)
-            return Polynomial(self.n, {m: c * other for m, c in self.terms.items()})
-        self._check(other)
+            return Polynomial._of(self.n, {m: _collapse(c * other) for m, c in self.terms.items()})
+        other = self._operand(other)
         res = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                v = res.get(m, 0) + c1 * c2
-                if v:
-                    res[m] = v
-                else:
-                    del res[m]
-        return Polynomial(self.n, res)
+                m = tuple(map(add, m1, m2))
+                res[m] = res.get(m, 0) + c1 * c2
+        return Polynomial._of(self.n, {m: _collapse(c) for m, c in res.items() if c})
 
     __rmul__ = __mul__
 
@@ -160,7 +178,7 @@ class Polynomial:
     def graded_component(self, d: int) -> "Polynomial":
         if d < 0:
             raise PolynomialError(f"degree must be >= 0, got {d}")
-        return Polynomial(self.n, {m: c for m, c in self.terms.items() if sum(m) == d})
+        return Polynomial._of(self.n, {m: c for m, c in self.terms.items() if sum(m) == d})
 
     def augmentation(self):
         """Evaluation at all variables = 1."""
@@ -183,33 +201,28 @@ class Polynomial:
 
     def shift_variables(self, delta) -> "Polynomial":
         """Substitute x_j -> x_j + delta for every variable."""
+        delta = _norm_coeff(delta)
         if delta == 0:
             return self
-        res = {}
-        for m, c in self.terms.items():
-            # expand prod_j (x_j + delta)^{e_j} term by term
-            partial = {(0,) * self.n: c}
-            for j, e in enumerate(m):
+        terms = self.terms
+        weights = {}  # e -> [C(e, a) * delta^(e-a) for a = 0..e]
+        for j in range(self.n):
+            # one variable per pass: x_j^e -> sum_a C(e, a) delta^(e-a) x_j^a
+            res = {}
+            for m, c in terms.items():
+                e = m[j]
                 if not e:
+                    res[m] = res.get(m, 0) + c
                     continue
-                nxt = {}
-                for pm, pc in partial.items():
-                    for a in range(e + 1):
-                        w = pc * math.comb(e, a) * delta ** (e - a)
-                        key = pm[:j] + (a,) + pm[j + 1:]
-                        v = nxt.get(key, 0) + w
-                        if v:
-                            nxt[key] = v
-                        else:
-                            nxt.pop(key, None)
-                partial = nxt
-            for pm, pc in partial.items():
-                v = res.get(pm, 0) + pc
-                if v:
-                    res[pm] = v
-                else:
-                    res.pop(pm, None)
-        return Polynomial(self.n, res)
+                w = weights.get(e)
+                if w is None:
+                    w = weights[e] = [math.comb(e, a) * delta ** (e - a) for a in range(e + 1)]
+                head, tail = m[:j], m[j + 1:]
+                for a, wa in enumerate(w):
+                    key = head + (a,) + tail
+                    res[key] = res.get(key, 0) + c * wa
+            terms = {m: c for m, c in res.items() if c}
+        return Polynomial._of(self.n, {m: _collapse(c) for m, c in terms.items()})
 
     def permute_variables(self, sigma) -> "Polynomial":
         """Substitute x_j -> x_{sigma(j)}; sigma is a 1-based bijection of [1, n]."""
@@ -222,7 +235,7 @@ class Polynomial:
             for j, e in enumerate(m):
                 new[sigma[j] - 1] = e
             res[tuple(new)] = c
-        return Polynomial(self.n, res)
+        return Polynomial._of(self.n, res)
 
     # -- identity -----------------------------------------------------
 
@@ -288,4 +301,4 @@ def elementary_symmetric(n: int, k: int, indices: tuple[int, ...] | None = None)
         for i in chosen:
             e[i - 1] = 1
         terms[tuple(e)] = 1
-    return Polynomial(n, terms)
+    return Polynomial._of(n, terms)

@@ -215,6 +215,8 @@ REPORT_DIGESTS = {
         "51962c1d3af06c38d34b903e04bafe61e70c1cc252aa255a2943c0ee44cc40fe",
     "gamma --partition 3,2 --subset 1,2,3 --d 1 --format text":
         "736f31e29096009ed41e85a53fa0f68c2d74052230e47740ceee4230914b27ea",
+    "verify --n 5 --suite gamma --suite lambda --suite truncation --suite stability":
+        "77bb1008b901004742d9bbb86341764b3159f6b85fd0351a8e675402cc69c2b5",
 }
 
 

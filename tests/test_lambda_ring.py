@@ -1,5 +1,6 @@
 import pytest
 
+from tanisaki import cli, lambda_ring
 from tanisaki.groebner import groebner_basis_for, normal_form
 from tanisaki.ideals import h_polynomial, k_tanisaki_generators, to_v_convention
 from tanisaki.lambda_ring import (
@@ -73,6 +74,16 @@ class TestLambdaSeries:
                 for k in range(d + 1):
                     conv = conv + a[k] * b[d - k]
                 assert conv == c[d]
+
+
+    def test_line_product_expanded_once_per_subset(self, capsys):
+        # the 7 nonempty subsets of {1, 2, 3}, shared by the three partitions of 3
+        lambda_ring._line_product.cache_clear()
+        assert cli.main(["verify", "--n", "3", "--suite", "gamma", "--suite", "lambda"]) == 0
+        capsys.readouterr()
+        info = lambda_ring._line_product.cache_info()
+        assert info.misses == 7 and info.currsize == 7
+        assert info.hits > 0
 
 
 class TestGammaOp:

@@ -46,6 +46,21 @@ class TestArithmetic:
         assert q.terms == {(1,): 1}
         assert isinstance(q.terms[(1,)], int)
 
+    def test_inexact_operands_rejected_at_every_entry(self):
+        p = V(2, 1) + 1
+        for op in (lambda: p + 0.5, lambda: p - 0.5, lambda: 0.5 + p, lambda: 0.5 - p,
+                   lambda: p * 0.5, lambda: 0.5 * p, lambda: p.shift_variables(0.5),
+                   lambda: Polynomial(2, {(1, 0): 0.5}), lambda: Polynomial.constant(2, 0.5)):
+            with pytest.raises(PolynomialError):
+                op()
+        with pytest.raises(PolynomialError):
+            Polynomial(2, {(1,): 1})
+        with pytest.raises(PolynomialError):
+            Polynomial(2, {(1, -1): 1})
+        assert Polynomial.constant(2, True).render() == "1"
+        assert type(Polynomial.constant(2, True).terms[(0, 0)]) is int
+        assert type((p * True).terms[(1, 0)]) is int
+
 
 class TestElementarySymmetric:
     def test_e2_of_three(self):

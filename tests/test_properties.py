@@ -51,6 +51,52 @@ class TestRingAxioms:
         assert p - p == Polynomial.zero(2)
 
 
+def exact_polynomials(n, max_terms=4):
+    monomial = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    coeff = st.one_of(
+        st.integers(min_value=-9, max_value=9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=4),
+    )
+    return st.dictionaries(monomial, coeff, max_size=max_terms).map(
+        lambda terms: Polynomial(n, terms)
+    )
+
+
+def assert_canonical(r):
+    """r is what the validating constructor would build from its own terms:
+    same terms, same coefficient types, no stored zero, no integral Fraction."""
+    again = Polynomial(r.n, dict(r.terms))
+    assert r.terms == again.terms
+    assert [(m, type(c)) for m, c in r.terms.items()] == \
+        [(m, type(c)) for m, c in again.terms.items()]
+    for m, c in r.terms.items():
+        assert len(m) == r.n and c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+class TestTrustedPath:
+    """Arithmetic builds its results without re-validating them, so every
+    result must already be canonical."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(exact_polynomials(3), exact_polynomials(3),
+           st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3)),
+           st.permutations((1, 2, 3)))
+    def test_results_are_canonical(self, p, q, scalar, sigma):
+        for r in (p + q, p - q, p * q, -p, p * scalar, scalar * p, p + scalar,
+                  p - scalar, scalar - p, p.permute_variables(sigma)):
+            assert_canonical(r)
+        for delta in (1, -1, Fraction(1, 2)):
+            assert_canonical(p.shift_variables(delta))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(exact_polynomials(3, max_terms=5),
+           st.lists(st.fractions(-5, 5, max_denominator=5), min_size=3, max_size=3),
+           st.sampled_from((1, -1, Fraction(1, 2))))
+    def test_shift_agrees_with_evaluation(self, p, x, delta):
+        assert p.shift_variables(delta).evaluate(x) == p.evaluate([xi + delta for xi in x])
+
+
 class TestConfluence:
     def test_normal_form_is_reduction_path_independent(self):
         cases = 0
