@@ -41,6 +41,7 @@ from .partitions import (
     PartitionError,
     enumerate_partitions,
     enumerate_subsets,
+    garsia_procesi_series,
     parse_partition,
 )
 from .polynomial import Polynomial, binomial, elementary_symmetric
@@ -67,6 +68,7 @@ __all__ = [
     "equivalent_lambda_relations",
     "filtration_check",
     "gamma_op",
+    "garsia_procesi_series",
     "h_polynomial",
     "hilbert_series",
     "ideal_degree_rank",

@@ -76,8 +76,9 @@ def _partition_block(p: Partition) -> dict:
 
 @dataclass
 class _Context:
-    """One partition's shared work: the K-basis and the gamma sweep are
-    computed on first use, at most once, by whichever suite needs them."""
+    """One partition's shared work: the K-basis, the cohomology basis and
+    the gamma sweep are computed on first use, at most once, by whichever
+    suite needs them."""
 
     p: Partition
     cfg: RunConfig
@@ -86,6 +87,14 @@ class _Context:
     def kbasis(self):
         pres = k_tanisaki_generators(self.p, self.cfg.convention)
         return pres, groebner.cached_buchberger(pres, self.cfg.order, self.cfg.cache_dir)
+
+    @cached_property
+    def cohomology(self):
+        """The cohomology ideal's degrevlex basis and staircase series,
+        completed in memory whatever --order says: the filtration and
+        freeness checks read per-degree counts."""
+        gb = groebner.groebner_basis_for(tanisaki_generators(self.p), groebner.DEGREVLEX)
+        return gb, groebner.staircase_series(groebner.standard_monomials(gb))
 
     @cached_property
     def gamma(self):
@@ -188,12 +197,16 @@ def _suite_filtration(ctx: _Context) -> dict:
     else:
         kpres = k_tanisaki_generators(ctx.p, "v")
         gb = groebner.groebner_basis_for(kpres, groebner.DEGREVLEX)
-    series = groebner.staircase_series(groebner.standard_monomials(gb))
-    return linalg.filtration_check(ctx.p, series).to_dict()
+    k_series = groebner.staircase_series(groebner.standard_monomials(gb))
+    return linalg.filtration_check(ctx.p, ctx.cohomology[1], k_series).to_dict()
 
 
 def _suite_freeness(ctx: _Context) -> dict:
-    return linalg.integral_freeness_check(ctx.p).to_dict()
+    """Z-freeness from the prime certificate of the cohomology completion:
+    its staircase against those over F_p, counted through degree dim + 1."""
+    gb, series = ctx.cohomology
+    modular = groebner.modular_series(gb, ctx.p.springer_dimension() + 1)
+    return linalg.integral_freeness_check(ctx.p, series, modular).to_dict()
 
 
 def _suite_stability(ctx: _Context) -> dict:

@@ -1,4 +1,4 @@
-"""Buchberger Groebner-basis engine over exact rationals.
+"""Buchberger Groebner-basis engine over exact rationals, or over F_p.
 
 Completion and normal forms run on one kernel, `_Engine.reduce`, over
 primitive integer polynomials (gcd-normalized pseudo reduction), so no
@@ -9,11 +9,16 @@ divisibility test is a subtraction and a mask.  Exponent tuples are packed
 when polynomials enter the engine and unpacked when they leave it; a
 monomial too wide for the fields (a total degree of 2^15 or more under a
 graded order, an exponent of 2^15 or more under lex) raises GroebnerError
-instead.  Both
-classic Buchberger criteria are applied and the pair queue uses the normal
-(lowest lcm degree first) strategy with monomial-order tie-breaks, so
-completion is deterministic for a fixed input and order.  Basis files
-(`cached_buchberger`) are written and never read back.
+instead.  Both classic Buchberger criteria are applied and the pair queue
+uses the normal (lowest lcm degree first) strategy with monomial-order
+tie-breaks, so completion is deterministic for a fixed input and order.
+
+A completion over Q records on its basis, as `primes`, the primes of every
+number it divided by: the contents it removed and the leading coefficients
+the monic conversion divides out.  Given a prime modulus, the same kernel
+and pair criteria complete the generators over F_p instead; comparing those
+staircases with the rational one certifies Z-freeness (`buchberger`).
+Basis files (`cached_buchberger`) are written and never read back.
 """
 
 from __future__ import annotations
@@ -77,10 +82,12 @@ class GroebnerBasis:
     order: MonomialOrder
     engine: "_Engine" = field(compare=False, repr=False)  # polys as primitive integer terms
     source: IdealPresentation | None = field(default=None, compare=False)
+    # over Q: the primes of every number the integer completion divided by
+    primes: frozenset[int] = field(default=frozenset(), compare=False)
 
     @property
     def n(self) -> int:
-        return self.polys[0].n if self.polys else 0
+        return len(self.engine.packing.shifts)
 
     def leading_monomials(self) -> list[tuple[int, ...]]:
         return [self.engine.packing.unpack(m) for m in self.engine.lms]
@@ -149,8 +156,9 @@ class _Packing:
         return sum(m), self.pack(m)
 
 
-def _primitive(terms, lm):
-    """Divide by the content and make the leading coefficient positive."""
+def _primitive(terms, lm, divisors):
+    """Divide by the content and make the leading coefficient positive; a
+    content other than 1 is added to divisors."""
     g = 0
     for c in terms.values():
         g = gcd(g, c)
@@ -158,11 +166,27 @@ def _primitive(terms, lm):
             break
     if g == 0:
         return terms
+    if g != 1:
+        divisors.add(g)
     if terms[lm] < 0:
         g = -g
     if g != 1:
         return {m: c // g for m, c in terms.items()}
     return terms
+
+
+def _prime_factors(m: int) -> set[int]:
+    """The primes dividing m >= 1, by trial division."""
+    out = set()
+    f = 2
+    while f * f <= m:
+        while m % f == 0:
+            out.add(f)
+            m //= f
+        f += 1
+    if m > 1:
+        out.add(m)
+    return out
 
 
 def _integral(p: Polynomial, packing: _Packing):
@@ -178,10 +202,20 @@ def _integral(p: Polynomial, packing: _Packing):
 
 class _Engine:
     """Mutable reduction state: parallel arrays of basis data, every
-    monomial packed by the engine's _Packing."""
+    monomial packed by the engine's _Packing.
 
-    def __init__(self, order: MonomialOrder, n: int):
+    With modulus 0 the engine works over Z and every number it divides a
+    polynomial by (a content in `add`, a periodic content in `reduce`) goes
+    into `divisors`; scaling by a multiplier mt never divides, so it is not
+    recorded.  With a prime modulus p it works over F_p: basis elements are
+    monic with coefficients in 0..p-1, so each reduction step has mt = 1, and
+    `reduce` drops a leading term that vanishes mod p.
+    """
+
+    def __init__(self, order: MonomialOrder, n: int, modulus: int = 0):
         self.packing = _Packing(order, n)
+        self.modulus = modulus
+        self.divisors: set[int] = set()
         self.terms: list[dict] = []
         self.lms: list[int] = []
         self.lcs: list[int] = []
@@ -189,7 +223,12 @@ class _Engine:
 
     def add(self, terms):
         lm = max(terms)
-        terms = _primitive(terms, lm)
+        p = self.modulus
+        if p:
+            inv = pow(terms[lm], -1, p)
+            terms = {m: c * inv % p for m, c in terms.items()}
+        else:
+            terms = _primitive(terms, lm, self.divisors)
         idx = len(self.terms)
         self.terms.append(terms)
         self.lms.append(lm)
@@ -220,11 +259,18 @@ class _Engine:
         remainder = {}
         scale = 1
         guard = self.packing.guard
+        p = self.modulus
         steps = 0
         while terms:
             lm = max(terms)
             if lm & guard:
                 raise GroebnerError(f"a monomial grew too wide to pack below {_LIMIT}")
+            if p:
+                c = terms[lm] % p
+                if not c:
+                    del terms[lm]
+                    continue
+                terms[lm] = c
             i = self.find_reducer(lm, skip, rng)
             if i < 0:
                 remainder[lm] = terms.pop(lm)
@@ -250,7 +296,7 @@ class _Engine:
                 else:
                     del terms[me]
             steps += 1
-            if steps % 64 == 0 and terms:
+            if steps % 64 == 0 and terms and not p:
                 g = 0
                 for v in terms.values():
                     g = gcd(g, v)
@@ -262,6 +308,7 @@ class _Engine:
                         if g == 1:
                             break
                 if g > 1:
+                    self.divisors.add(g)
                     scale = Fraction(scale, g)
                     for m in terms:
                         terms[m] //= g
@@ -287,8 +334,17 @@ class _Engine:
         return res
 
 
-def buchberger(source, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
-    """Reduced Groebner basis of the given generators over the rationals."""
+def buchberger(source, order: MonomialOrder = DEGREVLEX, modulus: int = 0) -> GroebnerBasis:
+    """Reduced Groebner basis of the given generators over the rationals or,
+    for a prime modulus p, of their integer multiples reduced mod p over F_p.
+
+    Over Q the basis records `primes`: those of every content the integer
+    completion divided out and of every leading coefficient the monic
+    conversion divides by.  For a prime p outside them every step is valid
+    over Z_(p), so the monic basis lies in I Z_(p)[x] with coefficients in
+    Z_(p) and Z_(p)[x]/I is free on the staircase (Adams-Loustaunau,
+    An Introduction to Groebner Bases, ch. 4).
+    """
     if isinstance(source, IdealPresentation):
         gens = source.polynomials()
         pres = source
@@ -302,7 +358,7 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     if any(g.n != n for g in gens):
         raise GroebnerError("mixed variable counts in generator list")
 
-    eng = _Engine(order, n)
+    eng = _Engine(order, n, modulus)
     packing = eng.packing
     guard, exponent_guard = packing.guard, packing.exponent_guard
 
@@ -366,12 +422,13 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
 
     # tail-reduce to the unique auto-reduced form; leading monomials of a
     # minimal basis never change, so one pass leaves every element reduced
-    final = _Engine(order, n)
+    final = _Engine(order, n, modulus)
     for i in kept:
         final.add(eng.terms[i])
     for pos in range(len(final.terms)):
         r, _ = final.reduce(final.terms[pos], skip=pos)
-        r = _primitive(r, final.lms[pos])
+        if not modulus:  # mod p the leading coefficient stays 1
+            r = _primitive(r, final.lms[pos], final.divisors)
         final.terms[pos] = r
         final.lcs[pos] = r[final.lms[pos]]
 
@@ -380,7 +437,11 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     for t, lm in zip(final.terms, final.lms):
         lc = t[lm]
         monic.append(Polynomial(n, {unpack(m): Fraction(c, lc) for m, c in t.items()}))
-    return GroebnerBasis(tuple(monic), order, final, pres)
+    primes = frozenset()
+    if not modulus:
+        divided = eng.divisors | final.divisors | set(final.lcs)
+        primes = frozenset(q for m in divided for q in _prime_factors(m))
+    return GroebnerBasis(tuple(monic), order, final, pres, primes)
 
 
 # -- normal forms and the staircase -----------------------------------
@@ -405,20 +466,24 @@ def normal_form(p: Polynomial, gb: GroebnerBasis, rng=None) -> Polynomial:
     return Polynomial(gb.n, {unpack(m): Fraction(c, scale * den) for m, c in remainder.items()})
 
 
-def standard_monomials(gb: GroebnerBasis) -> list[tuple[int, ...]]:
-    """Monomials outside the leading-term ideal, sorted by (degree, exponents).
+def standard_monomials(gb: GroebnerBasis, max_degree: int | None = None) -> list[tuple[int, ...]]:
+    """Monomials outside the leading-term ideal, sorted by (degree, exponents);
+    with max_degree, only those of degree at most max_degree.
 
-    Raises InfiniteQuotient when some variable has no pure-power leading
-    term, since the staircase then contains an infinite ray.
+    Without max_degree, raises InfiniteQuotient when some variable has no
+    pure-power leading term, since the staircase then contains an infinite ray.
     """
     n = gb.n
     lts = gb.leading_monomials()
     bounds = []
     for j in range(n):
         pure = [m[j] for m in lts if sum(m) == m[j]]
-        if not pure:
+        if pure:
+            bounds.append(min(pure))
+        elif max_degree is None:
             raise InfiniteQuotient(f"variable {j + 1} has no pure-power leading term")
-        bounds.append(min(pure))
+        else:
+            bounds.append(max_degree + 1)
 
     # a leading monomial whose last variable is t < j was already tested at
     # depth t on the same prefix, and one ending after j cannot divide yet
@@ -431,18 +496,18 @@ def standard_monomials(gb: GroebnerBasis) -> list[tuple[int, ...]]:
     out = []
     vec = [0] * n
 
-    def descend(j):
+    def descend(j, room):
         if j == n:
             out.append(tuple(vec))
             return
-        for e in range(bounds[j]):
+        for e in range(min(bounds[j], room + 1)):
             vec[j] = e
             if any(all(map(le, m, vec)) for m in ending[j]):
                 break  # larger e stays divisible by the same leading term
-            descend(j + 1)
+            descend(j + 1, room - e)
         vec[j] = 0
 
-    descend(0)
+    descend(0, sum(bounds) if max_degree is None else max_degree)
     out.sort(key=lambda m: (sum(m), m))
     return out
 
@@ -460,9 +525,11 @@ def _require_homogeneous(pres: IdealPresentation):
 
 
 @lru_cache(maxsize=None)
-def groebner_basis_for(pres: IdealPresentation, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
+def groebner_basis_for(
+    pres: IdealPresentation, order: MonomialOrder = DEGREVLEX, modulus: int = 0
+) -> GroebnerBasis:
     """Session-cached completion, keyed by the presentation value."""
-    return buchberger(pres, order)
+    return buchberger(pres, order, modulus)
 
 
 def hilbert_series(pres: IdealPresentation, order: MonomialOrder = DEGREVLEX) -> tuple[int, ...]:
@@ -477,6 +544,15 @@ def staircase_series(monos) -> tuple[int, ...]:
     for m in monos:
         series[sum(m)] += 1
     return tuple(series)
+
+
+def modular_series(gb: GroebnerBasis, max_degree: int) -> dict[int, tuple[int, ...]]:
+    """For each prime in gb.primes, the staircase series through max_degree
+    of gb's source generators completed over F_p under gb's order."""
+    return {
+        p: staircase_series(standard_monomials(groebner_basis_for(gb.source, gb.order, p), max_degree))
+        for p in sorted(gb.primes)
+    }
 
 
 # -- basis files -------------------------------------------------------

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .groebner import GroebnerBasis, normal_form
-from .ideals import to_v_convention
 from .partitions import Partition, PartitionError, check_subset, enumerate_subsets
 from .polynomial import Polynomial, binomial
 
@@ -55,13 +54,19 @@ def _line_product(n: int, lines: tuple[int, ...]) -> tuple[Polynomial, ...]:
     return tuple(coeffs)
 
 
-def _lambda_coefficient(x: VirtualClass, k: int) -> Polynomial:
+def _lambda_coefficient(x: VirtualClass, k: int, convention: str = "u") -> Polynomial:
     """lambda^k(x), the t^k coefficient of prod_i (1 + u_i t) * (1 + t)^shift:
-    sum_j C(shift, k - j) times the t^j coefficient of the line product."""
+    sum_j C(shift, k - j) times the t^j coefficient of the line product.
+
+    In the v-convention, u_i = 1 + v_i turns the series into
+    (1 + t)^(len + shift) * prod_i (1 + v_i t/(1 + t)), so the weight of the
+    t^j coefficient of the line product (now in v) is C(len + shift - j, k - j).
+    """
     product = _line_product(x.n, x.lines)
+    in_v = convention == "v"
     terms = {}
     for j in range(min(k, len(x.lines)) + 1):
-        w = binomial(x.shift, k - j)
+        w = binomial(x.shift + in_v * (len(x.lines) - j), k - j)
         if w:
             # product[j] is homogeneous of degree j, so no two j share a monomial
             for m, c in product[j].terms.items():
@@ -80,8 +85,9 @@ def lambda_series(x: VirtualClass, truncation: int) -> list[Polynomial]:
     return [_lambda_coefficient(x, k) for k in range(truncation + 1)]
 
 
-def gamma_op(x: VirtualClass, d: int) -> Polynomial:
-    """gamma^d(x), computed as lambda^d(x + d - 1).
+def gamma_op(x: VirtualClass, d: int, convention: str = "u") -> Polynomial:
+    """gamma^d(x), computed as lambda^d(x + d - 1), in the variables of the
+    convention.
 
     The substitution t -> t/(1-t) expands t^k (1-t)^(-k) with weight
     C(d-1, k-1) at t^d, so gamma^d(x) = sum_k C(d-1, k-1) lambda^k(x); the
@@ -91,7 +97,7 @@ def gamma_op(x: VirtualClass, d: int) -> Polynomial:
         raise PartitionError(f"gamma index must be >= 0, got {d}")
     if d == 0:
         return Polynomial.constant(x.n, 1)
-    return _lambda_coefficient(x.shifted(d - 1), d)
+    return _lambda_coefficient(x.shifted(d - 1), d, convention)
 
 
 # -- relation sweeps -----------------------------------------------------
@@ -117,10 +123,15 @@ class RelationReport:
         }
 
 
+def _convention(gb: GroebnerBasis) -> str:
+    """The variables the basis is written in: v for a v-convention source."""
+    return "v" if gb.source is not None and gb.source.convention == "v" else "u"
+
+
 def _sweep(partition: Partition, gb: GroebnerBasis, kind: str, extra: int = 2) -> RelationReport:
     n = partition.n
     dual = partition.dual()
-    in_v = gb.source is not None and gb.source.convention == "v"
+    convention = _convention(gb)
     rows = []
     ok = True
     for s in range(1, n + 1):
@@ -128,11 +139,9 @@ def _sweep(partition: Partition, gb: GroebnerBasis, kind: str, extra: int = 2) -
         for subset in enumerate_subsets(n, s):
             for d in range(s + 1 - q, s + extra + 1):
                 if kind == "gamma":
-                    poly = gamma_op(VirtualClass(n, subset, -s), d)
+                    poly = gamma_op(VirtualClass(n, subset, -s), d, convention)
                 else:
-                    poly = _lambda_coefficient(VirtualClass(n, subset, -q), d)
-                if in_v:
-                    poly = to_v_convention(poly)
+                    poly = _lambda_coefficient(VirtualClass(n, subset, -q), d, convention)
                 vanished = normal_form(poly, gb).is_zero()
                 rows.append((subset, d, vanished))
                 ok = ok and vanished
@@ -151,12 +160,11 @@ def equivalent_lambda_relations(partition: Partition, gb: GroebnerBasis) -> Rela
 
 
 def gamma_membership(partition: Partition, gb: GroebnerBasis, subset, d: int):
-    """One gamma relation: returns (polynomial, normal form, vanished)."""
+    """One gamma relation: returns (polynomial in u, normal form, vanished)."""
     n = partition.n
     subset = check_subset(subset, n)
-    poly = gamma_op(VirtualClass(n, subset, -len(subset)), d)
-    reduced = poly
-    if gb.source is not None and gb.source.convention == "v":
-        reduced = to_v_convention(poly)
-    nf = normal_form(reduced, gb)
+    x = VirtualClass(n, subset, -len(subset))
+    poly = gamma_op(x, d)
+    convention = _convention(gb)
+    nf = normal_form(poly if convention == "u" else gamma_op(x, d, convention), gb)
     return poly, nf, nf.is_zero()

@@ -1,15 +1,21 @@
-"""Independent exact-linear-algebra verification layer.
+"""Exact linear algebra: the verdicts of the filtration and freeness
+checks, the rank lemma, and the slice route that cross-checks them.
 
-Everything here works degreewise on explicit spanning vectors and never
-imports the Groebner engine, so the two routes can cross-check each other.
-The one exception is an input: the filtration check receives the K side as
-a staircase series (standard monomials per degree) from its caller, and
-compares it with cohomology ranks this module computes itself.  Ideal
-slices take one exact route: a unimodular unit-pivot phase, then a dense
-Smith-normal-form residual.  A slice's rank is its number of invariant
-factors, and each slice is eliminated once per process (`_slice`), so the
-filtration and freeness checks share the work.  `SparseEchelon` serves
-only `rank_rational`, the dense-matrix oracle.
+This module never imports the Groebner engine.  The filtration and freeness
+checks receive staircase series (standard monomials per degree) from their
+caller and judge them: the filtration check against the Garsia-Procesi
+series of the partition, computed from the partition alone, and the
+freeness check against the staircases of the same generators over F_p for
+the primes the integer completion divided by.  Neither builds a Macaulay
+matrix.
+
+The slice route stays as a cross-check for small n: `_slice` builds the
+degree-d slice of a homogeneous ideal (every generator times every monomial
+of the complementary degree) and eliminates it exactly, by unimodular unit
+pivots and then a dense Smith-normal-form residual, once per process.  Its
+rank is `ideal_degree_rank`, and its non-unit invariant factors are the
+torsion of the quotient in degree d.  The rank lemma ranks sparse Jordan
+powers; `SparseEchelon` serves only `rank_rational`, the dense-matrix oracle.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from functools import lru_cache
 from math import comb, gcd
 from operator import add
 
-from .ideals import IdealPresentation, tanisaki_generators
-from .partitions import Partition
+from .ideals import IdealPresentation
+from .partitions import Partition, garsia_procesi_series
 from .polynomial import Polynomial
 
 
@@ -378,7 +384,8 @@ def verify_rank_lemma(partition: Partition) -> RankLemmaReport:
 @dataclass(frozen=True)
 class FreenessReport:
     partition: Partition
-    degrees: tuple[tuple[int, int, tuple[int, ...]], ...]  # (d, rank, factors != 1)
+    # (d, rank of the ideal slice, torsion primes: p once per p-primary summand)
+    degrees: tuple[tuple[int, int, tuple[int, ...]], ...]
     ok: bool
 
     def to_dict(self):
@@ -391,14 +398,35 @@ class FreenessReport:
         }
 
 
-def integral_freeness_check(partition: Partition) -> FreenessReport:
-    """Check that the cohomology quotient is Z-free: for d = 1..top every
-    invariant factor of the degree-d slice is 1.  The slices are the
-    memoised ones whose ranks the filtration check reads."""
-    pres = tanisaki_generators(partition)
-    top = partition.springer_dimension() + 1
-    degrees = tuple((d, *_slice(pres, d)) for d in range(1, top + 1))
-    return FreenessReport(partition, degrees, not any(bad for _, _, bad in degrees))
+def _count(series, d: int) -> int:
+    """series[d], and 0 past its end."""
+    return series[d] if d < len(series) else 0
+
+
+def integral_freeness_check(partition: Partition, series, modular) -> FreenessReport:
+    """Check that the cohomology quotient M = Z[y]/I is Z-free, from a prime
+    certificate of the integer completion of I.
+
+    series[d] counts the degree-d standard monomials of I over Q, so the
+    ideal slice has rank dim S_d - series[d].  modular maps each prime p the
+    integer completion divided by to the staircase series, through degree
+    dim + 1, of the same generators completed over F_p.  At every other prime
+    the completion is valid over Z_(p), so M_(p) is free on the staircase.  At
+    p in modular, dim (M/pM)_d = series[d] + the number of p-primary summands
+    of M_d, so each excess count is a torsion summand, listed as p in degree
+    d for d = 1..dim + 1.
+    """
+    n = partition.n
+    degrees = []
+    for d in range(1, partition.springer_dimension() + 2):
+        torsion = []
+        for p in sorted(modular):
+            excess = _count(modular[p], d) - _count(series, d)
+            if excess < 0:
+                raise ValueError(f"F_{p} staircase below the rational one in degree {d}")
+            torsion += [p] * excess
+        degrees.append((d, dim_graded_piece(n, d) - _count(series, d), tuple(torsion)))
+    return FreenessReport(partition, tuple(degrees), not any(t for _, _, t in degrees))
 
 
 # -- the filtration comparison ---------------------------------------------
@@ -426,31 +454,40 @@ class FiltrationReport:
         }
 
 
-def filtration_check(partition: Partition, k_series) -> FiltrationReport:
-    """Compare the degree filtration of the K-ideal against the graded ideal.
+def filtration_check(partition: Partition, coh_series, k_series) -> FiltrationReport:
+    """Compare the degree filtration of the K-ideal against the cohomology
+    ideal, both read from staircases and both checked against Garsia-Procesi.
 
-    k_series[d] is the number of degree-d standard monomials of the K-ideal
-    in the v-convention under a degree-compatible order (degrevlex); degrees
-    past its end count 0.  For such an order the leading monomial of f is
-    that of its top-degree form, so in(I) = in(gr I) and the gr column is
-    dim S_d - k_series[d].  Per degree d it must equal the rank of the
-    degree-d slice of the cohomology ideal, which this module computes by
-    elimination; the cumulative quotient rank must equal the multinomial
-    rank.
+    coh_series[d] is the number of degree-d standard monomials of the
+    cohomology ideal, and k_series[d] that of the K-ideal in the v-convention
+    under a degree-compatible order (degrevlex); degrees past a series' end
+    count 0.  For such an order the leading monomial of f is that of its
+    top-degree form, so in(I) = in(gr I) and the gr column is
+    dim S_d - k_series[d]; the ideal column is dim S_d - coh_series[d].  Per
+    degree both must equal dim S_d - GP_d, GP the Garsia-Procesi series, and
+    the cumulative quotient rank must equal the multinomial rank.
     """
     n = partition.n
     top = partition.springer_dimension() + 1
-    coh = tanisaki_generators(partition)
-    ideal_dims = [ideal_degree_rank(coh, d) for d in range(top + 1)]
+    gp = garsia_procesi_series(partition)
     s_dims = [dim_graded_piece(n, d) for d in range(top + 1)]
-    gr_dims = [s_dims[d] - (k_series[d] if d < len(k_series) else 0) for d in range(top + 1)]
-    mismatch = next((d for d in range(top + 1) if gr_dims[d] != ideal_dims[d]), None)
+    ideal_dims = [s_dims[d] - _count(coh_series, d) for d in range(top + 1)]
+    gr_dims = [s_dims[d] - _count(k_series, d) for d in range(top + 1)]
+    gp_dims = [s_dims[d] - _count(gp, d) for d in range(top + 1)]
+    split = next((d for d in range(top + 1) if gr_dims[d] != ideal_dims[d]), None)
+    mismatch = next(
+        (d for d in range(top + 1) if not ideal_dims[d] == gr_dims[d] == gp_dims[d]), None
+    )
 
     findings = []
+    if split is not None:
+        findings.append(
+            f"degree {split}: gr dimension {gr_dims[split]} != ideal rank {ideal_dims[split]}"
+        )
     if mismatch is not None:
         findings.append(
-            f"degree {mismatch}: gr dimension {gr_dims[mismatch]} != ideal rank "
-            f"{ideal_dims[mismatch]}"
+            f"degree {mismatch}: ideal rank {ideal_dims[mismatch]} and gr dimension "
+            f"{gr_dims[mismatch]} vs {gp_dims[mismatch]} from the Garsia-Procesi series"
         )
     quotient_total = sum(s_dims[d] - ideal_dims[d] for d in range(top))  # d <= springer dim
     cumulative_ok = (

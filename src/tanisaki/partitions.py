@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 from typing import Iterator
 
@@ -80,6 +81,24 @@ class Partition:
     def springer_dimension(self) -> int:
         """Sum of eta_j*(eta_j - 1)/2 over the dual parts eta."""
         return sum(e * (e - 1) // 2 for e in self.dual().parts)
+
+
+@lru_cache(maxsize=None)
+def garsia_procesi_series(partition: Partition) -> tuple[int, ...]:
+    """Hilbert series of the cohomology ring of the Springer fibre, lowest
+    degree first, by the Garsia-Procesi recursion (Adv. Math. 94, 1992):
+    F_mu(q) = sum_i q^(i-1) F_mu(i)(q), where mu(i) lowers the i-th part of
+    mu by one and re-sorts, and F = 1 for n <= 1.  It is computed from the
+    partition alone, so it checks every staircase series independently."""
+    parts = partition.parts
+    if partition.n <= 1:
+        return (1,)
+    series = [0] * (partition.springer_dimension() + 1)
+    for i in range(len(parts)):
+        lowered = sorted(parts[:i] + (parts[i] - 1,) + parts[i + 1:], reverse=True)
+        for d, c in enumerate(garsia_procesi_series(Partition(tuple(x for x in lowered if x)))):
+            series[i + d] += c
+    return tuple(series)
 
 
 def parse_partition(text: str) -> Partition:

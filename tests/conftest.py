@@ -3,6 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from tanisaki.groebner import (
+    DEGREVLEX,
+    groebner_basis_for,
+    modular_series,
+    staircase_series,
+    standard_monomials,
+)
+from tanisaki.ideals import k_tanisaki_generators, tanisaki_generators
+from tanisaki.linalg import filtration_check, integral_freeness_check
 from tanisaki.polynomial import Polynomial
 
 
@@ -30,3 +39,29 @@ def random_point(rng: random.Random, n: int):
 @pytest.fixture
 def rng():
     return random.Random(20260809)
+
+
+def cohomology_basis(lam):
+    """The degrevlex cohomology basis that verify's filtration and freeness
+    suites read."""
+    return groebner_basis_for(tanisaki_generators(lam), DEGREVLEX)
+
+
+def series_of(gb):
+    return staircase_series(standard_monomials(gb))
+
+
+def k_series(lam):
+    """Per-degree K-staircase counts: v-convention, degrevlex, as verify uses."""
+    return series_of(groebner_basis_for(k_tanisaki_generators(lam, "v"), DEGREVLEX))
+
+
+def filtration_of(lam):
+    return filtration_check(lam, series_of(cohomology_basis(lam)), k_series(lam))
+
+
+def freeness_of(lam):
+    """The prime-certificate freeness report, with verify's inputs."""
+    gb = cohomology_basis(lam)
+    modular = modular_series(gb, lam.springer_dimension() + 1)
+    return integral_freeness_check(lam, series_of(gb), modular)

@@ -15,7 +15,6 @@ from tanisaki.groebner import (
     groebner_basis_for,
     hilbert_series,
     normal_form,
-    staircase_series,
     standard_monomials,
 )
 from tanisaki.ideals import (
@@ -25,14 +24,15 @@ from tanisaki.ideals import (
     truncation_certificate,
 )
 from tanisaki.lambda_ring import equivalent_lambda_relations, verify_gamma_relations
-from tanisaki.linalg import (
-    dim_graded_piece,
-    filtration_check,
-    ideal_degree_rank,
-    integral_freeness_check,
-    verify_rank_lemma,
+from tanisaki.linalg import _slice, dim_graded_piece, ideal_degree_rank, verify_rank_lemma
+from tanisaki.partitions import (
+    Partition,
+    enumerate_partitions,
+    enumerate_subsets,
+    garsia_procesi_series,
 )
-from tanisaki.partitions import Partition, enumerate_partitions, enumerate_subsets
+
+from conftest import cohomology_basis, filtration_of, freeness_of, series_of
 
 
 def report(num, name, ok, extra=""):
@@ -126,7 +126,7 @@ def test_criterion_07_filtration():
     findings = []
     for n in range(1, 6):
         for lam in enumerate_partitions(n):
-            rep = filtration_check(lam, staircase_series(standard_monomials(kbasis(lam))))
+            rep = filtration_of(lam)
             assert rep.verdict, (lam, rep.to_dict())
             if rep.findings:
                 findings.append((lam, rep.findings))
@@ -138,11 +138,16 @@ def test_criterion_07_filtration():
 
 
 def test_criterion_08_integral_freeness():
+    # the prime certificate against the Smith forms of the slices
     for n in range(1, 6):
         for lam in enumerate_partitions(n):
-            rep = integral_freeness_check(lam)
+            rep = freeness_of(lam)
             assert rep.ok, (lam, rep.to_dict())
-    report(8, "all Smith invariant factors are 1 in every degree (n<=5)", True)
+            pres = tanisaki_generators(lam)
+            smith = [(d, *_slice(pres, d)) for d in range(1, lam.springer_dimension() + 2)]
+            assert [(d, r) for d, r, _ in rep.degrees] == [(d, r) for d, r, _ in smith], lam
+            assert not any(bad for _, _, bad in smith), lam
+    report(8, "prime certificate: Z-free, with the Smith ranks and verdicts (n<=5)", True)
 
 
 def test_criterion_09_truncation_certificates():
@@ -181,3 +186,19 @@ def test_criterion_11_property_suites_standalone():
     tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     report(11, "randomized property suites run standalone with zero failures", ok,
            f"  [{tail}]")
+
+
+def test_criterion_12_garsia_procesi_staircases():
+    t0 = time.perf_counter()
+    checked = 0
+    for n in range(1, 8):
+        for lam in enumerate_partitions(n):
+            gp = garsia_procesi_series(lam)
+            assert series_of(cohomology_basis(lam)) == gp, lam
+            assert series_of(kbasis(lam)) == gp, lam
+            checked += 1
+    report(
+        12, "Garsia-Procesi series equals the cohomology and K(v) staircases (n<=7)",
+        checked == 44,
+        f"  [{checked} partitions, {time.perf_counter()-t0:.1f}s]",
+    )

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import jsonschema
 import pytest
 
 from tanisaki import cli, groebner, lambda_ring, linalg
+from tanisaki.ideals import tanisaki_generators
 from tanisaki.partitions import Partition
 
 SCHEMA = json.load(
@@ -347,7 +349,7 @@ class TestSharedPartitionWork:
         assert seen == {"basis": parts, "gamma": parts}
         assert all(r["suites"]["lambda"]["agrees_with_gamma"] for r in doc["results"])
 
-    def test_each_cohomology_slice_eliminated_once(self, capsys, monkeypatch):
+    def test_no_cohomology_slice_eliminated(self, capsys, monkeypatch):
         # the slice memo lives for the whole process: start it empty
         linalg._slice.cache_clear()
         calls = []
@@ -358,12 +360,12 @@ class TestSharedPartitionWork:
             return unit_pivots(rows)
 
         monkeypatch.setattr(linalg, "_unit_pivots", counting)
+        # (2,2) has the prime 2 in its certificate, so an F_2 completion runs
         code, doc = run_json(
-            capsys, "verify", "--n", "3", "--suite", "filtration", "--suite", "freeness"
+            capsys, "verify", "--n", "4", "--suite", "filtration", "--suite", "freeness"
         )
         assert code == 0
-        # filtration ranks the slices d = 0..dim + 1; freeness reads d >= 1 back
-        assert len(calls) == sum(r["dimension"] + 2 for r in doc["results"])
+        assert calls == []
 
 
 class TestFiltrationFlags:
@@ -384,7 +386,59 @@ class TestFiltrationFlags:
         blocks = [r["suites"]["filtration"] for r in default["results"]]
         assert blocks == [r["suites"]["filtration"] for r in other["results"]]
         assert all(b["ok"] for b in blocks)
-        assert asked == [("v", (groebner.DEGREVLEX,))] * len(blocks)
+        # the K(v) basis, then the cohomology basis the ideal column reads
+        assert asked == [("v", (groebner.DEGREVLEX,)), ("y", (groebner.DEGREVLEX,))] * len(blocks)
+
+
+def planted_torsion(lam):
+    """The cohomology presentation of lam with its degree-1 generator e_1 of
+    all n variables scaled by 2, which no other generator recovers over Z:
+    Z[y]/I then has 2-torsion, as Z[x]/(x^2, 2x) does."""
+    pres = tanisaki_generators(lam)
+    gens = list(pres.generators)
+    k = next(i for i, g in enumerate(gens) if g.d == 1 and len(g.subset) == lam.n)
+    gens[k] = dataclasses.replace(gens[k], poly=gens[k].poly * 2)
+    return dataclasses.replace(pres, generators=tuple(gens))
+
+
+class TestPlantedFailures:
+    def test_torsion_prime_exits_one_naming_prime_and_degree(self, capsys, monkeypatch):
+        lam = Partition((2, 1))
+        planted = planted_torsion(lam)
+        monkeypatch.setattr(cli, "tanisaki_generators", lambda p: planted)
+        code, doc = run_json(capsys, "verify", "--partition", "2,1", "--suite", "freeness")
+        assert code == 1
+        rep = doc["results"][0]["suites"]["freeness"]
+        assert rep["degrees"] == [
+            {"d": 1, "rank": 1, "nonunit_factors": [2]},
+            {"d": 2, "rank": 6, "nonunit_factors": [2, 2, 2]},
+        ]
+        # the Smith forms of the slices agree: same ranks, and as many
+        # invariant factors divisible by 2 as the certificate lists
+        for row in rep["degrees"]:
+            rank, factors = linalg._slice(planted, row["d"])
+            assert rank == row["rank"]
+            assert len([f for f in factors if f % 2 == 0]) == len(row["nonunit_factors"])
+
+    def test_wrong_cohomology_series_exits_one_with_a_gp_finding(self, capsys, monkeypatch):
+        staircase_series = groebner.staircase_series
+
+        def moved(monos):
+            # one standard monomial moved from degree 1 to degree 2, on both
+            # sides: gr and ideal columns agree, and the total is unchanged
+            series = list(staircase_series(monos))
+            series[1] -= 1
+            series[2] += 1
+            return tuple(series)
+
+        monkeypatch.setattr(groebner, "staircase_series", moved)
+        code, doc = run_json(capsys, "verify", "--partition", "1,1,1", "--suite", "filtration")
+        assert code == 1
+        rep = doc["results"][0]["suites"]["filtration"]
+        assert rep["mismatch_degree"] == 1
+        assert rep["findings"] == [
+            "degree 1: ideal rank 2 and gr dimension 2 vs 1 from the Garsia-Procesi series"
+        ]
 
 
 class TestParallel:

@@ -329,3 +329,34 @@ class TestCache:
         doc = basis_to_dict(gb, pres)
         assert set(doc) == {"schema_version", "order", "basis"}
         assert doc["schema_version"] == 2
+
+
+class TestPrimeCertificate:
+    def test_content_removal_records_its_prime(self):
+        # (x^2, 2x) over Q is (x), but Z[x]/(x^2, 2x) has 2-torsion in degree 1
+        (x,) = variables(1)
+        gb = buchberger([x * x, x * 2])
+        assert [p.render("x") for p in gb.polys] == ["x1"] and gb.primes == {2}
+        mod2 = buchberger([x * x, x * 2], DEGREVLEX, 2)
+        assert [p.render("x") for p in mod2.polys] == ["x1^2"]
+        assert standard_monomials(mod2) == [(0,), (1,)]
+
+    def test_modular_staircase_through_a_degree(self):
+        # mod 2 the generator 2x vanishes, leaving an infinite ray of x powers
+        x, y = variables(2)
+        mod2 = buchberger([x * 2 + y * 3, y * y], DEGREVLEX, 2)
+        assert [p.render("x") for p in mod2.polys] == ["x2"]
+        with pytest.raises(InfiniteQuotient):
+            standard_monomials(mod2)
+        assert standard_monomials(mod2, max_degree=2) == [(0, 0), (1, 0), (2, 0)]
+
+    def test_modular_coefficients_are_reduced(self):
+        x, y = variables(2)
+        mod3 = buchberger([x * 2 + y * 4, y * y * 5 - x * y], DEGREVLEX, 3)
+        assert all(0 <= c < 3 for p in mod3.polys for c in p.terms.values())
+        assert all(p.terms[max(p.terms, key=DEGREVLEX.key)] == 1 for p in mod3.polys)
+
+    def test_primes_of_the_cohomology_completions(self):
+        primes = {lam.parts: groebner_basis_for(tanisaki_generators(lam)).primes
+                  for lam in enumerate_partitions(5)}
+        assert {parts: p for parts, p in primes.items() if p} == {(3, 2): {3}, (2, 2, 1): {2}}

@@ -5,13 +5,14 @@ from tanisaki.groebner import groebner_basis_for, normal_form
 from tanisaki.ideals import h_polynomial, k_tanisaki_generators, to_v_convention
 from tanisaki.lambda_ring import (
     VirtualClass,
+    _lambda_coefficient,
     equivalent_lambda_relations,
     gamma_membership,
     gamma_op,
     lambda_series,
     verify_gamma_relations,
 )
-from tanisaki.partitions import Partition, enumerate_partitions
+from tanisaki.partitions import Partition, enumerate_partitions, enumerate_subsets
 from tanisaki.polynomial import Polynomial, binomial
 
 from conftest import variables
@@ -160,3 +161,38 @@ class TestRelationSweeps:
         for d in (1, 2, 3):
             h = h_polynomial(tuple(range(1, n + 1)), d, n, n)
             assert normal_form(h, gb).is_zero()
+
+
+class TestRelationsInV:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_v_built_relations_equal_shifted_u_relations(self, n):
+        # oracle: the relation built in u, rewritten by v_j = u_j - 1, over
+        # every row of both sweeps, the d = s + 1 and s + 2 overhang included
+        for lam in enumerate_partitions(n):
+            dual = lam.dual()
+            for s in range(1, n + 1):
+                q = dual.p_function(s)
+                for subset in enumerate_subsets(n, s):
+                    gamma_class = VirtualClass(n, subset, -s)
+                    lambda_class = VirtualClass(n, subset, -q)
+                    for d in range(s + 1 - q, s + 3):
+                        assert gamma_op(gamma_class, d, "v") == to_v_convention(
+                            gamma_op(gamma_class, d)), (lam, subset, d)
+                        assert _lambda_coefficient(lambda_class, d, "v") == to_v_convention(
+                            _lambda_coefficient(lambda_class, d)), (lam, subset, d)
+
+    def test_sweeps_shift_no_variables(self, capsys, monkeypatch):
+        shifts = []
+        shift_variables = Polynomial.shift_variables
+
+        def counting(self, delta):
+            shifts.append(delta)
+            return shift_variables(self, delta)
+
+        monkeypatch.setattr(Polynomial, "shift_variables", counting)
+        code = cli.main(["verify", "--n", "3", "--suite", "gamma", "--suite", "lambda"])
+        capsys.readouterr()
+        assert code == 0 and shifts == []
+        code = cli.main(["gamma", "--partition", "2,1", "--subset", "1,2", "--d", "2"])
+        capsys.readouterr()
+        assert code == 0 and shifts == []

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tanisaki.groebner import DEGREVLEX, groebner_basis_for, staircase_series, standard_monomials
+from tanisaki.groebner import groebner_basis_for, standard_monomials
 from tanisaki.ideals import k_tanisaki_generators, tanisaki_generators
 from tanisaki.linalg import (
     SparseEchelon,
@@ -18,6 +18,8 @@ from tanisaki.linalg import (
     verify_rank_lemma,
 )
 from tanisaki.partitions import Partition, enumerate_partitions
+
+from conftest import filtration_of, freeness_of, k_series
 
 
 class TestRank:
@@ -121,12 +123,6 @@ class TestIdealDegreeRank:
         assert all(sum(m) == 2 for m in monos)
 
 
-def k_series(lam):
-    """Per-degree K-staircase counts: v-convention, degrevlex, as verify uses."""
-    gb = groebner_basis_for(k_tanisaki_generators(lam, "v"), DEGREVLEX)
-    return staircase_series(standard_monomials(gb))
-
-
 def echelon_graded_dims(lam, top):
     """Leading-form dimensions, per degree, of the truncated multiples m * g
     of the v-convention K-generators: an oracle for the gr column that never
@@ -157,20 +153,20 @@ def echelon_graded_dims(lam, top):
 
 class TestFiltration:
     def test_point(self):
-        rep = filtration_check(Partition((3,)), k_series(Partition((3,))))
+        rep = filtration_of(Partition((3,)))
         assert rep.verdict
         quotient = [s - i for _, s, i, _ in rep.rows]
         assert quotient == [1, 0]
 
     def test_hook(self):
-        rep = filtration_check(Partition((2, 1)), k_series(Partition((2, 1))))
+        rep = filtration_of(Partition((2, 1)))
         assert rep.verdict
         quotient = [s - i for _, s, i, _ in rep.rows]
         assert quotient == [1, 2, 0]
 
     def test_n4_sweep(self):
         for lam in enumerate_partitions(4):
-            rep = filtration_check(lam, k_series(lam))
+            rep = filtration_of(lam)
             assert rep.verdict, (lam, rep.to_dict())
             assert rep.mismatch_degree is None
             # gr and ideal columns agree row by row
@@ -179,13 +175,13 @@ class TestFiltration:
 
     def test_quotient_dims_sum_to_rank(self):
         for lam in enumerate_partitions(4):
-            rep = filtration_check(lam, k_series(lam))
+            rep = filtration_of(lam)
             top = lam.springer_dimension()
             assert sum(s - i for d, s, i, _ in rep.rows if d <= top) == lam.multinomial_rank()
 
     def test_pass_implies_standard_monomial_count(self):
         for lam in enumerate_partitions(4):
-            rep = filtration_check(lam, k_series(lam))
+            rep = filtration_of(lam)
             gb = groebner_basis_for(k_tanisaki_generators(lam, "v"))
             assert rep.verdict
             assert len(standard_monomials(gb)) == lam.multinomial_rank()
@@ -193,12 +189,12 @@ class TestFiltration:
     def test_gr_column_matches_echelon_oracle(self):
         lams = [lam for n in range(1, 5) for lam in enumerate_partitions(n)]
         for lam in lams + [Partition((2, 1, 1, 1))]:
-            rep = filtration_check(lam, k_series(lam))
+            rep = filtration_of(lam)
             top = lam.springer_dimension() + 1
             assert [g for _, _, _, g in rep.rows] == echelon_graded_dims(lam, top), lam
 
     def test_report_serialization(self):
-        rep = filtration_check(Partition((2, 2)), k_series(Partition((2, 2))))
+        rep = filtration_of(Partition((2, 2)))
         doc = rep.to_dict()
         assert doc["verdict"] == "pass" and doc["ok"] is True
         assert len(doc["rows"]) == len(rep.rows)
@@ -206,13 +202,35 @@ class TestFiltration:
 
 class TestFreeness:
     def test_point(self):
-        assert integral_freeness_check(Partition((4,))).ok
+        assert freeness_of(Partition((4,))).ok
 
     def test_flag_three(self):
-        rep = integral_freeness_check(Partition((1, 1, 1)))
+        rep = freeness_of(Partition((1, 1, 1)))
         assert rep.ok
         assert all(not bad for _, _, bad in rep.degrees)
 
     def test_n4_sweep(self):
         for lam in enumerate_partitions(4):
-            assert integral_freeness_check(lam).ok
+            assert freeness_of(lam).ok
+
+    def test_torsion_is_listed_per_prime_and_degree(self):
+        # the certificate lists a p-primary summand as p in its degree
+        lam = Partition((2, 1))
+        rep = integral_freeness_check(lam, (1, 2), {2: (1, 3, 3), 3: (1, 2)})
+        assert not rep.ok
+        assert rep.degrees == ((1, 1, (2,)), (2, 6, (2, 2, 2)))
+        assert rep.to_dict()["degrees"][0] == {"d": 1, "rank": 1, "nonunit_factors": [2]}
+
+    def test_modular_count_below_rational_is_refused(self):
+        with pytest.raises(ValueError, match="F_2 staircase below"):
+            integral_freeness_check(Partition((2, 1)), (1, 2), {2: (1, 1)})
+
+
+class TestFiltrationAgainstGarsiaProcesi:
+    def test_wrong_cohomology_series_is_a_finding(self):
+        # the K side is right, so gr and ideal columns split, and the ideal
+        # column leaves the Garsia-Procesi series
+        lam = Partition((1, 1, 1))
+        rep = filtration_check(lam, (1, 1, 3, 1), k_series(lam))
+        assert not rep.verdict and rep.mismatch_degree == 1
+        assert any("Garsia-Procesi" in f for f in rep.findings)
