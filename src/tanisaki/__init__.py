@@ -17,7 +17,6 @@ from .ideals import (
     h_polynomial,
     k_tanisaki_generators,
     tanisaki_generators,
-    to_v_convention,
     truncation_certificate,
 )
 from .lambda_ring import (
@@ -82,7 +81,6 @@ __all__ = [
     "smith_normal_form",
     "standard_monomials",
     "tanisaki_generators",
-    "to_v_convention",
     "truncation_certificate",
     "verify_gamma_relations",
     "verify_rank_lemma",

@@ -20,7 +20,7 @@ from functools import cached_property
 
 from . import groebner, ideals, lambda_ring, linalg
 from .groebner import MonomialOrder, InfiniteQuotient
-from .ideals import k_tanisaki_generators, tanisaki_generators, to_v_convention
+from .ideals import k_tanisaki_generators, tanisaki_generators
 from .partitions import (
     Partition,
     PartitionError,
@@ -85,20 +85,21 @@ class _Context:
 
     @cached_property
     def kbasis(self):
+        """The K-basis in the run's convention and order (presentation: .source)."""
         pres = k_tanisaki_generators(self.p, self.cfg.convention)
-        return pres, groebner.cached_buchberger(pres, self.cfg.order, self.cfg.cache_dir)
+        return groebner.cached_buchberger(pres, self.cfg.order, self.cfg.cache_dir)
 
     @cached_property
     def cohomology(self):
         """The cohomology ideal's degrevlex basis and staircase series,
         completed in memory whatever --order says: the filtration and
         freeness checks read per-degree counts."""
-        gb = groebner.groebner_basis_for(tanisaki_generators(self.p), groebner.DEGREVLEX)
+        gb = groebner.buchberger(tanisaki_generators(self.p), groebner.DEGREVLEX)
         return gb, groebner.staircase_series(groebner.standard_monomials(gb))
 
     @cached_property
     def gamma(self):
-        return lambda_ring.verify_gamma_relations(self.p, self.kbasis[1])
+        return lambda_ring.verify_gamma_relations(self.p, self.kbasis)
 
 
 # -- presentation --------------------------------------------------------
@@ -162,7 +163,7 @@ def _suite_gamma(ctx: _Context) -> dict:
 
 
 def _suite_lambda(ctx: _Context) -> dict:
-    lam = lambda_ring.equivalent_lambda_relations(ctx.p, ctx.kbasis[1])
+    lam = lambda_ring.equivalent_lambda_relations(ctx.p, ctx.kbasis)
     doc = lam.to_dict()
     doc["agrees_with_gamma"] = ctx.gamma.ok == lam.ok
     doc["ok"] = doc["ok"] and doc["agrees_with_gamma"]
@@ -170,18 +171,14 @@ def _suite_lambda(ctx: _Context) -> dict:
 
 
 def _suite_truncation(ctx: _Context) -> dict:
-    p, cfg = ctx.p, ctx.cfg
-    _, gb = ctx.kbasis
+    p = ctx.p
     failures = []
     checks = 0
     for s in range(1, p.n + 1):
         for subset in enumerate_subsets(p.n, s):
-            for cert in ideals.truncation_certificate(p, subset):
-                poly = cert["h"]
-                if cfg.convention == "v":
-                    poly = to_v_convention(poly)
+            for cert in ideals.truncation_certificate(p, subset, ctx.cfg.convention):
                 checks += 1
-                if not groebner.normal_form(poly, gb).is_zero():
+                if not groebner.normal_form(cert["h"], ctx.kbasis).is_zero():
                     failures.append({"subset": list(subset), "m": cert["m"]})
     return {"partition": list(p.parts), "checks": checks, "failures": failures, "ok": not failures}
 
@@ -193,10 +190,9 @@ def _suite_filtration(ctx: _Context) -> dict:
     v and degrevlex, that is ctx.kbasis; otherwise it is completed in
     memory."""
     if ctx.cfg.convention == "v" and ctx.cfg.order == groebner.DEGREVLEX:
-        gb = ctx.kbasis[1]
+        gb = ctx.kbasis
     else:
-        kpres = k_tanisaki_generators(ctx.p, "v")
-        gb = groebner.groebner_basis_for(kpres, groebner.DEGREVLEX)
+        gb = groebner.buchberger(k_tanisaki_generators(ctx.p, "v"), groebner.DEGREVLEX)
     k_series = groebner.staircase_series(groebner.standard_monomials(gb))
     return linalg.filtration_check(ctx.p, ctx.cohomology[1], k_series).to_dict()
 
@@ -222,8 +218,8 @@ def _suite_stability(ctx: _Context) -> dict:
         sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
         transpositions.append(tuple(sigma))
     coh = tanisaki_generators(p)
-    kpres, gb = ctx.kbasis
-    for flavor, pres in ((ideals.COHOMOLOGY, coh), (ideals.KTHEORY, kpres)):
+    gb = ctx.kbasis
+    for flavor, pres in ((ideals.COHOMOLOGY, coh), (ideals.KTHEORY, gb.source)):
         pool = {g.poly for g in pres.generators}
         for g in pres.generators:
             for sigma in transpositions:
@@ -232,7 +228,7 @@ def _suite_stability(ctx: _Context) -> dict:
                     failures.append(
                         {"flavor": flavor, "subset": list(g.subset), "d": g.d, "sigma": list(sigma)}
                     )
-    for g in kpres.generators:
+    for g in gb.source.generators:
         for sigma in transpositions:
             checks += 1
             if not groebner.normal_form(g.poly.permute_variables(sigma), gb).is_zero():
@@ -305,7 +301,7 @@ def cmd_sweep(cfg: RunConfig) -> dict:
 
 def cmd_gamma(cfg: RunConfig, subset, d: int) -> dict:
     p = cfg.partitions[0]
-    _, gb = _Context(p, cfg).kbasis
+    gb = _Context(p, cfg).kbasis
     poly, nf, vanished = lambda_ring.gamma_membership(p, gb, subset, d)
     s = len(subset)
     q = p.dual().p_function(s)
@@ -316,7 +312,7 @@ def cmd_gamma(cfg: RunConfig, subset, d: int) -> dict:
         "subset": list(subset),
         "d": d,
         "gamma_polynomial": poly.render("u"),
-        "normal_form": nf.render(gb.source.convention if gb.source else "u"),
+        "normal_form": nf.render(cfg.convention),
         "in_ideal": vanished,
         "claimed": claimed,
         "ok": ok,

@@ -30,7 +30,6 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from operator import le, mul, sub
 
@@ -524,23 +523,16 @@ def _require_homogeneous(pres: IdealPresentation):
             raise GroebnerError("hilbert_series requires homogeneous generators")
 
 
-@lru_cache(maxsize=None)
-def groebner_basis_for(
-    pres: IdealPresentation, order: MonomialOrder = DEGREVLEX, modulus: int = 0
-) -> GroebnerBasis:
-    """Session-cached completion, keyed by the presentation value."""
-    return buchberger(pres, order, modulus)
-
-
 def hilbert_series(pres: IdealPresentation, order: MonomialOrder = DEGREVLEX) -> tuple[int, ...]:
     """Coefficients of the Hilbert series up to the top nonzero degree."""
     _require_homogeneous(pres)
-    return staircase_series(standard_monomials(groebner_basis_for(pres, order)))
+    return staircase_series(standard_monomials(buchberger(pres, order)))
 
 
 def staircase_series(monos) -> tuple[int, ...]:
-    """Number of staircase monomials in each degree, up to the top one."""
-    series = [0] * (max(sum(m) for m in monos) + 1)
+    """Number of staircase monomials in each degree, up to the top one;
+    () for the empty staircase of the unit ideal."""
+    series = [0] * max((sum(m) + 1 for m in monos), default=0)
     for m in monos:
         series[sum(m)] += 1
     return tuple(series)
@@ -550,7 +542,7 @@ def modular_series(gb: GroebnerBasis, max_degree: int) -> dict[int, tuple[int, .
     """For each prime in gb.primes, the staircase series through max_degree
     of gb's source generators completed over F_p under gb's order."""
     return {
-        p: staircase_series(standard_monomials(groebner_basis_for(gb.source, gb.order, p), max_degree))
+        p: staircase_series(standard_monomials(buchberger(gb.source, gb.order, p), max_degree))
         for p in sorted(gb.primes)
     }
 
@@ -584,9 +576,9 @@ def basis_to_dict(gb: GroebnerBasis, pres: IdealPresentation) -> dict:
 def cached_buchberger(
     pres: IdealPresentation, order: MonomialOrder = DEGREVLEX, cache_dir: str | None = None
 ) -> GroebnerBasis:
-    """Session-cached completion; with a cache_dir, the basis is also
-    written there atomically."""
-    gb = groebner_basis_for(pres, order)
+    """Completion; with a cache_dir, the basis is also written there
+    atomically."""
+    gb = buchberger(pres, order)
     if cache_dir is None:
         return gb
     os.makedirs(cache_dir, exist_ok=True)

@@ -42,11 +42,6 @@ class IdealPresentation:
         return [g.poly for g in self.generators]
 
 
-def to_v_convention(p: Polynomial) -> Polynomial:
-    """Rewrite a u-variable polynomial in v-variables, v_j = u_j - 1."""
-    return p.shift_variables(1)
-
-
 def _d_range(s: int, q: int) -> range:
     """Degrees kept for a size-s subset with q = p_dual(s): max(1, s+1-q)..s."""
     return range(max(1, s + 1 - q), s + 1)
@@ -117,19 +112,23 @@ def k_tanisaki_generators(partition: Partition, convention: str = "u") -> IdealP
                          lambda subset, d, q: h_polynomial(subset, d, q, partition.n, convention))
 
 
-def truncation_certificate(partition: Partition, subset) -> list[dict]:
-    """Express h_{s+1} and h_{s+2} as integer combinations of the kept h_d.
+def truncation_certificate(partition: Partition, subset, convention: str = "u") -> list[dict]:
+    """Express h_{s+1} and h_{s+2} as integer combinations of the kept h_d,
+    written in the variables of the convention.
 
     The coefficient of t^m in prod(1 + u_i t) is e_m(subset), which vanishes
     for m > s; multiplying the defining series by (1+t)^q therefore yields
     sum_{k=0..q} C(q, k) h_{m-k} = 0 for m > s, so the out-of-range relations
-    cascade back into the kept window [s+1-q, s].
+    cascade back into the kept window [s+1-q, s].  The recurrence is linear,
+    so the same combination holds in u and in v.
     """
+    if convention not in ("u", "v"):
+        raise PartitionError(f"convention must be 'u' or 'v', got {convention!r}")
     n = partition.n
     subset = check_subset(subset, n)
     s = len(subset)
     q = partition.dual().p_function(s)
-    kept = {d: h_polynomial(subset, d, q, n) for d in _d_range(s, q)}
+    kept = {d: h_polynomial(subset, d, q, n, convention) for d in _d_range(s, q)}
 
     # combos[m]: dict d -> integer coefficient over the kept window
     combos: dict[int, dict[int, int]] = {d: {d: 1} for d in kept}
@@ -152,7 +151,7 @@ def truncation_certificate(partition: Partition, subset) -> list[dict]:
         h = Polynomial.zero(n)
         for d, c in combo.items():
             h = h + kept[d] * c
-        if h != h_polynomial(subset, m, q, n):
+        if h != h_polynomial(subset, m, q, n, convention):
             raise RuntimeError(
                 f"truncation recurrence failed for subset {subset}, m={m}"
             )

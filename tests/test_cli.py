@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import weakref
 
 import jsonschema
 import pytest
@@ -295,7 +297,6 @@ class TestCacheCertification:
         doc["basis"] = basis  # order and schema_version untouched
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
-        groebner.groebner_basis_for.cache_clear()
         calls = []
         buchberger = groebner.buchberger
 
@@ -349,6 +350,25 @@ class TestSharedPartitionWork:
         assert seen == {"basis": parts, "gamma": parts}
         assert all(r["suites"]["lambda"]["agrees_with_gamma"] for r in doc["results"])
 
+    def test_no_basis_outlives_its_call(self, capsys, monkeypatch):
+        # each call's _Context owns its bases; nothing memoises them past it
+        refs = []
+        buchberger = groebner.buchberger
+
+        def recording(*args):
+            gb = buchberger(*args)
+            refs.append(weakref.ref(gb))
+            return gb
+
+        monkeypatch.setattr(groebner, "buchberger", recording)
+        for argv in (("verify", "--n", "3"),
+                     ("presentation", "--partition", "2,1", "--flavor", "both"),
+                     ("sweep", "--n", "3")):
+            code, _ = run_cli(capsys, *argv)
+            assert code == 0
+        gc.collect()
+        assert refs and [r for r in refs if r() is not None] == []
+
     def test_no_cohomology_slice_eliminated(self, capsys, monkeypatch):
         # the slice memo lives for the whole process: start it empty
         linalg._slice.cache_clear()
@@ -374,13 +394,13 @@ class TestFiltrationFlags:
         # the staircase series happens to agree under every convention and
         # order here, so also check which basis the suite asks for
         asked = []
-        groebner_basis_for = groebner.groebner_basis_for
+        buchberger = groebner.buchberger
 
         def recording(pres, *args):
             asked.append((pres.convention, args))
-            return groebner_basis_for(pres, *args)
+            return buchberger(pres, *args)
 
-        monkeypatch.setattr(groebner, "groebner_basis_for", recording)
+        monkeypatch.setattr(groebner, "buchberger", recording)
         _, other = run_json(capsys, "verify", "--n", "4", "--suite", "filtration",
                             "--convention", "u", "--order", "lex")
         blocks = [r["suites"]["filtration"] for r in default["results"]]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -17,15 +18,15 @@ from tanisaki.groebner import (
     buchberger,
     cache_path,
     cached_buchberger,
-    groebner_basis_for,
     hilbert_series,
     normal_form,
     s_polynomial,
+    staircase_series,
     standard_monomials,
     _LIMIT,
     _Packing,
 )
-from tanisaki.ideals import k_tanisaki_generators, tanisaki_generators
+from tanisaki.ideals import GeneratorRecord, k_tanisaki_generators, tanisaki_generators
 from tanisaki.linalg import dim_graded_piece, ideal_degree_rank
 from tanisaki.partitions import Partition, enumerate_partitions
 from tanisaki.polynomial import Polynomial, elementary_symmetric
@@ -263,6 +264,14 @@ class TestHilbert:
                 assert len(series) - 1 == lam.springer_dimension()
                 assert series[-1] > 0
 
+    def test_unit_ideal_has_empty_series(self):
+        gb = buchberger([Polynomial.constant(2, 1)])
+        assert standard_monomials(gb) == [] and staircase_series([]) == ()
+        pres = tanisaki_generators(Partition((2, 1)))
+        unit = GeneratorRecord(Polynomial.constant(3, 2), (), 0, 0, pres.flavor)
+        pres = dataclasses.replace(pres, generators=pres.generators + (unit,))
+        assert hilbert_series(pres) == ()
+
     def test_rejects_inhomogeneous(self):
         pres = k_tanisaki_generators(Partition((2, 1)), "u")
         with pytest.raises(GroebnerError):
@@ -325,7 +334,7 @@ class TestCache:
 
     def test_dict_form_carries_hash(self):
         pres = tanisaki_generators(Partition((2, 1)))
-        gb = groebner_basis_for(pres)
+        gb = buchberger(pres)
         doc = basis_to_dict(gb, pres)
         assert set(doc) == {"schema_version", "order", "basis"}
         assert doc["schema_version"] == 2
@@ -357,6 +366,6 @@ class TestPrimeCertificate:
         assert all(p.terms[max(p.terms, key=DEGREVLEX.key)] == 1 for p in mod3.polys)
 
     def test_primes_of_the_cohomology_completions(self):
-        primes = {lam.parts: groebner_basis_for(tanisaki_generators(lam)).primes
+        primes = {lam.parts: buchberger(tanisaki_generators(lam)).primes
                   for lam in enumerate_partitions(5)}
         assert {parts: p for parts, p in primes.items() if p} == {(3, 2): {3}, (2, 2, 1): {2}}

@@ -1,13 +1,14 @@
 from math import comb
 
+import pytest
+
 from tanisaki.ideals import (
     h_polynomial,
     k_tanisaki_generators,
     tanisaki_generators,
-    to_v_convention,
     truncation_certificate,
 )
-from tanisaki.partitions import Partition, enumerate_partitions, enumerate_subsets
+from tanisaki.partitions import Partition, PartitionError, enumerate_partitions, enumerate_subsets
 from tanisaki.polynomial import Polynomial, elementary_symmetric
 
 from conftest import variables
@@ -147,7 +148,7 @@ class TestKGenerators:
             for lam in enumerate_partitions(n):
                 pres_u = k_tanisaki_generators(lam, "u")
                 pres_v = k_tanisaki_generators(lam, "v")
-                assert [to_v_convention(p) for p in pres_u.polynomials()] == pres_v.polynomials()
+                assert [p.shift_variables(1) for p in pres_u.polynomials()] == pres_v.polynomials()
                 assert [p.shift_variables(-1) for p in pres_v.polynomials()] == pres_u.polynomials()
 
     def test_generator_invariants(self):
@@ -180,8 +181,12 @@ class TestStability:
 class TestTruncationCertificate:
     def test_q_zero_collapses(self):
         lam = Partition((1, 1, 1))  # q = 0 for every proper subset
-        certs = truncation_certificate(lam, (1, 2))
-        assert all(c["h"].is_zero() and c["combination"] == {} for c in certs)
+        for convention in ("u", "v"):
+            certs = truncation_certificate(lam, (1, 2), convention)
+            assert all(c["h"].is_zero() and c["combination"] == {} for c in certs)
+        # no kept h_d is built here, so the convention is checked up front
+        with pytest.raises(PartitionError):
+            truncation_certificate(lam, (1, 2), "w")
 
     def test_pair_with_q_one(self):
         lam = Partition((2, 1))

@@ -1,8 +1,8 @@
 import pytest
 
 from tanisaki import cli, lambda_ring
-from tanisaki.groebner import groebner_basis_for, normal_form
-from tanisaki.ideals import h_polynomial, k_tanisaki_generators, to_v_convention
+from tanisaki.groebner import buchberger, normal_form
+from tanisaki.ideals import h_polynomial, k_tanisaki_generators, truncation_certificate
 from tanisaki.lambda_ring import (
     VirtualClass,
     _lambda_coefficient,
@@ -19,7 +19,7 @@ from conftest import variables
 
 
 def kbasis(lam):
-    return groebner_basis_for(k_tanisaki_generators(lam, "v"))
+    return buchberger(k_tanisaki_generators(lam, "v"))
 
 
 class TestLambdaSeries:
@@ -117,7 +117,7 @@ class TestRelationSweeps:
         poly = gamma_op(VirtualClass(3, (1, 2), -2), 2)
         u1, u2, _ = variables(3)
         assert poly == u1 * u2 - u1 - u2 + 1
-        assert normal_form(to_v_convention(poly), gb).is_zero()
+        assert normal_form(poly.shift_variables(1), gb).is_zero()
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_sweeps_and_agreement(self, n):
@@ -167,7 +167,8 @@ class TestRelationsInV:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_v_built_relations_equal_shifted_u_relations(self, n):
         # oracle: the relation built in u, rewritten by v_j = u_j - 1, over
-        # every row of both sweeps, the d = s + 1 and s + 2 overhang included
+        # every row of both sweeps, the d = s + 1 and s + 2 overhang included,
+        # and every truncation certificate with the same combination
         for lam in enumerate_partitions(n):
             dual = lam.dual()
             for s in range(1, n + 1):
@@ -176,10 +177,16 @@ class TestRelationsInV:
                     gamma_class = VirtualClass(n, subset, -s)
                     lambda_class = VirtualClass(n, subset, -q)
                     for d in range(s + 1 - q, s + 3):
-                        assert gamma_op(gamma_class, d, "v") == to_v_convention(
-                            gamma_op(gamma_class, d)), (lam, subset, d)
-                        assert _lambda_coefficient(lambda_class, d, "v") == to_v_convention(
-                            _lambda_coefficient(lambda_class, d)), (lam, subset, d)
+                        assert gamma_op(gamma_class, d, "v") == gamma_op(
+                            gamma_class, d).shift_variables(1), (lam, subset, d)
+                        assert _lambda_coefficient(lambda_class, d, "v") == _lambda_coefficient(
+                            lambda_class, d).shift_variables(1), (lam, subset, d)
+                    certs_u = truncation_certificate(lam, subset)
+                    certs_v = truncation_certificate(lam, subset, "v")
+                    assert [c["m"] for c in certs_v] == [c["m"] for c in certs_u] == [s + 1, s + 2]
+                    for cu, cv in zip(certs_u, certs_v):
+                        assert cv["h"] == cu["h"].shift_variables(1), (lam, subset, cu["m"])
+                        assert cv["combination"] == cu["combination"], (lam, subset, cu["m"])
 
     def test_sweeps_shift_no_variables(self, capsys, monkeypatch):
         shifts = []
@@ -191,6 +198,9 @@ class TestRelationsInV:
 
         monkeypatch.setattr(Polynomial, "shift_variables", counting)
         code = cli.main(["verify", "--n", "3", "--suite", "gamma", "--suite", "lambda"])
+        capsys.readouterr()
+        assert code == 0 and shifts == []
+        code = cli.main(["verify", "--n", "3", "--suite", "truncation"])
         capsys.readouterr()
         assert code == 0 and shifts == []
         code = cli.main(["gamma", "--partition", "2,1", "--subset", "1,2", "--d", "2"])
