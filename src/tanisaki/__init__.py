@@ -31,7 +31,6 @@ from .linalg import (
     ideal_degree_rank,
     integral_freeness_check,
     jordan_matrix,
-    rank_rational,
     smith_normal_form,
     verify_rank_lemma,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "lambda_series",
     "normal_form",
     "parse_partition",
-    "rank_rational",
     "smith_normal_form",
     "standard_monomials",
     "tanisaki_generators",

@@ -34,7 +34,7 @@ from math import gcd
 from operator import le, mul, sub
 
 from .ideals import IdealPresentation
-from .polynomial import Polynomial
+from .polynomial import Polynomial, degrevlex_key
 
 
 class GroebnerError(ValueError):
@@ -64,7 +64,7 @@ class MonomialOrder:
             return e
         if self.kind == "deglex":
             return (sum(e), e)
-        return (sum(e), tuple(-x for x in reversed(e)))
+        return degrevlex_key(e)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "priority": list(self.priority) if self.priority else None}
@@ -541,6 +541,8 @@ def staircase_series(monos) -> tuple[int, ...]:
 def modular_series(gb: GroebnerBasis, max_degree: int) -> dict[int, tuple[int, ...]]:
     """For each prime in gb.primes, the staircase series through max_degree
     of gb's source generators completed over F_p under gb's order."""
+    if gb.source is None:
+        raise GroebnerError("modular_series needs the basis's source presentation")
     return {
         p: staircase_series(standard_monomials(buchberger(gb.source, gb.order, p), max_degree))
         for p in sorted(gb.primes)
@@ -565,11 +567,11 @@ def cache_path(pres: IdealPresentation, order: MonomialOrder, cache_dir: str) ->
     return os.path.join(cache_dir, name)
 
 
-def basis_to_dict(gb: GroebnerBasis, pres: IdealPresentation) -> dict:
+def basis_to_dict(gb: GroebnerBasis) -> dict:
     return {
         "schema_version": 2,
         "order": gb.order.to_dict(),
-        "basis": [p.render(pres.convention) for p in gb.polys],
+        "basis": [p.render(gb.source.convention) for p in gb.polys],
     }
 
 
@@ -585,7 +587,7 @@ def cached_buchberger(
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(basis_to_dict(gb, pres), fh, sort_keys=True, indent=2)
+            json.dump(basis_to_dict(gb), fh, sort_keys=True, indent=2)
             fh.write("\n")
         os.replace(tmp, cache_path(pres, order, cache_dir))
     except BaseException:

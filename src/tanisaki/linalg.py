@@ -9,114 +9,26 @@ freeness check against the staircases of the same generators over F_p for
 the primes the integer completion divided by.  Neither builds a Macaulay
 matrix.
 
-The slice route stays as a cross-check for small n: `_slice` builds the
-degree-d slice of a homogeneous ideal (every generator times every monomial
-of the complementary degree) and eliminates it exactly, by unimodular unit
-pivots and then a dense Smith-normal-form residual, once per process.  Its
-rank is `ideal_degree_rank`, and its non-unit invariant factors are the
-torsion of the quotient in degree d.  The rank lemma ranks sparse Jordan
-powers; `SparseEchelon` serves only `rank_rational`, the dense-matrix oracle.
+There is one elimination route: unimodular +-1 pivots (`_unit_pivots`)
+and then a dense Smith-normal-form residual (`smith_normal_form`).  It ranks
+the sparse Jordan powers of the rank lemma, and it serves the slice route
+that stays as a cross-check for small n: `_slice` builds the degree-d slice
+of a homogeneous ideal (every generator times every monomial of the
+complementary degree) and eliminates it afresh on every call.  Its rank is
+`ideal_degree_rank`, and its non-unit invariant factors are the torsion of
+the quotient in degree d.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd
+from math import comb
 from operator import add
 
 from .ideals import IdealPresentation
 from .partitions import Partition, garsia_procesi_series
 from .polynomial import Polynomial
-
-
-# -- sparse integer echelon --------------------------------------------
-
-
-class SparseEchelon:
-    """Row echelon over Z (rank over Q) for rows stored as {col: int}."""
-
-    def __init__(self):
-        self.pivots: dict[int, dict[int, int]] = {}
-
-    @staticmethod
-    def _normalize(row):
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            for c in row:
-                row[c] //= g
-        lead = min(row)
-        if row[lead] < 0:
-            for c in row:
-                row[c] = -row[c]
-        return row
-
-    def add(self, row) -> int | None:
-        """Reduce a row against the echelon; returns its pivot column or None.
-
-        Lead columns are tracked with a lazy heap so elimination chains over
-        filled-in rows stay cheap.
-        """
-        row = {c: v for c, v in row.items() if v}
-        heap = list(row)
-        heapq.heapify(heap)
-        steps = 0
-        while heap:
-            lead = heapq.heappop(heap)
-            if lead not in row:
-                continue  # eliminated along the way
-            piv = self.pivots.get(lead)
-            if piv is None:
-                self.pivots[lead] = self._normalize(row)
-                return lead
-            a, b = piv[lead], row[lead]
-            g0 = gcd(a, b)
-            ma, mb = a // g0, b // g0
-            if ma != 1:
-                for c in row:
-                    row[c] *= ma
-            for c, v in piv.items():
-                if c in row:
-                    w = row[c] - mb * v
-                    if w:
-                        row[c] = w
-                    else:
-                        del row[c]
-                else:
-                    row[c] = -mb * v
-                    heapq.heappush(heap, c)
-            steps += 1
-            if steps % 16 == 0 and row:
-                self._normalize(row)
-        return None
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-def rank_rational(matrix) -> int:
-    """Exact rank of a dense matrix with int or Fraction entries."""
-    ech = SparseEchelon()
-    for dense_row in matrix:
-        den = 1
-        for v in dense_row:
-            if isinstance(v, Fraction):
-                den = den * v.denominator // gcd(den, v.denominator)
-        row = {}
-        for j, v in enumerate(dense_row):
-            w = int(v * den) if isinstance(v, Fraction) else int(v) * den
-            if w:
-                row[j] = w
-        if row:
-            ech.add(row)
-    return ech.rank
 
 
 # -- Smith normal form --------------------------------------------------
@@ -293,7 +205,6 @@ def _shifted_rows(poly: Polynomial, shifts, cols):
         yield {cols[tuple(map(add, pm, m))]: c for pm, c in items}
 
 
-@lru_cache(maxsize=None)
 def _slice(pres: IdealPresentation, d: int) -> tuple[int, tuple[int, ...]]:
     """(rank, invariant factors other than 1) of the degree-d slice of a
     homogeneous ideal: the rows g * m over every generator g and every
@@ -316,7 +227,7 @@ def _slice(pres: IdealPresentation, d: int) -> tuple[int, tuple[int, ...]]:
 
 def ideal_degree_rank(pres: IdealPresentation, d: int) -> int:
     """Rank of the degree-d slice of a homogeneous ideal: the number of
-    invariant factors of its memoised elimination."""
+    invariant factors of its elimination."""
     return _slice(pres, d)[0]
 
 

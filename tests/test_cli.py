@@ -370,8 +370,6 @@ class TestSharedPartitionWork:
         assert refs and [r for r in refs if r() is not None] == []
 
     def test_no_cohomology_slice_eliminated(self, capsys, monkeypatch):
-        # the slice memo lives for the whole process: start it empty
-        linalg._slice.cache_clear()
         calls = []
         unit_pivots = linalg._unit_pivots
 

@@ -19,6 +19,7 @@ from tanisaki.groebner import (
     cache_path,
     cached_buchberger,
     hilbert_series,
+    modular_series,
     normal_form,
     s_polynomial,
     staircase_series,
@@ -335,7 +336,7 @@ class TestCache:
     def test_dict_form_carries_hash(self):
         pres = tanisaki_generators(Partition((2, 1)))
         gb = buchberger(pres)
-        doc = basis_to_dict(gb, pres)
+        doc = basis_to_dict(gb)
         assert set(doc) == {"schema_version", "order", "basis"}
         assert doc["schema_version"] == 2
 
@@ -349,6 +350,14 @@ class TestPrimeCertificate:
         mod2 = buchberger([x * x, x * 2], DEGREVLEX, 2)
         assert [p.render("x") for p in mod2.polys] == ["x1^2"]
         assert standard_monomials(mod2) == [(0,), (1,)]
+
+    def test_modular_series_needs_the_source_presentation(self):
+        # a basis completed from a plain list has primes but no presentation
+        (x,) = variables(1)
+        gb = buchberger([x * x, x * 2])
+        assert gb.primes == {2} and gb.source is None
+        with pytest.raises(GroebnerError, match="source presentation"):
+            modular_series(gb, 2)
 
     def test_modular_staircase_through_a_degree(self):
         # mod 2 the generator 2x vanishes, leaving an infinite ray of x powers

@@ -1,11 +1,9 @@
-from fractions import Fraction
-
 import pytest
 
 from tanisaki.groebner import buchberger, standard_monomials
 from tanisaki.ideals import k_tanisaki_generators, tanisaki_generators
 from tanisaki.linalg import (
-    SparseEchelon,
+    _invariant_factors_sparse,
     _shifted_rows,
     dim_graded_piece,
     filtration_check,
@@ -13,40 +11,12 @@ from tanisaki.linalg import (
     integral_freeness_check,
     jordan_matrix,
     monomials_of_degree,
-    rank_rational,
     smith_normal_form,
     verify_rank_lemma,
 )
 from tanisaki.partitions import Partition, enumerate_partitions
 
 from conftest import filtration_of, freeness_of, k_series
-
-
-class TestRank:
-    def test_identity(self):
-        assert rank_rational([[1 if i == j else 0 for j in range(4)] for i in range(4)]) == 4
-
-    def test_zero(self):
-        assert rank_rational([[0, 0], [0, 0]]) == 0
-
-    def test_vandermonde(self):
-        # determinant (2-1)(3-1)(3-2) = 2 is nonzero, so full rank
-        m = [[x ** j for j in range(3)] for x in (1, 2, 3)]
-        assert rank_rational(m) == 3
-
-    def test_fraction_entries(self):
-        m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 2]]
-        assert rank_rational(m) == 2
-        assert rank_rational([[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]]) == 1
-
-    def test_rank_matches_nonzero_invariant_factors(self):
-        mats = [
-            [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
-            [[1, 2], [2, 4]],
-            [[0, 1], [1, 0]],
-        ]
-        for m in mats:
-            assert rank_rational(m) == len(smith_normal_form(m))
 
 
 class TestSmithNormalForm:
@@ -68,6 +38,15 @@ class TestSmithNormalForm:
     def test_classic(self):
         assert smith_normal_form([[6, 0], [0, 10]]) == [2, 30]
 
+    def test_factor_count_is_rank(self):
+        mats = [
+            [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+            [[1, 2], [2, 4]],
+            [[0, 1], [1, 0]],
+            [[x ** j for j in range(3)] for x in (1, 2, 3)],  # Vandermonde, det 2
+        ]
+        assert [len(smith_normal_form(m)) for m in mats] == [3, 1, 2, 3]
+
 
 class TestJordan:
     def test_hook(self):
@@ -76,7 +55,7 @@ class TestJordan:
 
     def test_single_block_rank(self):
         m = jordan_matrix(Partition((4,)))
-        assert rank_rational(m) == 3
+        assert len(smith_normal_form(m)) == 3
 
     def test_zero_matrix(self):
         assert jordan_matrix(Partition((1, 1, 1))) == [[0] * 3 for _ in range(3)]
@@ -123,32 +102,32 @@ class TestIdealDegreeRank:
         assert all(sum(m) == 2 for m in monos)
 
 
-def echelon_graded_dims(lam, top):
+def projection_graded_dims(lam, top):
     """Leading-form dimensions, per degree, of the truncated multiples m * g
     of the v-convention K-generators: an oracle for the gr column that never
     completes a Groebner basis.
 
-    Columns are monomials of degree <= top ordered by descending degree, so a
-    pivot's block records the exact degree of the leading form it certifies.
+    The leading forms of degree >= d span a space whose dimension is the
+    rank r(>=d) of the rows restricted to the columns of degree >= d, so
+    exactly r(>=d) - r(>=d+1) of them have degree d.
     """
     n = lam.n
-    cols = {}
-    for d in range(top, -1, -1):
-        for m in monomials_of_degree(n, d):
-            cols[m] = len(cols)
-    col_degree = {i: sum(m) for m, i in cols.items()}
-    ech = SparseEchelon()
-    dims = [0] * (top + 1)
+    monos = [m for d in range(top + 1) for m in monomials_of_degree(n, d)]
+    cols = {m: i for i, m in enumerate(monos)}
+    rows = []
     for rec in k_tanisaki_generators(lam, "v").generators:
         e = rec.poly.degree()
         if not 0 <= e <= top:
             continue
         shifts = (m for k in range(top - e + 1) for m in monomials_of_degree(n, k))
-        for row in _shifted_rows(rec.poly, shifts, cols):
-            piv = ech.add(row)
-            if piv is not None:
-                dims[col_degree[piv]] += 1
-    return dims
+        rows.extend(_shifted_rows(rec.poly, shifts, cols))
+    ranks = [
+        len(_invariant_factors_sparse(
+            [{c: v for c, v in row.items() if sum(monos[c]) >= d} for row in rows]
+        ))
+        for d in range(top + 2)
+    ]
+    return [ranks[d] - ranks[d + 1] for d in range(top + 1)]
 
 
 class TestFiltration:
@@ -191,7 +170,7 @@ class TestFiltration:
         for lam in lams + [Partition((2, 1, 1, 1))]:
             rep = filtration_of(lam)
             top = lam.springer_dimension() + 1
-            assert [g for _, _, _, g in rep.rows] == echelon_graded_dims(lam, top), lam
+            assert [g for _, _, _, g in rep.rows] == projection_graded_dims(lam, top), lam
 
     def test_report_serialization(self):
         rep = filtration_of(Partition((2, 2)))
