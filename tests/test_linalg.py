@@ -19,6 +19,30 @@ from tanisaki.partitions import Partition, enumerate_partitions
 from conftest import filtration_of, freeness_of, k_series
 
 
+def sparse_rank(matrix):
+    """Rank by the unit-pivot route: the count of its nonzero invariant factors."""
+    rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+    return len(_invariant_factors_sparse(rows))
+
+
+class TestRank:
+    def test_vandermonde(self):
+        # determinant (2-1)(3-1)(3-2) = 2 is nonzero, so full rank
+        m = [[x ** j for j in range(3)] for x in (1, 2, 3)]
+        assert sparse_rank(m) == 3
+        assert len(smith_normal_form(m)) == 3
+
+    def test_rank_matches_nonzero_invariant_factors(self):
+        mats = [
+            [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+            [[1, 2], [2, 4]],
+            [[0, 1], [1, 0]],
+        ]
+        assert [sparse_rank(m) for m in mats] == [3, 1, 2]
+        for m in mats:
+            assert sparse_rank(m) == len(smith_normal_form(m))
+
+
 class TestSmithNormalForm:
     def test_diag(self):
         assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
@@ -37,15 +61,6 @@ class TestSmithNormalForm:
 
     def test_classic(self):
         assert smith_normal_form([[6, 0], [0, 10]]) == [2, 30]
-
-    def test_factor_count_is_rank(self):
-        mats = [
-            [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
-            [[1, 2], [2, 4]],
-            [[0, 1], [1, 0]],
-            [[x ** j for j in range(3)] for x in (1, 2, 3)],  # Vandermonde, det 2
-        ]
-        assert [len(smith_normal_form(m)) for m in mats] == [3, 1, 2, 3]
 
 
 class TestJordan:
