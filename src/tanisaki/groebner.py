@@ -18,6 +18,12 @@ number it divided by: the contents it removed and the leading coefficients
 the monic conversion divides out.  Given a prime modulus, the same kernel
 and pair criteria complete the generators over F_p instead; comparing those
 staircases with the rational one certifies Z-freeness (`buchberger`).
+
+Each basis memoises its own normal forms (`GroebnerBasis.normal_forms`,
+keyed by the input Polynomial), so `normal_form` reduces a distinct
+polynomial at most once per basis.  The memo lives and dies with its basis;
+there is no process-wide cache.  A call with `rng` neither reads nor fills
+it, so the confluence check always runs a real reduction.
 Basis files (`cached_buchberger`) are written and never read back.
 """
 
@@ -83,6 +89,9 @@ class GroebnerBasis:
     source: IdealPresentation | None = field(default=None, compare=False)
     # over Q: the primes of every number the integer completion divided by
     primes: frozenset[int] = field(default=frozenset(), compare=False)
+    # normal_form's results on this basis, by input polynomial; not an init
+    # field, so dataclasses.replace never shares it with another basis
+    normal_forms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -450,19 +459,28 @@ def normal_form(p: Polynomial, gb: GroebnerBasis, rng=None) -> Polynomial:
     """Unique remainder of p modulo gb: no term divisible by a leading term.
 
     The basis's integer engine reduces p's integral multiple; one division
-    at the end gives the exact rational remainder.  rng, when given, picks
-    among eligible reducers at every step; the result must not depend on the
-    choice (confluence), which the test suite checks.
+    at the end gives the exact rational remainder.  The result is kept in
+    gb.normal_forms, keyed by p, and a later call with an equal p on the same
+    basis returns it without reducing.  rng, when given, picks among eligible
+    reducers at every step and bypasses that memo; the result must not depend
+    on the choice (confluence), which the test suite checks.
     """
     if not gb.polys:
         raise GroebnerError("empty basis")
     if p.n != gb.n:
         raise GroebnerError(f"variable count mismatch: {p.n} vs {gb.n}")
+    if rng is None:
+        nf = gb.normal_forms.get(p)
+        if nf is not None:
+            return nf
     eng = gb.engine
     terms, den = _integral(p, eng.packing)
     remainder, scale = eng.reduce(terms, rng=rng)
     unpack = eng.packing.unpack
-    return Polynomial(gb.n, {unpack(m): Fraction(c, scale * den) for m, c in remainder.items()})
+    nf = Polynomial(gb.n, {unpack(m): Fraction(c, scale * den) for m, c in remainder.items()})
+    if rng is None:
+        gb.normal_forms[p] = nf
+    return nf
 
 
 def standard_monomials(gb: GroebnerBasis, max_degree: int | None = None) -> list[tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import gc
 import hashlib
@@ -13,7 +14,7 @@ import jsonschema
 import pytest
 
 from tanisaki import cli, groebner, lambda_ring, linalg
-from tanisaki.ideals import tanisaki_generators
+from tanisaki.ideals import k_tanisaki_generators, tanisaki_generators
 from tanisaki.partitions import Partition
 
 SCHEMA = json.load(
@@ -369,6 +370,34 @@ class TestSharedPartitionWork:
         gc.collect()
         assert refs and [r for r in refs if r() is not None] == []
 
+    def test_each_distinct_polynomial_reduced_once_per_basis(self, capsys, monkeypatch):
+        pairs = []  # (polynomial, basis) per normal_form call; keeps each basis alive
+        depth = [0]
+        reductions = []
+        normal_form = groebner.normal_form
+        reduce = groebner._Engine.reduce
+
+        def recording(p, gb, rng=None):
+            pairs.append((p, gb))
+            depth[0] += 1
+            try:
+                return normal_form(p, gb, rng)
+            finally:
+                depth[0] -= 1
+
+        def counting(self, *args, **kwargs):
+            if depth[0]:
+                reductions.append(1)
+            return reduce(self, *args, **kwargs)
+
+        monkeypatch.setattr(groebner, "normal_form", recording)
+        monkeypatch.setattr(lambda_ring, "normal_form", recording)
+        monkeypatch.setattr(groebner._Engine, "reduce", counting)
+        code, _ = run_cli(capsys, "verify", "--n", "4")
+        assert code == 0
+        distinct = {(p, id(gb)) for p, gb in pairs}
+        assert len(reductions) == len(distinct) < len(pairs)
+
     def test_no_cohomology_slice_eliminated(self, capsys, monkeypatch):
         calls = []
         unit_pivots = linalg._unit_pivots
@@ -438,6 +467,24 @@ class TestPlantedFailures:
             assert rank == row["rank"]
             assert len([f for f in factors if f % 2 == 0]) == len(row["nonunit_factors"])
 
+    def test_wrong_basis_exits_one_after_a_passing_run(self, capsys, monkeypatch):
+        # the same checks pass first on the right basis in this process; the
+        # planted full-flag basis of (1,1,1) must still fail them for (2,1)
+        argv = ("verify", "--partition", "2,1", "--suite", "gamma", "--suite", "truncation",
+                "--suite", "stability")
+        assert run_cli(capsys, *argv)[0] == 0
+        cached_buchberger = groebner.cached_buchberger
+
+        def planted(pres, *args):
+            flag = Partition((1,) * pres.partition.n)
+            return cached_buchberger(k_tanisaki_generators(flag, pres.convention), *args)
+
+        monkeypatch.setattr(groebner, "cached_buchberger", planted)
+        code, doc = run_json(capsys, *argv)
+        assert code == 1
+        suites = doc["results"][0]["suites"]
+        assert not suites["gamma"]["ok"] and suites["truncation"]["failures"]
+
     def test_wrong_cohomology_series_exits_one_with_a_gp_finding(self, capsys, monkeypatch):
         staircase_series = groebner.staircase_series
 
@@ -466,6 +513,30 @@ class TestParallel:
         _, b = run_cli(capsys, *serial, "--jobs", "3")
         da, db = json.loads(a), json.loads(b)
         assert da["results"] == db["results"]
+
+    def test_workers_capped_at_partition_count(self, capsys, monkeypatch):
+        # a recorder in place of the pool: it starts no process
+        asked = []
+
+        class Recorder:
+            def __init__(self, max_workers=None):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        code, doc = run_json(capsys, "verify", "--partition", "2,1", "--partition", "1,1,1",
+                             "--suite", "rank-lemma", "--jobs", "64")
+        assert code == 0
+        assert asked == [2]
+        assert doc["config"]["jobs"] == 64
 
 
 def test_presentation_leaves_process_pool_unimported():

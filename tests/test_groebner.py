@@ -25,6 +25,7 @@ from tanisaki.groebner import (
     staircase_series,
     standard_monomials,
     _LIMIT,
+    _Engine,
     _Packing,
 )
 from tanisaki.ideals import GeneratorRecord, k_tanisaki_generators, tanisaki_generators
@@ -222,6 +223,39 @@ class TestNormalForm:
             baseline = normal_form(p, gb)
             replay = normal_form(p, gb, rng=random.Random(trial))
             assert replay == baseline
+
+    def test_memo_answers_repeats_and_rng_still_reduces(self, monkeypatch):
+        gb = buchberger(k_tanisaki_generators(Partition((2, 1, 1)), "v"))
+        reductions = []
+        reduce = _Engine.reduce
+
+        def counting(self, *args, **kwargs):
+            reductions.append(kwargs.get("rng"))
+            return reduce(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Engine, "reduce", counting)
+        v1, v2, v3, v4 = variables(4)
+        p = v1**3 * v2 - 2 * v3**2 + v4
+        nf = normal_form(p, gb)
+        assert reductions == [None] and gb.normal_forms == {p: nf}
+        # an equal polynomial built anew is a hit: the key is the value
+        assert normal_form(v4 - 2 * v3**2 + v1**3 * v2, gb) is nf
+        assert len(reductions) == 1
+        rng = random.Random(3)
+        assert normal_form(p, gb, rng=rng) == nf
+        assert reductions == [None, rng] and gb.normal_forms == {p: nf}
+
+    def test_memo_is_per_basis(self):
+        v1, v2, v3 = variables(3)
+        p = v1**2 * v2 + 3 * v3**2 - v1
+        bases = [buchberger(k_tanisaki_generators(Partition(parts), "v"))
+                 for parts in ((2, 1), (1, 1, 1))]
+        first = [normal_form(p, gb) for gb in bases]
+        assert first[0] != first[1]
+        for gb, nf in zip(bases, first):
+            # a fresh, memo-free completion of the same ideal agrees
+            assert nf == normal_form(p, buchberger(gb.source))
+            assert normal_form(p, gb) is nf and gb.normal_forms == {p: nf}
 
 
 class TestStandardMonomials:
