@@ -4,6 +4,13 @@ Commands: presentation, verify, sweep, gamma, rank-lemma.  Exit codes:
 0 all checks passed, 1 verification failure, 2 usage or configuration error.
 All output is deterministic for a fixed configuration; wall-clock timings
 (sweep only) are the single exception.
+
+Run as `python -m tanisaki.cli`, the process ends with a hard exit: once
+`main` has returned its code, stdout and stderr are flushed and `os._exit`
+ends the process without the interpreter's teardown (as mypy does).  If a
+flush raises OSError, the ordinary `sys.exit` path reports it instead.
+`main` itself is a plain function that returns the exit code, so the
+console script and in-process callers see no difference.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .partitions import (
     enumerate_subsets,
     parse_partition,
 )
+from .polynomial import monomial_text
 
 SCHEMA_VERSION = 2
 SWEEP_MAX_N = 7
@@ -125,22 +133,12 @@ def _presentation_block(p: Partition, flavor: str, cfg: RunConfig) -> dict:
             for g in pres.generators
         ],
         "groebner_basis": [q.render(prefix) for q in gb.polys],
-        "standard_monomials": [_render_monomial(m, prefix) for m in monos],
+        "standard_monomials": [monomial_text(m, prefix) or "1" for m in monos],
         "quotient_rank": len(monos),
     }
     if flavor == ideals.COHOMOLOGY:
         block["hilbert_series"] = list(groebner.staircase_series(monos))
     return block
-
-
-def _render_monomial(m, prefix):
-    if not any(m):
-        return "1"
-    return "*".join(
-        f"{prefix}{j + 1}" if e == 1 else f"{prefix}{j + 1}^{e}"
-        for j, e in enumerate(m)
-        if e
-    )
 
 
 def cmd_presentation(cfg: RunConfig) -> dict:
@@ -578,4 +576,11 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # hard exit, as the module docstring describes
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)

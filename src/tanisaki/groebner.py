@@ -19,11 +19,23 @@ the monic conversion divides out.  Given a prime modulus, the same kernel
 and pair criteria complete the generators over F_p instead; comparing those
 staircases with the rational one certifies Z-freeness (`buchberger`).
 
-Each basis memoises its own normal forms (`GroebnerBasis.normal_forms`,
-keyed by the input Polynomial), so `normal_form` reduces a distinct
-polynomial at most once per basis.  The memo lives and dies with its basis;
-there is no process-wide cache.  A call with `rng` neither reads nor fills
-it, so the confluence check always runs a real reduction.
+Memo tables keep per-monomial and per-polynomial work from repeating.
+Each lives and dies with the object that owns it; there is no process-wide
+cache and no switch to turn one off.
+- `_Packing.packed`: exponent tuple -> packed int.  Only a monomial that
+  passed the width check is stored, so a too-wide one raises on every call.
+- `_Engine.reducers`: packed monomial -> `find_reducer`'s answer on the
+  current basis.  `reduce` reads and fills it only for a plain scan (no
+  `skip`, no `rng`), and `add` clears it, so every hit equals a fresh scan
+  and the engine takes the same steps, and records the same primes, as it
+  would without it.
+- `_Engine.exponents`: each basis element's leading exponent tuple, kept
+  beside its packed leading monomial, so pair lcms and the staircase never
+  unpack.
+- `GroebnerBasis.normal_forms`: normal_form's results on the basis, keyed by
+  the input Polynomial, so a distinct polynomial is reduced at most once per
+  basis.  A call with `rng` neither reads nor fills it, so the confluence
+  check always runs a real reduction.
 Basis files (`cached_buchberger`) are written and never read back.
 """
 
@@ -37,7 +49,7 @@ import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import le, mul, sub
+from operator import mul, sub
 
 from .ideals import IdealPresentation
 from .polynomial import Polynomial, degrevlex_key
@@ -98,7 +110,7 @@ class GroebnerBasis:
         return len(self.engine.packing.shifts)
 
     def leading_monomials(self) -> list[tuple[int, ...]]:
-        return [self.engine.packing.unpack(m) for m in self.engine.lms]
+        return list(self.engine.exponents)
 
     def __len__(self):
         return len(self.polys)
@@ -145,19 +157,23 @@ class _Packing:
                 self.shifts[perm[n - pos - 1] - 1] = shift
         self.units = tuple(units)
         self.graded = order.kind != "lex"
+        self.packed: dict[tuple[int, ...], int] = {}  # exponent tuple -> pack(exps)
 
-    def pack(self, exps) -> int:
-        widest = sum(exps) if self.graded else max(exps, default=0)
-        if widest >= _LIMIT:
-            raise GroebnerError(f"monomial {tuple(exps)} is too wide to pack below {_LIMIT}")
-        return sum(map(mul, exps, self.units))
+    def pack(self, exps: tuple[int, ...]) -> int:
+        m = self.packed.get(exps)
+        if m is None:
+            widest = sum(exps) if self.graded else max(exps, default=0)
+            if widest >= _LIMIT:
+                raise GroebnerError(f"monomial {exps} is too wide to pack below {_LIMIT}")
+            m = self.packed[exps] = sum(map(mul, exps, self.units))
+        return m
 
     def unpack(self, m: int) -> tuple[int, ...]:
         return tuple((m >> s) & (_LIMIT - 1) for s in self.shifts)
 
-    def lcm(self, a: int, b: int) -> tuple[int, int] | None:
-        """(degree, packed lcm) of a and b, or None when they are coprime."""
-        ea, eb = self.unpack(a), self.unpack(b)
+    def lcm(self, ea: tuple[int, ...], eb: tuple[int, ...]) -> tuple[int, int] | None:
+        """(degree, packed lcm) of the exponent tuples ea and eb, or None
+        when they are coprime."""
         if not any(map(min, ea, eb)):
             return None
         m = tuple(map(max, ea, eb))
@@ -226,8 +242,10 @@ class _Engine:
         self.divisors: set[int] = set()
         self.terms: list[dict] = []
         self.lms: list[int] = []
+        self.exponents: list[tuple[int, ...]] = []  # unpacked lms
         self.lcs: list[int] = []
         self.scan: list[tuple[int, int]] = []  # (lm, idx), sorted: reducer choice order
+        self.reducers: dict[int, int] = {}  # m -> find_reducer(m) on the current basis
 
     def add(self, terms):
         lm = max(terms)
@@ -240,8 +258,10 @@ class _Engine:
         idx = len(self.terms)
         self.terms.append(terms)
         self.lms.append(lm)
+        self.exponents.append(self.packing.unpack(lm))
         self.lcs.append(terms[lm])
         bisect.insort(self.scan, (lm, idx))
+        self.reducers.clear()
         return idx
 
     def find_reducer(self, m, skip=-1, rng=None):
@@ -262,12 +282,14 @@ class _Engine:
 
     def reduce(self, terms, skip=-1, rng=None):
         """Full reduction: (remainder, scale) with remainder == scale * normal
-        form and scale > 0.  rng, when given, picks each step's reducer."""
+        form and scale > 0.  rng, when given, picks each step's reducer.
+        A plain scan (no skip, no rng) goes through the reducers memo."""
         terms = dict(terms)
         remainder = {}
         scale = 1
         guard = self.packing.guard
         p = self.modulus
+        memo = self.reducers if skip < 0 and rng is None else None
         steps = 0
         while terms:
             lm = max(terms)
@@ -279,7 +301,12 @@ class _Engine:
                     del terms[lm]
                     continue
                 terms[lm] = c
-            i = self.find_reducer(lm, skip, rng)
+            if memo is None:
+                i = self.find_reducer(lm, skip, rng)
+            else:
+                i = memo.get(lm)
+                if i is None:
+                    i = memo[lm] = self.find_reducer(lm)
             if i < 0:
                 remainder[lm] = terms.pop(lm)
                 continue
@@ -381,9 +408,10 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX, modulus: int = 0) -> Gr
     heap: list = []
 
     def push_pairs(j):
-        lmj = eng.lms[j]
+        exponents = eng.exponents
+        ej = exponents[j]
         for i in range(j):
-            pair = packing.lcm(eng.lms[i], lmj)
+            pair = packing.lcm(exponents[i], ej)
             if pair is None:
                 continue  # coprime leading terms: S-poly reduces to 0
             pending.add((i, j))
@@ -489,9 +517,13 @@ def standard_monomials(gb: GroebnerBasis, max_degree: int | None = None) -> list
 
     Without max_degree, raises InfiniteQuotient when some variable has no
     pure-power leading term, since the staircase then contains an infinite ray.
+    The walk carries each monomial packed by the basis's engine and tests
+    divisibility by a leading monomial as the kernel does, so a walk that
+    reaches a monomial too wide to pack raises GroebnerError.
     """
     n = gb.n
-    lts = gb.leading_monomials()
+    eng = gb.engine
+    lts = eng.exponents
     bounds = []
     for j in range(n):
         pure = [m[j] for m in lts if sum(m) == m[j]]
@@ -505,26 +537,33 @@ def standard_monomials(gb: GroebnerBasis, max_degree: int | None = None) -> list
     # a leading monomial whose last variable is t < j was already tested at
     # depth t on the same prefix, and one ending after j cannot divide yet
     ending = [[] for _ in range(n)]
-    for m in lts:
+    for m, lm in zip(lts, eng.lms):
         last = max((j for j, e in enumerate(m) if e), default=-1)
         if last >= 0:
-            ending[last].append(m)
+            ending[last].append(lm)
 
+    units = eng.packing.units
+    guard = eng.packing.guard
     out = []
     vec = [0] * n
 
-    def descend(j, room):
+    def descend(j, room, packed):
         if j == n:
             out.append(tuple(vec))
             return
+        unit, ends = units[j], ending[j]
         for e in range(min(bounds[j], room + 1)):
             vec[j] = e
-            if any(all(map(le, m, vec)) for m in ending[j]):
+            if packed & guard:
+                raise GroebnerError(f"monomial {tuple(vec)} is too wide to pack below {_LIMIT}")
+            packed_g = packed | guard
+            if any((packed_g - lm) & guard == guard for lm in ends):
                 break  # larger e stays divisible by the same leading term
-            descend(j + 1, room - e)
+            descend(j + 1, room - e, packed)
+            packed += unit
         vec[j] = 0
 
-    descend(0, sum(bounds) if max_degree is None else max_degree)
+    descend(0, sum(bounds) if max_degree is None else max_degree, 0)
     out.sort(key=lambda m: (sum(m), m))
     return out
 

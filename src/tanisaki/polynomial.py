@@ -48,15 +48,40 @@ def _collapse(c):
     return c.numerator
 
 
+# Bounded: a staircase of thousands of monomials, each rendered once per
+# report, would otherwise stay in memory for the rest of the process.
+_RENDER_CACHE = 1024
+
+
+@lru_cache(maxsize=_RENDER_CACHE)
 def degrevlex_key(exps: tuple[int, ...]):
     """Sort key realizing graded reverse-lexicographic order (ascending)."""
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+@lru_cache(maxsize=_RENDER_CACHE)
+def monomial_text(m: tuple[int, ...], prefix: str) -> str:
+    """Text form of the monomial with exponent tuple m, as in u1*u3^2; the
+    empty string for the constant monomial."""
+    return "*".join(
+        f"{prefix}{j + 1}" if e == 1 else f"{prefix}{j + 1}^{e}"
+        for j, e in enumerate(m)
+        if e
+    )
+
+
+@lru_cache(maxsize=None)
+def _check_permutation(sigma: tuple, n: int) -> None:
+    """Raise unless sigma is a 1-based bijection of [1, n].  Only a valid
+    (sigma, n) is remembered; an invalid one raises on every call."""
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise PolynomialError(f"{sigma} is not a permutation of 1..{n}")
+
+
 class Polynomial:
     """Immutable sparse polynomial in n variables."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_hash")  # _hash is set on the first hash()
 
     def __init__(self, n: int, terms=None):
         if n < 0:
@@ -227,8 +252,7 @@ class Polynomial:
     def permute_variables(self, sigma) -> "Polynomial":
         """Substitute x_j -> x_{sigma(j)}; sigma is a 1-based bijection of [1, n]."""
         sigma = tuple(sigma)
-        if sorted(sigma) != list(range(1, self.n + 1)):
-            raise PolynomialError(f"{sigma} is not a permutation of 1..{self.n}")
+        _check_permutation(sigma, self.n)
         res = {}
         for m, c in self.terms.items():
             new = [0] * self.n
@@ -245,7 +269,12 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.n, frozenset(self.terms.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __bool__(self):
         return bool(self.terms)
@@ -259,18 +288,13 @@ class Polynomial:
         chunks = []
         for m in sorted(self.terms, key=degrevlex_key, reverse=True):
             c = self.terms[m]
-            factors = []
-            for j, e in enumerate(m):
-                if e == 1:
-                    factors.append(f"{prefix}{j + 1}")
-                elif e > 1:
-                    factors.append(f"{prefix}{j + 1}^{e}")
+            text = monomial_text(m, prefix)
             neg = c < 0
             mag = -c if neg else c
-            if factors and mag == 1:
-                body = "*".join(factors)
-            elif factors:
-                body = "*".join([str(mag)] + factors)
+            if text and mag == 1:
+                body = text
+            elif text:
+                body = f"{mag}*{text}"
             else:
                 body = str(mag)
             if not chunks:

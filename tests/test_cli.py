@@ -571,3 +571,45 @@ def test_console_script_end_to_end():
     doc = json.loads(proc.stdout)
     jsonschema.validate(doc, SCHEMA)
     assert doc["results"][0]["ok"] is True
+
+
+class _Broken:
+    """A rank-lemma report that fails."""
+
+    def to_dict(self):
+        return {"ok": False, "failures": [{"s": 1}]}
+
+
+# the child plants the same failure, then runs the module as `python -m` does;
+# an atexit hook shows whether the interpreter's teardown ran
+PLANTED_CHILD = """\
+import atexit, runpy, sys
+from tanisaki import linalg
+class _Broken:
+    def to_dict(self):
+        return {"ok": False, "failures": [{"s": 1}]}
+linalg.verify_rank_lemma = lambda p: _Broken()
+atexit.register(lambda: print("teardown", file=sys.stderr))
+sys.argv = ["tanisaki"] + sys.argv[1:]
+runpy.run_module("tanisaki.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, code, planted", [
+    (("presentation", "--partition", "3,1", "--flavor", "both"), 0, False),
+    (("verify", "--partition", "2,1", "--suite", "rank-lemma", "--format", "text"), 1, True),
+    (("presentation", "--partition", "9"), 2, False),
+], ids=["pass", "planted-failure", "capped-n"])
+def test_module_entry_point_matches_main(capsys, monkeypatch, argv, code, planted):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    head = ["-c", PLANTED_CHILD] if planted else ["-m", "tanisaki.cli"]
+    proc = subprocess.run(
+        [sys.executable, *head, *argv], capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    if planted:
+        monkeypatch.setattr(linalg, "verify_rank_lemma", lambda p: _Broken())
+        assert proc.stderr == b""  # the hard exit skipped the atexit hook
+    assert (cli.main(list(argv)), capsys.readouterr().out.encode()) == (code, proc.stdout)
+    assert proc.returncode == code

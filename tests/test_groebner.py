@@ -2,11 +2,13 @@ import dataclasses
 import hashlib
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tanisaki import groebner
 from tanisaki.groebner import (
     DEGLEX,
     DEGREVLEX,
@@ -412,3 +414,119 @@ class TestPrimeCertificate:
         primes = {lam.parts: buchberger(tanisaki_generators(lam)).primes
                   for lam in enumerate_partitions(5)}
         assert {parts: p for parts, p in primes.items() if p} == {(3, 2): {3}, (2, 2, 1): {2}}
+
+
+def both_flavors(lam):
+    return (tanisaki_generators(lam), k_tanisaki_generators(lam, "v"))
+
+
+class TestEngineMemos:
+    def test_reducer_memo_entries_equal_fresh_scans(self, monkeypatch):
+        engines = []
+
+        class Checked(_Engine):
+            """Checks the memo against fresh scans each time the basis grows
+            and empties it, and records every engine it builds."""
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                engines.append(self)
+
+            def check(self):
+                for m, i in self.reducers.items():
+                    assert i == self.find_reducer(m)
+
+            def add(self, terms):
+                self.check()
+                idx = super().add(terms)
+                assert self.reducers == {}
+                return idx
+
+        monkeypatch.setattr(groebner, "_Engine", Checked)
+        for n in range(1, 7):
+            for lam in enumerate_partitions(n):
+                for pres in both_flavors(lam):
+                    del engines[:]
+                    gb = buchberger(pres)
+                    for g in pres.polynomials()[:5]:
+                        normal_form(g * g, gb)
+                    assert gb.engine in engines and any(e.reducers for e in engines)
+                    for eng in engines:
+                        eng.check()
+
+    def test_add_empties_the_reducer_memo(self):
+        gb = buchberger(k_tanisaki_generators(Partition((2, 1, 1)), "v"))
+        v1, v2, v3, v4 = variables(4)
+        normal_form(v1**3 * v2 - v3**2 * v4, gb)
+        eng = gb.engine
+        assert eng.reducers
+        eng.add({eng.packing.pack((0, 0, 0, 5)): 1})
+        assert eng.reducers == {}
+
+    def test_reductions_with_skip_or_rng_leave_the_memo_alone(self):
+        gb = buchberger(k_tanisaki_generators(Partition((2, 1, 1)), "v"))
+        eng = gb.engine
+        terms = {eng.packing.pack((3, 1, 0, 2)): 1, eng.packing.pack((0, 2, 0, 0)): -2}
+        eng.reduce(terms, skip=0)
+        eng.reduce(terms, rng=random.Random(1))
+        assert eng.reducers == {}
+        eng.reduce(terms)
+        assert eng.reducers
+
+    def test_too_wide_pack_miss_raises_and_is_not_cached(self):
+        for order, wide in ((LEX, (_LIMIT, 0)), (DEGREVLEX, (_LIMIT - 1, 1))):
+            packing = _Packing(order, 2)
+            for _ in range(2):
+                with pytest.raises(GroebnerError):
+                    packing.pack(wide)
+                assert wide not in packing.packed
+            m = packing.pack((2, 1))
+            assert packing.packed == {(2, 1): m} and packing.pack((2, 1)) == m
+
+    def test_leading_exponents_are_the_unpacked_leading_monomials(self):
+        for pres in both_flavors(Partition((3, 2, 1))):
+            gb = buchberger(pres, DEGLEX)
+            eng = gb.engine
+            assert eng.exponents == [eng.packing.unpack(m) for m in eng.lms]
+            assert gb.leading_monomials() == [max(p.terms, key=DEGLEX.key) for p in gb.polys]
+
+
+def brute_force_staircase(gb, max_degree=None):
+    """Every monomial in the box of the pure-power leading terms that no
+    leading monomial divides, sorted by (degree, exponents); leading
+    monomials are read off the monic polynomials, not from the engine."""
+    lms = [max(p.terms, key=gb.order.key) for p in gb.polys]
+    bounds = [min(m[j] for m in lms if sum(m) == m[j]) for j in range(gb.n)]
+    out = [
+        m for m in product(*map(range, bounds))
+        if (max_degree is None or sum(m) <= max_degree)
+        and not any(all(a <= b for a, b in zip(lm, m)) for lm in lms)
+    ]
+    return sorted(out, key=lambda m: (sum(m), m))
+
+
+class TestPackedStaircase:
+    @pytest.mark.parametrize("kind", ["degrevlex", "deglex", "lex-priority"])
+    def test_matches_brute_force(self, kind):
+        for n in range(1, 7):
+            if kind == "lex-priority":
+                order = MonomialOrder("lex", tuple(range(n, 0, -1)))
+            else:
+                order = MonomialOrder(kind)
+            for lam in enumerate_partitions(n):
+                top = lam.springer_dimension()
+                for pres in both_flavors(lam):
+                    gb = buchberger(pres, order)
+                    monos = standard_monomials(gb)
+                    assert monos == brute_force_staircase(gb)
+                    assert len(monos) == lam.multinomial_rank()
+                    for d in (0, top // 2, top + 1):
+                        assert standard_monomials(gb, d) == brute_force_staircase(gb, d)
+
+    def test_a_walk_past_the_packing_width_raises(self):
+        y1, y2 = variables(2)
+        for order in (LEX, DEGREVLEX):
+            gb = buchberger([y1], order)  # y2 is free
+            assert standard_monomials(gb, _LIMIT - 1) == [(0, e) for e in range(_LIMIT)]
+            with pytest.raises(GroebnerError, match="too wide"):
+                standard_monomials(gb, _LIMIT)

@@ -8,8 +8,10 @@ import pytest
 from tanisaki.polynomial import (
     Polynomial,
     PolynomialError,
+    _check_permutation,
     binomial,
     elementary_symmetric,
+    monomial_text,
 )
 
 from conftest import random_point, random_polynomial
@@ -187,6 +189,12 @@ class TestTextFormat:
     def test_zero(self):
         assert Polynomial.zero(2).render("y") == "0"
 
+    def test_monomial_text(self):
+        assert monomial_text((0, 0, 0), "u") == ""
+        assert monomial_text((1, 0, 2), "v") == "v1*v3^2"
+        p = 3 * V(3, 1) * V(3, 3) ** 2 - V(3, 2)
+        assert p.render("v") == "3*v1*v3^2 - v2"
+
     def test_canonical_ordering_is_stable(self):
         # u2 + u1^2 + u1*u2, its terms inserted in two different orders
         p = Polynomial(2, {(0, 1): 1, (2, 0): 1, (1, 1): 1})
@@ -194,6 +202,16 @@ class TestTextFormat:
         assert list(p.terms) != list(q.terms)
         assert p.render("u") == q.render("u")
         assert hash(p) == hash(q)
+
+    def test_hash_is_computed_once_and_kept(self):
+        p = Polynomial(2, {(0, 1): 1, (2, 0): Fraction(1, 3)})
+        with pytest.raises(AttributeError):
+            p._hash
+        h = hash(p)
+        assert p._hash == h == hash((2, frozenset(p.terms.items())))
+        assert hash(p) == h and hash(p * 1) == h
+        with pytest.raises(AttributeError):
+            p._hash = 0
 
 
 class TestPermutation:
@@ -209,3 +227,20 @@ class TestPermutation:
     def test_symmetric_invariance(self):
         e2 = elementary_symmetric(3, 2, (1, 2, 3))
         assert e2.permute_variables((3, 1, 2)) == e2
+
+    def test_each_permutation_is_validated_once(self):
+        sigma = (2, 3, 1)
+        before = _check_permutation.cache_info()
+        for _ in range(3):
+            assert V(3, 1).permute_variables(sigma) == V(3, 2)
+        after = _check_permutation.cache_info()
+        assert after.misses - before.misses <= 1 and after.hits - before.hits >= 2
+
+    @pytest.mark.parametrize("sigma", [(1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 4)])
+    def test_a_non_permutation_is_rejected_on_every_call(self, sigma):
+        for _ in range(2):
+            with pytest.raises(PolynomialError, match=r"is not a permutation of 1\.\.3"):
+                V(3, 1).permute_variables(sigma)
+        # the same tuple is a permutation for another variable count
+        if sorted(sigma) == list(range(1, len(sigma) + 1)):
+            assert V(2, 1).permute_variables(sigma) == V(2, sigma[0])
