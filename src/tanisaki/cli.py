@@ -104,9 +104,10 @@ class _Context:
     @cached_property
     def cohomology(self):
         """The cohomology ideal's degrevlex basis and staircase series,
-        completed in memory whatever --order says: the filtration and
-        freeness checks read per-degree counts."""
-        gb = groebner.buchberger(self.cohomology_presentation, groebner.DEGREVLEX)
+        whatever --order says: the filtration and freeness checks read
+        per-degree counts."""
+        gb = groebner.cached_buchberger(self.cohomology_presentation, groebner.DEGREVLEX,
+                                        self.cfg.cache_dir)
         return gb, groebner.staircase_series(groebner.standard_monomials(gb))
 
     @cached_property
@@ -189,12 +190,12 @@ def _suite_filtration(ctx: _Context) -> dict:
     """The K side is the staircase of the v-convention degrevlex basis,
     whatever --convention and --order say: the filtration is defined in the
     v-variables and needs a degree-compatible order.  When the run itself is
-    v and degrevlex, that is ctx.kbasis; otherwise it is completed in
-    memory."""
+    v and degrevlex, that is ctx.kbasis; otherwise it is completed here."""
     if ctx.cfg.convention == "v" and ctx.cfg.order == groebner.DEGREVLEX:
         gb = ctx.kbasis
     else:
-        gb = groebner.buchberger(k_tanisaki_generators(ctx.p, "v"), groebner.DEGREVLEX)
+        gb = groebner.cached_buchberger(k_tanisaki_generators(ctx.p, "v"), groebner.DEGREVLEX,
+                                        ctx.cfg.cache_dir)
     k_series = groebner.staircase_series(groebner.standard_monomials(gb))
     return linalg.filtration_check(ctx.p, ctx.cohomology[1], k_series).to_dict()
 

@@ -24,18 +24,18 @@ Each lives and dies with the object that owns it; there is no process-wide
 cache and no switch to turn one off.
 - `_Packing.packed`: exponent tuple -> packed int.  Only a monomial that
   passed the width check is stored, so a too-wide one raises on every call.
-- `_Engine.reducers`: packed monomial -> `find_reducer`'s answer on the
-  current basis.  `reduce` reads and fills it only for a plain scan (no
-  `skip`, no `rng`), and `add` clears it, so every hit equals a fresh scan
-  and the engine takes the same steps, and records the same primes, as it
-  would without it.
 - `_Engine.exponents`: each basis element's leading exponent tuple, kept
   beside its packed leading monomial, so pair lcms and the staircase never
   unpack.
-- `GroebnerBasis.normal_forms`: normal_form's results on the basis, keyed by
-  the input Polynomial, so a distinct polynomial is reduced at most once per
-  basis.  A call with `rng` neither reads nor fills it, so the confluence
-  check always runs a real reduction.
+- The memos keyed on the engine's basis, both on `_Engine`:
+  `reducers` (packed monomial -> `find_reducer`'s answer) and
+  `normal_forms` (input Polynomial -> `normal_form`'s result, so a distinct
+  polynomial is reduced at most once per basis).  There is one reduction
+  path and every reduction goes through `reducers`; `add`, the only change
+  to the leading monomials, clears both (tail reduction rewrites tails
+  only, before any normal form is asked for).  So every hit equals a fresh
+  computation, and the engine takes the same steps, and records the same
+  primes, as it would without them.
 Basis files (`cached_buchberger`) are written and never read back.
 """
 
@@ -101,9 +101,6 @@ class GroebnerBasis:
     source: IdealPresentation | None = field(default=None, compare=False)
     # over Q: the primes of every number the integer completion divided by
     primes: frozenset[int] = field(default=frozenset(), compare=False)
-    # normal_form's results on this basis, by input polynomial; not an init
-    # field, so dataclasses.replace never shares it with another basis
-    normal_forms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -246,6 +243,7 @@ class _Engine:
         self.lcs: list[int] = []
         self.scan: list[tuple[int, int]] = []  # (lm, idx), sorted: reducer choice order
         self.reducers: dict[int, int] = {}  # m -> find_reducer(m) on the current basis
+        self.normal_forms: dict = {}  # Polynomial -> normal_form on the current basis
 
     def add(self, terms):
         lm = max(terms)
@@ -262,34 +260,31 @@ class _Engine:
         self.lcs.append(terms[lm])
         bisect.insort(self.scan, (lm, idx))
         self.reducers.clear()
+        self.normal_forms.clear()
         return idx
 
-    def find_reducer(self, m, skip=-1, rng=None):
-        """First divisor of m in scan order, or rng's choice among all of
-        them.  A divisor never exceeds m, so the scan stops at the first
-        larger leading monomial."""
+    def find_reducer(self, m):
+        """First divisor of m in scan order, or -1.  A divisor never exceeds
+        m, so the scan stops at the first larger leading monomial."""
         g = self.packing.guard
         mg = m | g
-        found = []
         for lm, i in self.scan:
             if lm > m:
                 break
-            if (mg - lm) & g == g and i != skip:
-                if rng is None:
-                    return i
-                found.append(i)
-        return rng.choice(found) if found else -1
+            if (mg - lm) & g == g:
+                return i
+        return -1
 
-    def reduce(self, terms, skip=-1, rng=None):
+    def reduce(self, terms):
         """Full reduction: (remainder, scale) with remainder == scale * normal
-        form and scale > 0.  rng, when given, picks each step's reducer.
-        A plain scan (no skip, no rng) goes through the reducers memo."""
+        form and scale > 0.  Each step's reducer comes through the reducers
+        memo."""
         terms = dict(terms)
         remainder = {}
         scale = 1
         guard = self.packing.guard
         p = self.modulus
-        memo = self.reducers if skip < 0 and rng is None else None
+        memo = self.reducers
         steps = 0
         while terms:
             lm = max(terms)
@@ -301,12 +296,9 @@ class _Engine:
                     del terms[lm]
                     continue
                 terms[lm] = c
-            if memo is None:
-                i = self.find_reducer(lm, skip, rng)
-            else:
-                i = memo.get(lm)
-                if i is None:
-                    i = memo[lm] = self.find_reducer(lm)
+            i = memo.get(lm)
+            if i is None:
+                i = memo[lm] = self.find_reducer(lm)
             if i < 0:
                 remainder[lm] = terms.pop(lm)
                 continue
@@ -457,16 +449,22 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX, modulus: int = 0) -> Gr
             kept.append(i)
 
     # tail-reduce to the unique auto-reduced form; leading monomials of a
-    # minimal basis never change, so one pass leaves every element reduced
+    # minimal basis never change, so one pass leaves every element reduced.
+    # No monomial below lm is divisible by lm, so an element never reduces
+    # its own tail: c*lm + tail becomes c*num*lm + den*r, where
+    # r == (num/den) * NF(tail)
     final = _Engine(order, n, modulus)
     for i in kept:
         final.add(eng.terms[i])
-    for pos in range(len(final.terms)):
-        r, _ = final.reduce(final.terms[pos], skip=pos)
+    for pos, lm in enumerate(final.lms):
+        terms = final.terms[pos]
+        r, scale = final.reduce({m: c for m, c in terms.items() if m != lm})
+        num, den = scale.numerator, scale.denominator
+        r = {lm: terms[lm] * num, **{m: c * den for m, c in r.items()}}
         if not modulus:  # mod p the leading coefficient stays 1
-            r = _primitive(r, final.lms[pos], final.divisors)
+            r = _primitive(r, lm, final.divisors)
         final.terms[pos] = r
-        final.lcs[pos] = r[final.lms[pos]]
+        final.lcs[pos] = r[lm]
 
     unpack = packing.unpack
     monic = []
@@ -483,31 +481,26 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX, modulus: int = 0) -> Gr
 # -- normal forms and the staircase -----------------------------------
 
 
-def normal_form(p: Polynomial, gb: GroebnerBasis, rng=None) -> Polynomial:
+def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of p modulo gb: no term divisible by a leading term.
 
     The basis's integer engine reduces p's integral multiple; one division
     at the end gives the exact rational remainder.  The result is kept in
-    gb.normal_forms, keyed by p, and a later call with an equal p on the same
-    basis returns it without reducing.  rng, when given, picks among eligible
-    reducers at every step and bypasses that memo; the result must not depend
-    on the choice (confluence), which the test suite checks.
+    the engine's normal_forms, keyed by p, and a later call with an equal p
+    on the same basis returns it without reducing.
     """
     if not gb.polys:
         raise GroebnerError("empty basis")
     if p.n != gb.n:
         raise GroebnerError(f"variable count mismatch: {p.n} vs {gb.n}")
-    if rng is None:
-        nf = gb.normal_forms.get(p)
-        if nf is not None:
-            return nf
     eng = gb.engine
-    terms, den = _integral(p, eng.packing)
-    remainder, scale = eng.reduce(terms, rng=rng)
-    unpack = eng.packing.unpack
-    nf = Polynomial(gb.n, {unpack(m): Fraction(c, scale * den) for m, c in remainder.items()})
-    if rng is None:
-        gb.normal_forms[p] = nf
+    nf = eng.normal_forms.get(p)
+    if nf is None:
+        terms, den = _integral(p, eng.packing)
+        remainder, scale = eng.reduce(terms)
+        unpack = eng.packing.unpack
+        nf = eng.normal_forms[p] = Polynomial(
+            gb.n, {unpack(m): Fraction(c, scale * den) for m, c in remainder.items()})
     return nf
 
 

@@ -24,7 +24,6 @@ class GeneratorRecord:
     subset: tuple[int, ...]
     d: int
     q: int
-    flavor: str
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ def _presentation(partition: Partition, flavor: str, convention: str, poly) -> I
         q = dual.p_function(s)
         for subset in enumerate_subsets(n, s):
             for d in _d_range(s, q):
-                records.append(GeneratorRecord(poly(subset, d, q), subset, d, q, flavor))
+                records.append(GeneratorRecord(poly(subset, d, q), subset, d, q))
     return IdealPresentation(partition, flavor, convention, tuple(records))
 
 
@@ -134,11 +133,6 @@ def truncation_certificate(partition: Partition, subset, convention: str = "u") 
     combos: dict[int, dict[int, int]] = {d: {d: 1} for d in kept}
     out = []
     for m in (s + 1, s + 2):
-        if q == 0:
-            # series is the bare product, h_m = e_m = 0 identically
-            out.append({"m": m, "h": Polynomial.zero(n), "combination": {}})
-            combos[m] = {}
-            continue
         combo: dict[int, int] = {}
         for k in range(1, q + 1):
             lower = m - k

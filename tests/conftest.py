@@ -32,6 +32,35 @@ def variables(n: int) -> list[Polynomial]:
     return [Polynomial.variable(n, j) for j in range(1, n + 1)]
 
 
+def random_path_normal_form(p: Polynomial, gb, rng: random.Random) -> Polynomial:
+    """Remainder of p modulo gb.polys by textbook division over Fraction,
+    with rng picking among the eligible reducers at every step.
+
+    Shares no code with the Groebner engine: leading monomials come from
+    gb.order.key and each step cancels the largest remaining term.  On a
+    Groebner basis every choice must land on normal_form(p, gb)."""
+    key = gb.order.key
+    lead = [(max(g.terms, key=key), g) for g in gb.polys]
+    terms = {m: Fraction(c) for m, c in p.terms.items()}
+    remainder = {}
+    while terms:
+        m = max(terms, key=key)
+        eligible = [(lm, g) for lm, g in lead if all(a <= b for a, b in zip(lm, m))]
+        if not eligible:
+            remainder[m] = terms.pop(m)
+            continue
+        lm, g = rng.choice(eligible)
+        factor = terms[m] / g.terms[lm]
+        for e, c in g.terms.items():
+            t = tuple(x + y - z for x, y, z in zip(e, m, lm))
+            v = terms.get(t, 0) - factor * c
+            if v:
+                terms[t] = v
+            else:
+                terms.pop(t, None)
+    return Polynomial(p.n, remainder)
+
+
 def random_point(rng: random.Random, n: int):
     return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
 

@@ -284,6 +284,20 @@ class TestCacheIntegration:
         assert warm == cold
 
 
+    def test_verify_writes_every_basis_it_completes(self, capsys, tmp_path):
+        # with --order lex the run completes three bases per partition: the
+        # K basis in the run's order, and the degrevlex cohomology and K(v)
+        # bases that the filtration and freeness suites read
+        code, _ = run_cli(capsys, "verify", "--n", "3", "--order", "lex",
+                          "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert sorted(os.listdir(tmp_path)) == [
+            f"gb_{parts}_{kind}.json"
+            for parts in ("1-1-1", "2-1", "3")
+            for kind in ("cohomology_y_degrevlex", "ktheory_v_degrevlex", "ktheory_v_lex")
+        ]
+
+
 class TestCacheCertification:
     """A cached basis that does not present the ideal is recomputed."""
 
@@ -377,11 +391,11 @@ class TestSharedPartitionWork:
         normal_form = groebner.normal_form
         reduce = groebner._Engine.reduce
 
-        def recording(p, gb, rng=None):
+        def recording(p, gb):
             pairs.append((p, gb))
             depth[0] += 1
             try:
-                return normal_form(p, gb, rng)
+                return normal_form(p, gb)
             finally:
                 depth[0] -= 1
 

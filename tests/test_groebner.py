@@ -35,7 +35,7 @@ from tanisaki.linalg import dim_graded_piece, ideal_degree_rank
 from tanisaki.partitions import Partition, enumerate_partitions
 from tanisaki.polynomial import Polynomial, elementary_symmetric
 
-from conftest import variables
+from conftest import random_path_normal_form, variables
 
 
 def coinvariant_series_oracle(n):
@@ -190,11 +190,31 @@ def golden_lines():
             yield f"{lam.parts} {pres.flavor} {pres.convention} {order.kind}: {basis} | {stairs}"
 
 
+def primes_lines():
+    """The primes each completion records: every partition of n <= 6 under
+    lex, deglex and degrevlex, in cohomology and in both K conventions."""
+    for n in range(1, 7):
+        for lam in enumerate_partitions(n):
+            for order in (LEX, DEGLEX, DEGREVLEX):
+                for pres in (tanisaki_generators(lam), k_tanisaki_generators(lam, "u"),
+                             k_tanisaki_generators(lam, "v")):
+                    primes = sorted(buchberger(pres, order).primes)
+                    yield f"{lam.parts} {pres.flavor} {pres.convention} {order.kind}: {primes}"
+
+
 class TestGolden:
     def test_bases_and_staircases_match_recorded_digest(self):
         # recorded from the tuple-keyed engine that preceded packed monomials
         digest = hashlib.sha256("\n".join(golden_lines()).encode()).hexdigest()
         assert digest == "e53d1c90b6eb75ada15822754b9e4d3a681050e7180b22863d2f19cb449ae794"
+
+    def test_primes_match_recorded_digest(self):
+        # recorded from the engine whose tail reduction skipped the element
+        # itself and bypassed the reducer memo; 78 of the 261 lines name a prime
+        lines = list(primes_lines())
+        assert sum(not line.endswith("[]") for line in lines) == 78
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "9cf9bb31f45f17100a1b06dbeb5fc2145214ec4e51a4133d3c680abbc9ea3116"
 
 
 class TestNormalForm:
@@ -212,40 +232,40 @@ class TestNormalForm:
         assert normal_form(nf - (2 * u1 - 1), gb).is_zero()
 
     def test_confluence_under_random_reducer_choice(self):
-        gb = buchberger(k_tanisaki_generators(Partition((2, 1, 1)), "v"))
-        rng_master = random.Random(7)
-        for trial in range(100):
-            p = Polynomial(
-                4,
-                {
-                    tuple(rng_master.randint(0, 3) for _ in range(4)): rng_master.randint(-5, 5)
-                    for _ in range(4)
-                },
-            )
-            baseline = normal_form(p, gb)
-            replay = normal_form(p, gb, rng=random.Random(trial))
-            assert replay == baseline
+        # in u some reductions divide out a periodic content, so scale != 1
+        for convention in ("u", "v"):
+            gb = buchberger(k_tanisaki_generators(Partition((2, 1, 1)), convention))
+            rng_master = random.Random(7)
+            for trial in range(100):
+                p = Polynomial(
+                    4,
+                    {
+                        tuple(rng_master.randint(0, 3) for _ in range(4)):
+                            rng_master.randint(-5, 5)
+                        for _ in range(4)
+                    },
+                )
+                baseline = normal_form(p, gb)
+                replay = random_path_normal_form(p, gb, random.Random(trial))
+                assert replay == baseline
 
-    def test_memo_answers_repeats_and_rng_still_reduces(self, monkeypatch):
+    def test_memo_answers_repeats(self, monkeypatch):
         gb = buchberger(k_tanisaki_generators(Partition((2, 1, 1)), "v"))
         reductions = []
         reduce = _Engine.reduce
 
-        def counting(self, *args, **kwargs):
-            reductions.append(kwargs.get("rng"))
-            return reduce(self, *args, **kwargs)
+        def counting(self, terms):
+            reductions.append(terms)
+            return reduce(self, terms)
 
         monkeypatch.setattr(_Engine, "reduce", counting)
         v1, v2, v3, v4 = variables(4)
         p = v1**3 * v2 - 2 * v3**2 + v4
         nf = normal_form(p, gb)
-        assert reductions == [None] and gb.normal_forms == {p: nf}
+        assert len(reductions) == 1 and gb.engine.normal_forms == {p: nf}
         # an equal polynomial built anew is a hit: the key is the value
         assert normal_form(v4 - 2 * v3**2 + v1**3 * v2, gb) is nf
         assert len(reductions) == 1
-        rng = random.Random(3)
-        assert normal_form(p, gb, rng=rng) == nf
-        assert reductions == [None, rng] and gb.normal_forms == {p: nf}
 
     def test_memo_is_per_basis(self):
         v1, v2, v3 = variables(3)
@@ -257,7 +277,7 @@ class TestNormalForm:
         for gb, nf in zip(bases, first):
             # a fresh, memo-free completion of the same ideal agrees
             assert nf == normal_form(p, buchberger(gb.source))
-            assert normal_form(p, gb) is nf and gb.normal_forms == {p: nf}
+            assert normal_form(p, gb) is nf and gb.engine.normal_forms == {p: nf}
 
 
 class TestStandardMonomials:
@@ -305,7 +325,7 @@ class TestHilbert:
         gb = buchberger([Polynomial.constant(2, 1)])
         assert standard_monomials(gb) == [] and staircase_series([]) == ()
         pres = tanisaki_generators(Partition((2, 1)))
-        unit = GeneratorRecord(Polynomial.constant(3, 2), (), 0, 0, pres.flavor)
+        unit = GeneratorRecord(Polynomial.constant(3, 2), (), 0, 0)
         pres = dataclasses.replace(pres, generators=pres.generators + (unit,))
         assert hilbert_series(pres) == ()
 
@@ -463,15 +483,17 @@ class TestEngineMemos:
         eng.add({eng.packing.pack((0, 0, 0, 5)): 1})
         assert eng.reducers == {}
 
-    def test_reductions_with_skip_or_rng_leave_the_memo_alone(self):
+    def test_add_empties_both_basis_memos(self):
         gb = buchberger(k_tanisaki_generators(Partition((2, 1, 1)), "v"))
+        v1, v2, v3, v4 = variables(4)
+        p = v1**3 * v2 - v3**2 * v4 + 2 * v1
+        nf = normal_form(p, gb)
         eng = gb.engine
-        terms = {eng.packing.pack((3, 1, 0, 2)): 1, eng.packing.pack((0, 2, 0, 0)): -2}
-        eng.reduce(terms, skip=0)
-        eng.reduce(terms, rng=random.Random(1))
-        assert eng.reducers == {}
-        eng.reduce(terms)
-        assert eng.reducers
+        assert eng.reducers and eng.normal_forms == {p: nf}
+        # a new element whose leading monomial divides a term of nf
+        eng.add({eng.packing.pack(max(nf.terms, key=gb.order.key)): 1})
+        assert eng.reducers == {} and eng.normal_forms == {}
+        assert normal_form(p, gb) != nf
 
     def test_too_wide_pack_miss_raises_and_is_not_cached(self):
         for order, wide in ((LEX, (_LIMIT, 0)), (DEGREVLEX, (_LIMIT - 1, 1))):
