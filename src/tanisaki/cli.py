@@ -1,7 +1,8 @@
 """Command-line surface: presentations, verification sweeps, reports.
 
 Commands: presentation, verify, sweep, gamma, rank-lemma.  Exit codes:
-0 all checks passed, 1 verification failure, 2 usage or configuration error.
+0 all checks passed, 1 verification failure (a K-basis whose staircase size
+is not the multinomial rank included), 2 usage or configuration error.
 All output is deterministic for a fixed configuration; wall-clock timings
 (sweep only) are the single exception.
 
@@ -82,20 +83,35 @@ def _partition_block(p: Partition) -> dict:
     }
 
 
+class WrongBasis(Exception):
+    """A K-basis whose staircase size is not the multinomial rank."""
+
+
 @dataclass
 class _Context:
-    """One partition's shared work: the K-basis, the cohomology presentation
-    and basis, and the gamma sweep are computed on first use, at most once,
-    by whichever suite needs them."""
+    """One partition's shared work: the K-basis and its staircase, the
+    cohomology presentation and basis, and the gamma sweep are computed on
+    first use, at most once, by whichever suite needs them."""
 
     p: Partition
     cfg: RunConfig
 
     @cached_property
     def kbasis(self):
-        """The K-basis in the run's convention and order (presentation: .source)."""
+        """The K-basis in the run's convention and order (presentation: .source).
+
+        Its staircase, walked here and kept as kstaircase, must have the
+        multinomial rank's size; otherwise WrongBasis is raised.  A basis of
+        a larger ideal reduces every relation to 0, so without this check it
+        would pass every membership suite."""
         pres = k_tanisaki_generators(self.p, self.cfg.convention)
-        return groebner.cached_buchberger(pres, self.cfg.order, self.cfg.cache_dir)
+        gb = groebner.cached_buchberger(pres, self.cfg.order, self.cfg.cache_dir)
+        self.kstaircase = groebner.standard_monomials(gb)
+        rank = self.p.multinomial_rank()
+        if len(self.kstaircase) != rank:
+            raise WrongBasis(f"partition {self.p}: staircase size {len(self.kstaircase)}, "
+                             f"multinomial rank {rank}")
+        return gb
 
     @cached_property
     def cohomology_presentation(self):
@@ -190,13 +206,15 @@ def _suite_filtration(ctx: _Context) -> dict:
     """The K side is the staircase of the v-convention degrevlex basis,
     whatever --convention and --order say: the filtration is defined in the
     v-variables and needs a degree-compatible order.  When the run itself is
-    v and degrevlex, that is ctx.kbasis; otherwise it is completed here."""
+    v and degrevlex, that is ctx.kbasis, whose staircase is already walked;
+    otherwise it is completed here."""
     if ctx.cfg.convention == "v" and ctx.cfg.order == groebner.DEGREVLEX:
-        gb = ctx.kbasis
+        ctx.kbasis  # completes the basis and walks its staircase
+        monos = ctx.kstaircase
     else:
-        gb = groebner.cached_buchberger(k_tanisaki_generators(ctx.p, "v"), groebner.DEGREVLEX,
-                                        ctx.cfg.cache_dir)
-    k_series = groebner.staircase_series(groebner.standard_monomials(gb))
+        monos = groebner.standard_monomials(groebner.cached_buchberger(
+            k_tanisaki_generators(ctx.p, "v"), groebner.DEGREVLEX, ctx.cfg.cache_dir))
+    k_series = groebner.staircase_series(monos)
     return linalg.filtration_check(ctx.p, ctx.cohomology[1], k_series).to_dict()
 
 
@@ -563,6 +581,9 @@ def main(argv=None) -> int:
         return 2
     except InfiniteQuotient as exc:
         print(f"error: infinite quotient detected: {exc}", file=sys.stderr)
+        return 1
+    except WrongBasis as exc:
+        print(f"error: wrong K-basis: {exc}", file=sys.stderr)
         return 1
 
     doc = {

@@ -49,7 +49,7 @@ import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import mul, sub
+from operator import mul
 
 from .ideals import IdealPresentation
 from .polynomial import Polynomial, degrevlex_key
@@ -645,16 +645,3 @@ def cached_buchberger(
             os.unlink(tmp)
         raise
     return gb
-
-
-# -- postcondition helper (used by the test suite) ---------------------
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    key = order.key
-    lmf = max(f.terms, key=key)
-    lmg = max(g.terms, key=key)
-    lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
-    mf = {tuple(map(sub, lcm, lmf)): Fraction(1, 1) / f.terms[lmf]}
-    mg = {tuple(map(sub, lcm, lmg)): Fraction(1, 1) / g.terms[lmg]}
-    return Polynomial(f.n, mf) * f - Polynomial(g.n, mg) * g

@@ -3,12 +3,16 @@
 Both ideals are produced as explicit generator lists with provenance: which
 (subset, d, q) triple produced each polynomial.  The cohomology flavor lives
 in Z[y_1..y_n], the K-theory flavor in Z[u_1..u_n] or, after the unit shift
-v_j = u_j - 1, in Z[v_1..v_n].
+v_j = u_j - 1, in Z[v_1..v_n].  Every K-relation, the generators h_d, the
+truncation certificates and the lambda/gamma operations of `lambda_ring`, is
+one exterior-power coefficient built by `lambda_coefficient`, the one place
+that expands the line product and weights it for the convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .partitions import Partition, PartitionError, check_subset, enumerate_subsets
@@ -74,41 +78,60 @@ def tanisaki_generators(partition: Partition) -> IdealPresentation:
                          lambda subset, d, q: elementary_symmetric(partition.n, d, subset))
 
 
-def h_polynomial(subset, d: int, q: int, n: int, convention: str = "u") -> Polynomial:
-    """The degree-d K-relation for a subset with q trivial summands.
+def _check_convention(convention: str) -> None:
+    if convention not in ("u", "v"):
+        raise PartitionError(f"convention must be 'u' or 'v', got {convention!r}")
 
-    h_d is the t^d coefficient of prod(1 + u_i t) * (1+t)^(-q), so in
-    u-variables h_d = sum_{0<=k<=d} e_k(u-subset) * C(-q, d-k).  Substituting
-    u_i = 1 + v_i turns the series into (1+t)^(s-q) * prod(1 + v_i t/(1+t)),
-    so in v-variables h_d = sum_k e_k(v-subset) * C(s-q-k, d-k).  Its top
-    graded piece is e_d(subset) and it vanishes at u = 1 (v = 0) whenever
-    d >= s+1-q.
+
+def lambda_coefficient(n: int, lines, shift: int, d: int, convention: str = "u") -> Polynomial:
+    """lambda^d(sum_{i in lines} [L_i] + shift), in the variables of the
+    convention; lines is a multiset of 1-based indices.  Nothing is checked.
+
+    lambda^d is the t^d coefficient of prod_i (1 + u_i t) * (1 + t)^shift, so
+    in u-variables it is sum_k e_k(u_lines) * C(shift, d - k).  Substituting
+    u_i = 1 + v_i turns the series into
+    (1 + t)^(shift + len) * prod_i (1 + v_i t/(1 + t)), so in v-variables the
+    weight of e_k(v_lines) is C(shift + len - k, d - k).  Every K-relation is
+    one such coefficient: h_d = lambda^d(sum_S [L_i] - q) and
+    gamma^d(x) = lambda^d(x + d - 1).
     """
+    r = len(lines)
+    in_v = convention == "v"
+    terms = {}
+    for k in range(min(d, r) + 1):
+        w = binomial(shift + in_v * (r - k), d - k)
+        if w:
+            # e_k of the multiset, one count per k positions; the summands of
+            # distinct k differ in degree, so they never share a monomial
+            for chosen in combinations(lines, k):
+                e = [0] * n
+                for i in chosen:
+                    e[i - 1] += 1
+                m = tuple(e)
+                terms[m] = terms.get(m, 0) + w
+    return Polynomial._of(n, terms)
+
+
+def h_polynomial(subset, d: int, q: int, n: int, convention: str = "u") -> Polynomial:
+    """The degree-d K-relation h_d = lambda^d(sum_{i in subset} [L_i] - q)
+    for a subset with q trivial summands.  Its top graded piece is
+    e_d(subset) and it vanishes at u = 1 (v = 0) whenever d >= s+1-q."""
     subset = check_subset(subset, n)
     if d < 1:
         raise PartitionError(f"h polynomial degree must be >= 1, got {d}")
     if q < 0:
         raise PartitionError(f"q must be >= 0, got {q}")
-    if convention not in ("u", "v"):
-        raise PartitionError(f"convention must be 'u' or 'v', got {convention!r}")
-    s = len(subset)
-    terms = {}
-    for k in range(min(d, s) + 1):
-        w = binomial(s - q - k, d - k) if convention == "v" else binomial(-q, d - k)
-        if w:
-            # e_k is homogeneous of degree k, so the summands never share a monomial
-            for m, c in elementary_symmetric(n, k, subset).terms.items():
-                terms[m] = c * w
-    return Polynomial._of(n, terms)
+    _check_convention(convention)
+    return lambda_coefficient(n, subset, -q, d, convention)
 
 
 def k_tanisaki_generators(partition: Partition, convention: str = "u") -> IdealPresentation:
     """K-theory-flavor generators h_d over the same (s, subset, d) grid,
     written in the variables of the convention."""
-    if convention not in ("u", "v"):
-        raise PartitionError(f"convention must be 'u' or 'v', got {convention!r}")
+    _check_convention(convention)
+    n = partition.n
     return _presentation(partition, KTHEORY, convention,
-                         lambda subset, d, q: h_polynomial(subset, d, q, partition.n, convention))
+                         lambda subset, d, q: lambda_coefficient(n, subset, -q, d, convention))
 
 
 def truncation_certificate(partition: Partition, subset, convention: str = "u") -> list[dict]:
@@ -121,13 +144,12 @@ def truncation_certificate(partition: Partition, subset, convention: str = "u") 
     cascade back into the kept window [s+1-q, s].  The recurrence is linear,
     so the same combination holds in u and in v.
     """
-    if convention not in ("u", "v"):
-        raise PartitionError(f"convention must be 'u' or 'v', got {convention!r}")
+    _check_convention(convention)
     n = partition.n
     subset = check_subset(subset, n)
     s = len(subset)
     q = partition.dual().p_function(s)
-    kept = {d: h_polynomial(subset, d, q, n, convention) for d in _d_range(s, q)}
+    kept = {d: lambda_coefficient(n, subset, -q, d, convention) for d in _d_range(s, q)}
 
     # combos[m]: dict d -> integer coefficient over the kept window
     combos: dict[int, dict[int, int]] = {d: {d: 1} for d in kept}
@@ -145,7 +167,7 @@ def truncation_certificate(partition: Partition, subset, convention: str = "u") 
         h = Polynomial.zero(n)
         for d, c in combo.items():
             h = h + kept[d] * c
-        if h != h_polynomial(subset, m, q, n, convention):
+        if h != lambda_coefficient(n, subset, -q, m, convention):
             raise RuntimeError(
                 f"truncation recurrence failed for subset {subset}, m={m}"
             )

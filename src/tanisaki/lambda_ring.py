@@ -4,17 +4,19 @@ A virtual class here is a formal sum of line-class variables plus an integer
 multiple of the trivial class; the splitting rules (the series of a sum is
 the product of the series, a line class contributes 1 + u t, a trivial rank
 k contributes (1+t)^k with the generalized-binomial extension for k < 0)
-then determine every exterior-power coefficient exactly.
+then determine every exterior-power coefficient exactly.  Each coefficient
+is built by `ideals.lambda_coefficient`, in u or directly in v; the gamma and
+lambda relation sweeps differ only in the rank shift they pass it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .groebner import GroebnerBasis, normal_form
+from .ideals import lambda_coefficient
 from .partitions import Partition, PartitionError, check_subset, enumerate_subsets
-from .polynomial import Polynomial, binomial
+from .polynomial import Polynomial
 
 
 @dataclass(frozen=True)
@@ -42,38 +44,6 @@ class VirtualClass:
         return acc
 
 
-@lru_cache(maxsize=None)
-def _line_product(n: int, lines: tuple[int, ...]) -> tuple[Polynomial, ...]:
-    """The coefficients of prod_{i in lines} (1 + u_i t), from t^0 to
-    t^len(lines), expanded once per line multiset by the splitting rule."""
-    coeffs = [Polynomial.constant(n, 1)] + [Polynomial.zero(n)] * len(lines)
-    for i in lines:
-        u = Polynomial.variable(n, i)
-        for k in range(len(lines), 0, -1):
-            coeffs[k] = coeffs[k] + coeffs[k - 1] * u
-    return tuple(coeffs)
-
-
-def _lambda_coefficient(x: VirtualClass, k: int, convention: str = "u") -> Polynomial:
-    """lambda^k(x), the t^k coefficient of prod_i (1 + u_i t) * (1 + t)^shift:
-    sum_j C(shift, k - j) times the t^j coefficient of the line product.
-
-    In the v-convention, u_i = 1 + v_i turns the series into
-    (1 + t)^(len + shift) * prod_i (1 + v_i t/(1 + t)), so the weight of the
-    t^j coefficient of the line product (now in v) is C(len + shift - j, k - j).
-    """
-    product = _line_product(x.n, x.lines)
-    in_v = convention == "v"
-    terms = {}
-    for j in range(min(k, len(x.lines)) + 1):
-        w = binomial(x.shift + in_v * (len(x.lines) - j), k - j)
-        if w:
-            # product[j] is homogeneous of degree j, so no two j share a monomial
-            for m, c in product[j].terms.items():
-                terms[m] = c * w
-    return Polynomial._of(x.n, terms)
-
-
 def lambda_series(x: VirtualClass, truncation: int) -> list[Polynomial]:
     """Exterior-power coefficients lambda^0(x) .. lambda^truncation(x).
 
@@ -82,7 +52,7 @@ def lambda_series(x: VirtualClass, truncation: int) -> list[Polynomial]:
     """
     if truncation < 0:
         raise PartitionError(f"truncation must be >= 0, got {truncation}")
-    return [_lambda_coefficient(x, k) for k in range(truncation + 1)]
+    return [lambda_coefficient(x.n, x.lines, x.shift, k) for k in range(truncation + 1)]
 
 
 def gamma_op(x: VirtualClass, d: int, convention: str = "u") -> Polynomial:
@@ -95,9 +65,7 @@ def gamma_op(x: VirtualClass, d: int, convention: str = "u") -> Polynomial:
     """
     if d < 0:
         raise PartitionError(f"gamma index must be >= 0, got {d}")
-    if d == 0:
-        return Polynomial.constant(x.n, 1)
-    return _lambda_coefficient(x.shifted(d - 1), d, convention)
+    return lambda_coefficient(x.n, x.lines, x.shift + d - 1, d, convention)
 
 
 # -- relation sweeps -----------------------------------------------------
@@ -138,10 +106,9 @@ def _sweep(partition: Partition, gb: GroebnerBasis, kind: str, extra: int = 2) -
         q = dual.p_function(s)
         for subset in enumerate_subsets(n, s):
             for d in range(s + 1 - q, s + extra + 1):
-                if kind == "gamma":
-                    poly = gamma_op(VirtualClass(n, subset, -s), d, convention)
-                else:
-                    poly = _lambda_coefficient(VirtualClass(n, subset, -q), d, convention)
+                # gamma^d(x - s) = lambda^d(x + d - 1 - s); the lambda form is lambda^d(x - q)
+                shift = d - 1 - s if kind == "gamma" else -q
+                poly = lambda_coefficient(n, subset, shift, d, convention)
                 vanished = normal_form(poly, gb).is_zero()
                 rows.append((subset, d, vanished))
                 ok = ok and vanished

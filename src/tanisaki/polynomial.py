@@ -70,18 +70,10 @@ def monomial_text(m: tuple[int, ...], prefix: str) -> str:
     )
 
 
-@lru_cache(maxsize=None)
-def _check_permutation(sigma: tuple, n: int) -> None:
-    """Raise unless sigma is a 1-based bijection of [1, n].  Only a valid
-    (sigma, n) is remembered; an invalid one raises on every call."""
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise PolynomialError(f"{sigma} is not a permutation of 1..{n}")
-
-
 class Polynomial:
     """Immutable sparse polynomial in n variables."""
 
-    __slots__ = ("n", "terms", "_hash")  # _hash is set on the first hash()
+    __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
         if n < 0:
@@ -252,7 +244,8 @@ class Polynomial:
     def permute_variables(self, sigma) -> "Polynomial":
         """Substitute x_j -> x_{sigma(j)}; sigma is a 1-based bijection of [1, n]."""
         sigma = tuple(sigma)
-        _check_permutation(sigma, self.n)
+        if sorted(sigma) != list(range(1, self.n + 1)):
+            raise PolynomialError(f"{sigma} is not a permutation of 1..{self.n}")
         res = {}
         for m, c in self.terms.items():
             new = [0] * self.n
@@ -269,12 +262,7 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.n, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash((self.n, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)

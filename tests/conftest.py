@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
@@ -59,6 +60,17 @@ def random_path_normal_form(p: Polynomial, gb, rng: random.Random) -> Polynomial
             else:
                 terms.pop(t, None)
     return Polynomial(p.n, remainder)
+
+
+def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
+    """The S-polynomial of f and g under order, over Fraction."""
+    key = order.key
+    lmf = max(f.terms, key=key)
+    lmg = max(g.terms, key=key)
+    lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
+    mf = {tuple(map(sub, lcm, lmf)): Fraction(1, 1) / f.terms[lmf]}
+    mg = {tuple(map(sub, lcm, lmg)): Fraction(1, 1) / g.terms[lmg]}
+    return Polynomial(f.n, mf) * f - Polynomial(g.n, mg) * g
 
 
 def random_point(rng: random.Random, n: int):

@@ -13,7 +13,7 @@ import weakref
 import jsonschema
 import pytest
 
-from tanisaki import cli, groebner, lambda_ring, linalg
+from tanisaki import cli, groebner, ideals, lambda_ring, linalg
 from tanisaki.ideals import k_tanisaki_generators, tanisaki_generators
 from tanisaki.partitions import Partition
 
@@ -126,9 +126,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("d", ["6", "1000000000"])
     def test_gamma_degree_over_n_plus_two_is_two(self, capsys, monkeypatch, d):
         def expanded(*args):
-            raise AssertionError("lambda series expanded past the bound")
+            raise AssertionError("lambda coefficient built past the bound")
 
-        monkeypatch.setattr(lambda_ring, "lambda_series", expanded)
+        # under both names it is called by: the K generators and the gamma relation
+        monkeypatch.setattr(ideals, "lambda_coefficient", expanded)
+        monkeypatch.setattr(lambda_ring, "lambda_coefficient", expanded)
         assert cli.main(["gamma", "--partition", "2,1", "--subset", "1", "--d", d]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -462,6 +464,23 @@ def planted_torsion(lam):
     return dataclasses.replace(pres, generators=tuple(gens))
 
 
+MEMBERSHIP_SUITES = ("--suite", "gamma", "--suite", "lambda", "--suite", "truncation",
+                     "--suite", "stability")
+
+
+def planted_basis(parts):
+    """A cached_buchberger that completes the K presentation of the partition
+    parts, in the asked convention and order, for every K presentation."""
+    cached_buchberger = groebner.cached_buchberger
+
+    def planted(pres, *args):
+        if pres.flavor == ideals.KTHEORY:
+            pres = k_tanisaki_generators(Partition(parts), pres.convention)
+        return cached_buchberger(pres, *args)
+
+    return planted
+
+
 class TestPlantedFailures:
     def test_torsion_prime_exits_one_naming_prime_and_degree(self, capsys, monkeypatch):
         lam = Partition((2, 1))
@@ -487,17 +506,30 @@ class TestPlantedFailures:
         argv = ("verify", "--partition", "2,1", "--suite", "gamma", "--suite", "truncation",
                 "--suite", "stability")
         assert run_cli(capsys, *argv)[0] == 0
-        cached_buchberger = groebner.cached_buchberger
+        monkeypatch.setattr(groebner, "cached_buchberger", planted_basis((1, 1, 1)))
+        assert cli.main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "partition 2,1: staircase size 6, multinomial rank 3" in captured.err
 
-        def planted(pres, *args):
-            flag = Partition((1,) * pres.partition.n)
-            return cached_buchberger(k_tanisaki_generators(flag, pres.convention), *args)
-
-        monkeypatch.setattr(groebner, "cached_buchberger", planted)
-        code, doc = run_json(capsys, *argv)
-        assert code == 1
-        suites = doc["results"][0]["suites"]
-        assert not suites["gamma"]["ok"] and suites["truncation"]["failures"]
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--partition", "2,1", *MEMBERSHIP_SUITES),
+        ("verify", "--partition", "2,2", "--convention", "u", "--order", "lex",
+         *MEMBERSHIP_SUITES),
+        ("verify", "--partition", "2,2", "--jobs", "2", "--partition", "3,1",
+         *MEMBERSHIP_SUITES),
+        ("gamma", "--partition", "2,1", "--subset", "1,2", "--d", "2"),
+    ])
+    def test_point_ideal_basis_exits_one(self, capsys, monkeypatch, argv):
+        # the point ideal of (n) holds the true one, so every relation
+        # reduces to 0 on its basis: only the staircase size tells
+        lam = Partition(tuple(int(t) for t in argv[2].split(",")))
+        monkeypatch.setattr(groebner, "cached_buchberger", planted_basis((lam.n,)))
+        assert cli.main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"error: wrong K-basis: partition {lam}: staircase size 1, "
+                f"multinomial rank {lam.multinomial_rank()}\n") == captured.err
 
     def test_wrong_cohomology_series_exits_one_with_a_gp_finding(self, capsys, monkeypatch):
         staircase_series = groebner.staircase_series

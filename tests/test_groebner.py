@@ -23,7 +23,6 @@ from tanisaki.groebner import (
     hilbert_series,
     modular_series,
     normal_form,
-    s_polynomial,
     staircase_series,
     standard_monomials,
     _LIMIT,
@@ -35,7 +34,7 @@ from tanisaki.linalg import dim_graded_piece, ideal_degree_rank
 from tanisaki.partitions import Partition, enumerate_partitions
 from tanisaki.polynomial import Polynomial, elementary_symmetric
 
-from conftest import random_path_normal_form, variables
+from conftest import random_path_normal_form, s_polynomial, variables
 
 
 def coinvariant_series_oracle(n):

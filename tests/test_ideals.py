@@ -1,3 +1,4 @@
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from tanisaki.ideals import (
     h_polynomial,
     k_tanisaki_generators,
+    lambda_coefficient,
     tanisaki_generators,
     truncation_certificate,
 )
@@ -73,6 +75,40 @@ class TestNoRepeatedGenerators:
                              k_tanisaki_generators(lam, "v")):
                     polys = pres.polynomials()
                     assert len(set(polys)) == len(polys), (lam, pres.convention)
+
+
+def series_by_multiplication(n, lines, shift, truncation):
+    """The coefficients t^0 .. t^truncation of prod_i (1 + u_i t) * (1 + t)^shift,
+    by Polynomial arithmetic on truncated series: one multiplication by
+    (1 + u_i t) per line, then |shift| multiplications or divisions by
+    (1 + t); a division b = a / (1 + t) solves b_k = a_k - b_(k-1)."""
+    series = [Polynomial.constant(n, 1)] + [Polynomial.zero(n)] * truncation
+    factors = [Polynomial.variable(n, i) for i in lines]
+    factors += [Polynomial.constant(n, 1)] * max(shift, 0)
+    for f in factors:
+        series = [series[0]] + [series[k] + series[k - 1] * f for k in range(1, truncation + 1)]
+    for _ in range(-shift):
+        quotient = [series[0]]
+        for k in range(1, truncation + 1):
+            quotient.append(series[k] - quotient[k - 1])
+        series = quotient
+    return series
+
+
+class TestLambdaCoefficient:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_equals_the_multiplied_out_series(self, n):
+        # every line multiset of size <= 3, shifts -4..2, d 0..5; the v form
+        # is the u series rewritten by u_j = v_j + 1
+        for size in range(4):
+            for lines in combinations_with_replacement(range(1, n + 1), size):
+                for shift in range(-4, 3):
+                    series = series_by_multiplication(n, lines, shift, 5)
+                    for d, expected in enumerate(series):
+                        assert lambda_coefficient(n, lines, shift, d) == expected, (
+                            lines, shift, d)
+                        assert lambda_coefficient(n, lines, shift, d, "v") == (
+                            expected.shift_variables(1)), (lines, shift, d)
 
 
 class TestHPolynomial:

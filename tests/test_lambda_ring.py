@@ -1,11 +1,15 @@
 import pytest
 
-from tanisaki import cli, lambda_ring
+from tanisaki import cli
 from tanisaki.groebner import buchberger, normal_form
-from tanisaki.ideals import h_polynomial, k_tanisaki_generators, truncation_certificate
+from tanisaki.ideals import (
+    h_polynomial,
+    k_tanisaki_generators,
+    lambda_coefficient,
+    truncation_certificate,
+)
 from tanisaki.lambda_ring import (
     VirtualClass,
-    _lambda_coefficient,
     equivalent_lambda_relations,
     gamma_membership,
     gamma_op,
@@ -75,16 +79,6 @@ class TestLambdaSeries:
                 for k in range(d + 1):
                     conv = conv + a[k] * b[d - k]
                 assert conv == c[d]
-
-
-    def test_line_product_expanded_once_per_subset(self, capsys):
-        # the 7 nonempty subsets of {1, 2, 3}, shared by the three partitions of 3
-        lambda_ring._line_product.cache_clear()
-        assert cli.main(["verify", "--n", "3", "--suite", "gamma", "--suite", "lambda"]) == 0
-        capsys.readouterr()
-        info = lambda_ring._line_product.cache_info()
-        assert info.misses == 7 and info.currsize == 7
-        assert info.hits > 0
 
 
 class TestGammaOp:
@@ -174,13 +168,12 @@ class TestRelationsInV:
             for s in range(1, n + 1):
                 q = dual.p_function(s)
                 for subset in enumerate_subsets(n, s):
-                    gamma_class = VirtualClass(n, subset, -s)
-                    lambda_class = VirtualClass(n, subset, -q)
                     for d in range(s + 1 - q, s + 3):
-                        assert gamma_op(gamma_class, d, "v") == gamma_op(
-                            gamma_class, d).shift_variables(1), (lam, subset, d)
-                        assert _lambda_coefficient(lambda_class, d, "v") == _lambda_coefficient(
-                            lambda_class, d).shift_variables(1), (lam, subset, d)
+                        # the gamma row's shift d - 1 - s, then the lambda row's -q
+                        for shift in (d - 1 - s, -q):
+                            assert lambda_coefficient(n, subset, shift, d, "v") == (
+                                lambda_coefficient(n, subset, shift, d).shift_variables(1)
+                            ), (lam, subset, d, shift)
                     certs_u = truncation_certificate(lam, subset)
                     certs_v = truncation_certificate(lam, subset, "v")
                     assert [c["m"] for c in certs_v] == [c["m"] for c in certs_u] == [s + 1, s + 2]

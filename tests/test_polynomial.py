@@ -8,7 +8,6 @@ import pytest
 from tanisaki.polynomial import (
     Polynomial,
     PolynomialError,
-    _check_permutation,
     binomial,
     elementary_symmetric,
     monomial_text,
@@ -203,16 +202,6 @@ class TestTextFormat:
         assert p.render("u") == q.render("u")
         assert hash(p) == hash(q)
 
-    def test_hash_is_computed_once_and_kept(self):
-        p = Polynomial(2, {(0, 1): 1, (2, 0): Fraction(1, 3)})
-        with pytest.raises(AttributeError):
-            p._hash
-        h = hash(p)
-        assert p._hash == h == hash((2, frozenset(p.terms.items())))
-        assert hash(p) == h and hash(p * 1) == h
-        with pytest.raises(AttributeError):
-            p._hash = 0
-
 
 class TestPermutation:
     def test_transposition(self):
@@ -227,14 +216,6 @@ class TestPermutation:
     def test_symmetric_invariance(self):
         e2 = elementary_symmetric(3, 2, (1, 2, 3))
         assert e2.permute_variables((3, 1, 2)) == e2
-
-    def test_each_permutation_is_validated_once(self):
-        sigma = (2, 3, 1)
-        before = _check_permutation.cache_info()
-        for _ in range(3):
-            assert V(3, 1).permute_variables(sigma) == V(3, 2)
-        after = _check_permutation.cache_info()
-        assert after.misses - before.misses <= 1 and after.hits - before.hits >= 2
 
     @pytest.mark.parametrize("sigma", [(1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 4)])
     def test_a_non_permutation_is_rejected_on_every_call(self, sigma):
