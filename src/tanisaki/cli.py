@@ -98,20 +98,21 @@ class _Context:
 
     @cached_property
     def kbasis(self):
-        """The K-basis in the run's convention and order (presentation: .source).
+        """The K-basis in the run's convention and order (presentation: .source)
+        and its staircase.
 
-        Its staircase, walked here and kept as kstaircase, must have the
-        multinomial rank's size; otherwise WrongBasis is raised.  A basis of
-        a larger ideal reduces every relation to 0, so without this check it
-        would pass every membership suite."""
+        The staircase must have the multinomial rank's size; otherwise
+        WrongBasis is raised.  A basis of a larger ideal reduces every
+        relation to 0, so without this check it would pass every membership
+        suite."""
         pres = k_tanisaki_generators(self.p, self.cfg.convention)
         gb = groebner.cached_buchberger(pres, self.cfg.order, self.cfg.cache_dir)
-        self.kstaircase = groebner.standard_monomials(gb)
+        monos = groebner.standard_monomials(gb)
         rank = self.p.multinomial_rank()
-        if len(self.kstaircase) != rank:
-            raise WrongBasis(f"partition {self.p}: staircase size {len(self.kstaircase)}, "
+        if len(monos) != rank:
+            raise WrongBasis(f"partition {self.p}: staircase size {len(monos)}, "
                              f"multinomial rank {rank}")
-        return gb
+        return gb, monos
 
     @cached_property
     def cohomology_presentation(self):
@@ -128,7 +129,7 @@ class _Context:
 
     @cached_property
     def gamma(self):
-        return lambda_ring.verify_gamma_relations(self.p, self.kbasis)
+        return lambda_ring.verify_gamma_relations(self.p, self.kbasis[0])
 
 
 # -- presentation --------------------------------------------------------
@@ -182,7 +183,8 @@ def _suite_gamma(ctx: _Context) -> dict:
 
 
 def _suite_lambda(ctx: _Context) -> dict:
-    lam = lambda_ring.equivalent_lambda_relations(ctx.p, ctx.kbasis)
+    gb, _ = ctx.kbasis
+    lam = lambda_ring.equivalent_lambda_relations(ctx.p, gb)
     doc = lam.to_dict()
     doc["agrees_with_gamma"] = ctx.gamma.ok == lam.ok
     doc["ok"] = doc["ok"] and doc["agrees_with_gamma"]
@@ -191,13 +193,14 @@ def _suite_lambda(ctx: _Context) -> dict:
 
 def _suite_truncation(ctx: _Context) -> dict:
     p = ctx.p
+    gb, _ = ctx.kbasis
     failures = []
     checks = 0
     for s in range(1, p.n + 1):
         for subset in enumerate_subsets(p.n, s):
             for cert in ideals.truncation_certificate(p, subset, ctx.cfg.convention):
                 checks += 1
-                if not groebner.normal_form(cert["h"], ctx.kbasis).is_zero():
+                if not groebner.normal_form(cert["h"], gb).is_zero():
                     failures.append({"subset": list(subset), "m": cert["m"]})
     return {"partition": list(p.parts), "checks": checks, "failures": failures, "ok": not failures}
 
@@ -206,11 +209,10 @@ def _suite_filtration(ctx: _Context) -> dict:
     """The K side is the staircase of the v-convention degrevlex basis,
     whatever --convention and --order say: the filtration is defined in the
     v-variables and needs a degree-compatible order.  When the run itself is
-    v and degrevlex, that is ctx.kbasis, whose staircase is already walked;
+    v and degrevlex, that is the staircase of ctx.kbasis, already walked;
     otherwise it is completed here."""
     if ctx.cfg.convention == "v" and ctx.cfg.order == groebner.DEGREVLEX:
-        ctx.kbasis  # completes the basis and walks its staircase
-        monos = ctx.kstaircase
+        monos = ctx.kbasis[1]
     else:
         monos = groebner.standard_monomials(groebner.cached_buchberger(
             k_tanisaki_generators(ctx.p, "v"), groebner.DEGREVLEX, ctx.cfg.cache_dir))
@@ -241,7 +243,7 @@ def _suite_stability(ctx: _Context) -> dict:
         sigma = list(range(1, n + 1))
         sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
         transpositions.append(tuple(sigma))
-    gb = ctx.kbasis
+    gb, _ = ctx.kbasis
     for flavor, pres in ((ideals.COHOMOLOGY, ctx.cohomology_presentation),
                          (ideals.KTHEORY, gb.source)):
         pool = {g.poly for g in pres.generators}
@@ -327,7 +329,7 @@ def cmd_sweep(cfg: RunConfig) -> dict:
 
 def cmd_gamma(cfg: RunConfig, subset, d: int) -> dict:
     p = cfg.partitions[0]
-    gb = _Context(p, cfg).kbasis
+    gb, _ = _Context(p, cfg).kbasis
     poly, nf, vanished = lambda_ring.gamma_membership(p, gb, subset, d)
     s = len(subset)
     q = p.dual().p_function(s)

@@ -6,17 +6,19 @@ in Z[y_1..y_n], the K-theory flavor in Z[u_1..u_n] or, after the unit shift
 v_j = u_j - 1, in Z[v_1..v_n].  Every K-relation, the generators h_d, the
 truncation certificates and the lambda/gamma operations of `lambda_ring`, is
 one exterior-power coefficient built by `lambda_coefficient`, the one place
-that expands the line product and weights it for the convention.
+that expands the line product and weights it for the convention; the
+cohomology generators e_d are its unshifted coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from .partitions import Partition, PartitionError, check_subset, enumerate_subsets
-from .polynomial import Polynomial, binomial, elementary_symmetric
+from .polynomial import Polynomial, binomial
 
 COHOMOLOGY = "cohomology"
 KTHEORY = "ktheory"
@@ -73,9 +75,10 @@ def tanisaki_generators(partition: Partition) -> IdealPresentation:
 
     Generators with d > s are identically zero and omitted; the d-range is
     bounded above by s, which loses nothing for homogeneous generators.
+    e_d(subset) is lambda^d of the subset's lines, unshifted.
     """
     return _presentation(partition, COHOMOLOGY, "y",
-                         lambda subset, d, q: elementary_symmetric(partition.n, d, subset))
+                         lambda subset, d, q: lambda_coefficient(partition.n, subset, 0, d))
 
 
 def _check_convention(convention: str) -> None:
@@ -83,9 +86,24 @@ def _check_convention(convention: str) -> None:
         raise PartitionError(f"convention must be 'u' or 'v', got {convention!r}")
 
 
+@lru_cache(maxsize=None)
+def _line_terms(n: int, lines: tuple[int, ...], k: int) -> dict:
+    """e_k of the line multiset as {exponent tuple: coefficient}, kept per
+    (n, lines, k): a run's generators, sweeps and certificates reread them."""
+    terms = {}
+    for chosen in combinations(lines, k):
+        e = [0] * n
+        for i in chosen:
+            e[i - 1] += 1
+        m = tuple(e)
+        terms[m] = terms.get(m, 0) + 1
+    return terms
+
+
 def lambda_coefficient(n: int, lines, shift: int, d: int, convention: str = "u") -> Polynomial:
     """lambda^d(sum_{i in lines} [L_i] + shift), in the variables of the
-    convention; lines is a multiset of 1-based indices.  Nothing is checked.
+    convention; lines is a tuple of 1-based indices, repeats allowed.
+    Nothing is checked.
 
     lambda^d is the t^d coefficient of prod_i (1 + u_i t) * (1 + t)^shift, so
     in u-variables it is sum_k e_k(u_lines) * C(shift, d - k).  Substituting
@@ -101,14 +119,9 @@ def lambda_coefficient(n: int, lines, shift: int, d: int, convention: str = "u")
     for k in range(min(d, r) + 1):
         w = binomial(shift + in_v * (r - k), d - k)
         if w:
-            # e_k of the multiset, one count per k positions; the summands of
-            # distinct k differ in degree, so they never share a monomial
-            for chosen in combinations(lines, k):
-                e = [0] * n
-                for i in chosen:
-                    e[i - 1] += 1
-                m = tuple(e)
-                terms[m] = terms.get(m, 0) + w
+            # e_k is homogeneous of degree k, so the summands never share a monomial
+            for m, c in _line_terms(n, lines, k).items():
+                terms[m] = c * w
     return Polynomial._of(n, terms)
 
 

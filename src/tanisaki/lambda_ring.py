@@ -34,9 +34,6 @@ class VirtualClass:
                 raise PartitionError(f"line index {i} out of range 1..{self.n}")
         object.__setattr__(self, "lines", lines)
 
-    def shifted(self, delta: int) -> "VirtualClass":
-        return VirtualClass(self.n, self.lines, self.shift + delta)
-
     def as_polynomial(self) -> Polynomial:
         acc = Polynomial.constant(self.n, self.shift)
         for i in self.lines:

@@ -295,7 +295,6 @@ class Polynomial:
         return f"Polynomial({self.n}, {self.render()})"
 
 
-@lru_cache(maxsize=None)
 def elementary_symmetric(n: int, k: int, indices: tuple[int, ...] | None = None) -> Polynomial:
     """e_k of the selected variables (1-based; all n variables when omitted).
 

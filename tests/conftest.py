@@ -33,6 +33,24 @@ def variables(n: int) -> list[Polynomial]:
     return [Polynomial.variable(n, j) for j in range(1, n + 1)]
 
 
+def series_by_multiplication(n, lines, shift, truncation):
+    """The coefficients t^0 .. t^truncation of prod_i (1 + u_i t) * (1 + t)^shift,
+    by Polynomial arithmetic on truncated series: one multiplication by
+    (1 + u_i t) per line, then |shift| multiplications or divisions by
+    (1 + t); a division b = a / (1 + t) solves b_k = a_k - b_(k-1)."""
+    series = [Polynomial.constant(n, 1)] + [Polynomial.zero(n)] * truncation
+    factors = [Polynomial.variable(n, i) for i in lines]
+    factors += [Polynomial.constant(n, 1)] * max(shift, 0)
+    for f in factors:
+        series = [series[0]] + [series[k] + series[k - 1] * f for k in range(1, truncation + 1)]
+    for _ in range(-shift):
+        quotient = [series[0]]
+        for k in range(1, truncation + 1):
+            quotient.append(series[k] - quotient[k - 1])
+        series = quotient
+    return series
+
+
 def random_path_normal_form(p: Polynomial, gb, rng: random.Random) -> Polynomial:
     """Remainder of p modulo gb.polys by textbook division over Fraction,
     with rng picking among the eligible reducers at every step.

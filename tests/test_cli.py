@@ -502,7 +502,8 @@ class TestPlantedFailures:
 
     def test_wrong_basis_exits_one_after_a_passing_run(self, capsys, monkeypatch):
         # the same checks pass first on the right basis in this process; the
-        # planted full-flag basis of (1,1,1) must still fail them for (2,1)
+        # planted full-flag basis of (1,1,1) for (2,1) is then refused by its
+        # staircase size before any suite runs
         argv = ("verify", "--partition", "2,1", "--suite", "gamma", "--suite", "truncation",
                 "--suite", "stability")
         assert run_cli(capsys, *argv)[0] == 0
@@ -511,6 +512,25 @@ class TestPlantedFailures:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "partition 2,1: staircase size 6, multinomial rank 3" in captured.err
+
+    @pytest.mark.parametrize("convention", ["u", "v"])
+    def test_smaller_ideal_basis_fails_every_membership_check(self, convention):
+        # past the staircase check, the relation sweeps, the truncation
+        # certificates and the stability normal forms each report the
+        # relations of (2,1) that the full-flag ideal of (1,1,1) lacks
+        lam = Partition((2, 1))
+        gb = groebner.buchberger(k_tanisaki_generators(Partition((1, 1, 1)), convention))
+        for report in (lambda_ring.verify_gamma_relations(lam, gb),
+                       lambda_ring.equivalent_lambda_relations(lam, gb)):
+            assert not report.ok and report.failures(), report.kind
+        residues = [groebner.normal_form(cert["h"], gb)
+                    for subset in ((1, 2), (1, 3), (2, 3))
+                    for cert in ideals.truncation_certificate(lam, subset, convention)]
+        assert any(not r.is_zero() for r in residues)
+        images = [g.poly.permute_variables(sigma)
+                  for g in k_tanisaki_generators(lam, convention).generators
+                  for sigma in ((2, 1, 3), (1, 3, 2))]
+        assert any(not groebner.normal_form(image, gb).is_zero() for image in images)
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--partition", "2,1", *MEMBERSHIP_SUITES),

@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -13,7 +13,7 @@ from tanisaki.ideals import (
 from tanisaki.partitions import Partition, PartitionError, enumerate_partitions, enumerate_subsets
 from tanisaki.polynomial import Polynomial, elementary_symmetric
 
-from conftest import variables
+from conftest import series_by_multiplication, variables
 
 
 class TestCohomologyGenerators:
@@ -77,38 +77,25 @@ class TestNoRepeatedGenerators:
                     assert len(set(polys)) == len(polys), (lam, pres.convention)
 
 
-def series_by_multiplication(n, lines, shift, truncation):
-    """The coefficients t^0 .. t^truncation of prod_i (1 + u_i t) * (1 + t)^shift,
-    by Polynomial arithmetic on truncated series: one multiplication by
-    (1 + u_i t) per line, then |shift| multiplications or divisions by
-    (1 + t); a division b = a / (1 + t) solves b_k = a_k - b_(k-1)."""
-    series = [Polynomial.constant(n, 1)] + [Polynomial.zero(n)] * truncation
-    factors = [Polynomial.variable(n, i) for i in lines]
-    factors += [Polynomial.constant(n, 1)] * max(shift, 0)
-    for f in factors:
-        series = [series[0]] + [series[k] + series[k - 1] * f for k in range(1, truncation + 1)]
-    for _ in range(-shift):
-        quotient = [series[0]]
-        for k in range(1, truncation + 1):
-            quotient.append(series[k] - quotient[k - 1])
-        series = quotient
-    return series
-
-
 class TestLambdaCoefficient:
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 6))
     def test_equals_the_multiplied_out_series(self, n):
-        # every line multiset of size <= 3, shifts -4..2, d 0..5; the v form
-        # is the u series rewritten by u_j = v_j + 1
-        for size in range(4):
-            for lines in combinations_with_replacement(range(1, n + 1), size):
-                for shift in range(-4, 3):
-                    series = series_by_multiplication(n, lines, shift, 5)
-                    for d, expected in enumerate(series):
-                        assert lambda_coefficient(n, lines, shift, d) == expected, (
-                            lines, shift, d)
-                        assert lambda_coefficient(n, lines, shift, d, "v") == (
-                            expected.shift_variables(1)), (lines, shift, d)
+        # every line multiset of size <= 3 and every subset of 1..n (the
+        # sweeps build subsets of each size up to n), shifts -n-1..2, d from 0
+        # through two past the line count; the v form is the u series
+        # rewritten by u_j = v_j + 1
+        line_sets = {lines for size in range(4)
+                     for lines in combinations_with_replacement(range(1, n + 1), size)}
+        line_sets |= {lines for size in range(n + 1)
+                      for lines in combinations(range(1, n + 1), size)}
+        for lines in sorted(line_sets):
+            for shift in range(-n - 1, 3):
+                series = series_by_multiplication(n, lines, shift, max(5, len(lines) + 2))
+                for d, expected in enumerate(series):
+                    assert lambda_coefficient(n, lines, shift, d) == expected, (
+                        lines, shift, d)
+                    assert lambda_coefficient(n, lines, shift, d, "v") == (
+                        expected.shift_variables(1)), (lines, shift, d)
 
 
 class TestHPolynomial:
@@ -138,16 +125,17 @@ class TestHPolynomial:
                         assert h.graded_component(d) == elementary_symmetric(n, d, subset)
 
     def test_series_coefficient_identity(self):
-        # h_d is the t^d coefficient of prod(1+u_i t) * (1+t)^(-q)
-        from tanisaki.lambda_ring import VirtualClass, lambda_series
-
+        # h_d is the t^d coefficient of prod(1+u_i t) * (1+t)^(-q), in u and,
+        # rewritten by u_j = v_j + 1, in v
         for n in range(1, 6):
             for s in range(1, n + 1):
                 for subset in enumerate_subsets(n, s):
                     for q in range(0, s + 1):
-                        series = lambda_series(VirtualClass(n, subset, -q), s + 2)
+                        series = series_by_multiplication(n, subset, -q, s + 2)
                         for d in range(1, s + 3):
-                            assert series[d] == h_polynomial(subset, d, q, n)
+                            assert h_polynomial(subset, d, q, n) == series[d]
+                            assert h_polynomial(subset, d, q, n, "v") == (
+                                series[d].shift_variables(1))
 
 
 class TestKGenerators:

@@ -1,6 +1,6 @@
 import pytest
 
-from tanisaki import cli
+from tanisaki import cli, ideals
 from tanisaki.groebner import buchberger, normal_form
 from tanisaki.ideals import (
     h_polynomial,
@@ -19,7 +19,7 @@ from tanisaki.lambda_ring import (
 from tanisaki.partitions import Partition, enumerate_partitions, enumerate_subsets
 from tanisaki.polynomial import Polynomial, binomial
 
-from conftest import variables
+from conftest import series_by_multiplication, variables
 
 
 def kbasis(lam):
@@ -80,6 +80,16 @@ class TestLambdaSeries:
                     conv = conv + a[k] * b[d - k]
                 assert conv == c[d]
 
+    def test_line_product_expanded_once_per_subset(self, capsys):
+        # the 7 nonempty subsets of {1, 2, 3}, shared by the three partitions
+        # of 3, hold 19 pairs (subset, k) with k <= |subset|: each e_k is
+        # expanded at most once and then reread
+        ideals._line_terms.cache_clear()
+        assert cli.main(["verify", "--n", "3", "--suite", "gamma", "--suite", "lambda"]) == 0
+        capsys.readouterr()
+        info = ideals._line_terms.cache_info()
+        assert 0 < info.misses <= 19 and info.hits > info.misses
+
 
 class TestGammaOp:
     def test_gamma_zero_is_one(self):
@@ -129,9 +139,10 @@ class TestRelationSweeps:
         for s in (1, 2, 3):
             q = dual.p_function(s)
             subset = tuple(range(1, s + 1))
-            series = lambda_series(VirtualClass(3, subset, -q), s + 2)
+            series = series_by_multiplication(3, subset, -q, s + 2)
+            assert lambda_series(VirtualClass(3, subset, -q), s + 2) == series
             for d in range(1, s + 3):
-                assert series[d] == h_polynomial(subset, d, q, 3)
+                assert h_polynomial(subset, d, q, 3) == series[d]
 
     def test_membership_helper(self):
         lam = Partition((3,))

@@ -177,7 +177,7 @@ class TestGammaLambdaIdentity:
             lines = tuple(gen.randint(1, n) for _ in range(gen.randint(0, 4)))
             x = VirtualClass(n, lines, gen.randint(-4, 3))
             d = gen.randint(1, 4)
-            lhs = lambda_series(x.shifted(d - 1), d)[d]
+            lhs = lambda_series(VirtualClass(x.n, x.lines, x.shift + d - 1), d)[d]
             series = lambda_series(x, d)
             rhs = Polynomial.zero(n)
             for k in range(1, d + 1):
