@@ -1,10 +1,14 @@
 """Command-line surface: presentations, verification sweeps, reports.
 
 Commands: presentation, verify, sweep, gamma, rank-lemma.  Exit codes:
-0 all checks passed, 1 verification failure (a K-basis whose staircase size
-is not the multinomial rank included), 2 usage or configuration error.
+0 all checks passed, 1 verification failure, 2 usage or configuration error.
 All output is deterministic for a fixed configuration; wall-clock timings
 (sweep only) are the single exception.
+
+Every basis a command reads comes from `_Context.basis`: one completion
+and one staircase walk per (flavor, convention, order) and partition, and
+a basis whose staircase size is not the multinomial rank exits 1 (stderr
+names the flavor) before any report is written.
 
 Run as `python -m tanisaki.cli`, the process ends with a hard exit: once
 `main` has returned its code, stdout and stderr are flushed and `os._exit`
@@ -32,6 +36,7 @@ from .ideals import k_tanisaki_generators, tanisaki_generators
 from .partitions import (
     Partition,
     PartitionError,
+    check_subset,
     enumerate_partitions,
     enumerate_subsets,
     parse_partition,
@@ -84,48 +89,54 @@ def _partition_block(p: Partition) -> dict:
 
 
 class WrongBasis(Exception):
-    """A K-basis whose staircase size is not the multinomial rank."""
+    """A reduced basis whose staircase size is not the multinomial rank."""
 
 
 @dataclass
 class _Context:
-    """One partition's shared work: the K-basis and its staircase, the
-    cohomology presentation and basis, and the gamma sweep are computed on
-    first use, at most once, by whichever suite needs them."""
+    """One partition's shared work: each presentation, each basis and its
+    staircase, and the gamma sweep are computed on first use, at most once,
+    by whichever command or suite needs them."""
 
     p: Partition
     cfg: RunConfig
+    presentations: dict = field(default_factory=dict)
+    bases: dict = field(default_factory=dict)
 
-    @cached_property
-    def kbasis(self):
-        """The K-basis in the run's convention and order (presentation: .source)
-        and its staircase.
+    def presentation(self, flavor: str, convention: str = "v"):
+        """The flavor's generators (K: in the convention, which cohomology
+        ignores), built once per context."""
+        key = (flavor, convention if flavor == ideals.KTHEORY else "y")
+        if key not in self.presentations:
+            self.presentations[key] = (k_tanisaki_generators(self.p, convention)
+                                       if flavor == ideals.KTHEORY else tanisaki_generators(self.p))
+        return self.presentations[key]
+
+    def basis(self, flavor: str, order: MonomialOrder, convention: str = "v"):
+        """The reduced basis of the flavor's presentation under the order
+        (presentation: .source), and its staircase, each completed and walked
+        once per context.
 
         The staircase must have the multinomial rank's size; otherwise
         WrongBasis is raised.  A basis of a larger ideal reduces every
         relation to 0, so without this check it would pass every membership
         suite."""
-        pres = k_tanisaki_generators(self.p, self.cfg.convention)
-        gb = groebner.cached_buchberger(pres, self.cfg.order, self.cfg.cache_dir)
-        monos = groebner.standard_monomials(gb)
-        rank = self.p.multinomial_rank()
-        if len(monos) != rank:
-            raise WrongBasis(f"partition {self.p}: staircase size {len(monos)}, "
-                             f"multinomial rank {rank}")
-        return gb, monos
+        pres = self.presentation(flavor, convention)
+        key = (pres.flavor, pres.convention, order)
+        if key not in self.bases:
+            gb = groebner.cached_buchberger(pres, order, self.cfg.cache_dir)
+            monos = groebner.standard_monomials(gb)
+            rank = self.p.multinomial_rank()
+            if len(monos) != rank:
+                name = "K-basis" if flavor == ideals.KTHEORY else "cohomology basis"
+                raise WrongBasis(f"wrong {name}: partition {self.p}: "
+                                 f"staircase size {len(monos)}, multinomial rank {rank}")
+            self.bases[key] = gb, monos
+        return self.bases[key]
 
-    @cached_property
-    def cohomology_presentation(self):
-        return tanisaki_generators(self.p)
-
-    @cached_property
-    def cohomology(self):
-        """The cohomology ideal's degrevlex basis and staircase series,
-        whatever --order says: the filtration and freeness checks read
-        per-degree counts."""
-        gb = groebner.cached_buchberger(self.cohomology_presentation, groebner.DEGREVLEX,
-                                        self.cfg.cache_dir)
-        return gb, groebner.staircase_series(groebner.standard_monomials(gb))
+    @property
+    def kbasis(self):
+        return self.basis(ideals.KTHEORY, self.cfg.order, self.cfg.convention)
 
     @cached_property
     def gamma(self):
@@ -135,13 +146,9 @@ class _Context:
 # -- presentation --------------------------------------------------------
 
 
-def _presentation_block(p: Partition, flavor: str, cfg: RunConfig) -> dict:
-    if flavor == ideals.COHOMOLOGY:
-        pres = tanisaki_generators(p)
-    else:
-        pres = k_tanisaki_generators(p, cfg.convention)
-    gb = groebner.cached_buchberger(pres, cfg.order, cfg.cache_dir)
-    monos = groebner.standard_monomials(gb)
+def _presentation_block(ctx: _Context, flavor: str) -> dict:
+    gb, monos = ctx.basis(flavor, ctx.cfg.order, ctx.cfg.convention)
+    pres = gb.source
     prefix = pres.convention
     block = {
         "flavor": flavor,
@@ -160,15 +167,12 @@ def _presentation_block(p: Partition, flavor: str, cfg: RunConfig) -> dict:
 
 
 def cmd_presentation(cfg: RunConfig) -> dict:
-    p = cfg.partitions[0]
+    """A basis of the wrong rank raises WrongBasis, so a report is always ok."""
+    ctx = _Context(cfg.partitions[0], cfg)
     flavors = [cfg.flavor] if cfg.flavor != "both" else [ideals.COHOMOLOGY, ideals.KTHEORY]
-    result = _partition_block(p)
-    result["presentations"] = [_presentation_block(p, f, cfg) for f in flavors]
-    ok = all(
-        blk["quotient_rank"] == result["rank"] for blk in result["presentations"]
-    )
-    result["ok"] = ok
-    return {"results": [result], "ok": ok}
+    result = {**_partition_block(ctx.p), "ok": True,
+              "presentations": [_presentation_block(ctx, f) for f in flavors]}
+    return {"results": [result], "ok": True}
 
 
 # -- verify ---------------------------------------------------------------
@@ -208,24 +212,19 @@ def _suite_truncation(ctx: _Context) -> dict:
 def _suite_filtration(ctx: _Context) -> dict:
     """The K side is the staircase of the v-convention degrevlex basis,
     whatever --convention and --order say: the filtration is defined in the
-    v-variables and needs a degree-compatible order.  When the run itself is
-    v and degrevlex, that is the staircase of ctx.kbasis, already walked;
-    otherwise it is completed here."""
-    if ctx.cfg.convention == "v" and ctx.cfg.order == groebner.DEGREVLEX:
-        monos = ctx.kbasis[1]
-    else:
-        monos = groebner.standard_monomials(groebner.cached_buchberger(
-            k_tanisaki_generators(ctx.p, "v"), groebner.DEGREVLEX, ctx.cfg.cache_dir))
-    k_series = groebner.staircase_series(monos)
-    return linalg.filtration_check(ctx.p, ctx.cohomology[1], k_series).to_dict()
+    v-variables and needs a degree-compatible order."""
+    k_series = groebner.staircase_series(ctx.basis(ideals.KTHEORY, groebner.DEGREVLEX, "v")[1])
+    coh_series = groebner.staircase_series(ctx.basis(ideals.COHOMOLOGY, groebner.DEGREVLEX)[1])
+    return linalg.filtration_check(ctx.p, coh_series, k_series).to_dict()
 
 
 def _suite_freeness(ctx: _Context) -> dict:
     """Z-freeness from the prime certificate of the cohomology completion:
     its staircase against those over F_p, counted through degree dim + 1."""
-    gb, series = ctx.cohomology
+    gb, monos = ctx.basis(ideals.COHOMOLOGY, groebner.DEGREVLEX)
     modular = groebner.modular_series(gb, ctx.p.springer_dimension() + 1)
-    return linalg.integral_freeness_check(ctx.p, series, modular).to_dict()
+    return linalg.integral_freeness_check(
+        ctx.p, groebner.staircase_series(monos), modular).to_dict()
 
 
 def _suite_stability(ctx: _Context) -> dict:
@@ -244,7 +243,7 @@ def _suite_stability(ctx: _Context) -> dict:
         sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
         transpositions.append(tuple(sigma))
     gb, _ = ctx.kbasis
-    for flavor, pres in ((ideals.COHOMOLOGY, ctx.cohomology_presentation),
+    for flavor, pres in ((ideals.COHOMOLOGY, ctx.presentation(ideals.COHOMOLOGY)),
                          (ideals.KTHEORY, gb.source)):
         pool = {g.poly for g in pres.generators}
         for g in pres.generators:
@@ -308,14 +307,11 @@ def cmd_sweep(cfg: RunConfig) -> dict:
     for p in cfg.partitions:
         t0 = time.perf_counter()
         row = _partition_block(p)
-        kth = k_tanisaki_generators(p, cfg.convention)
-        row["generator_count"] = len(kth.generators)
+        ctx = _Context(p, cfg)
+        row["generator_count"] = len(ctx.presentation(ideals.KTHEORY, cfg.convention).generators)
         if p.n <= SWEEP_GROEBNER_MAX_N:
-            coh = tanisaki_generators(p)
-            gb_c = groebner.cached_buchberger(coh, cfg.order, cfg.cache_dir)
-            gb_k = groebner.cached_buchberger(kth, cfg.order, cfg.cache_dir)
-            row["gb_size_cohomology"] = len(gb_c)
-            row["gb_size_ktheory"] = len(gb_k)
+            row["gb_size_cohomology"] = len(ctx.basis(ideals.COHOMOLOGY, cfg.order)[0])
+            row["gb_size_ktheory"] = len(ctx.kbasis[0])
         else:
             row["gb_size_cohomology"] = None
             row["gb_size_ktheory"] = None
@@ -568,6 +564,7 @@ def main(argv=None) -> int:
                 subset = tuple(int(t) for t in args.subset.split(","))
             except ValueError:
                 raise PartitionError(f"bad --subset {args.subset!r}") from None
+            subset = check_subset(subset, partitions[0].n)
             if args.d < 0:
                 raise PartitionError("--d must be >= 0")
             # the verify sweep stops at s + 2, and gamma^d(sum [L_i] - s),
@@ -585,7 +582,7 @@ def main(argv=None) -> int:
         print(f"error: infinite quotient detected: {exc}", file=sys.stderr)
         return 1
     except WrongBasis as exc:
-        print(f"error: wrong K-basis: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
     doc = {

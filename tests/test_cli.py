@@ -136,6 +136,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert "--d must be <= n + 2 = 5" in captured.err
 
+    @pytest.mark.parametrize("subset, named", [("9", "index 9 out of range 1..8"),
+                                               ("3,1", "position 2 (=1)")])
+    def test_gamma_subset_checked_before_any_completion(self, capsys, monkeypatch,
+                                                        subset, named):
+        def completed(*args):
+            raise AssertionError("basis completed before --subset was checked")
+
+        monkeypatch.setattr(groebner, "buchberger", completed)
+        argv = ["gamma", "--partition", "3,2,2,1", "--subset", subset, "--d", "1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+
     def test_gamma_at_n_plus_two_runs(self, capsys):
         code, doc = run_json(capsys, "gamma", "--partition", "2,1", "--subset", "1", "--d", "5")
         assert code == 0 and doc["results"][0]["in_ideal"]
@@ -430,6 +444,25 @@ class TestSharedPartitionWork:
         assert code == 0
         assert calls == []
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--n", "3"),
+        ("verify", "--n", "3", "--order", "lex"),
+        ("presentation", "--partition", "2,1", "--flavor", "both"),
+        ("sweep", "--n", "3"),
+    ])
+    def test_each_basis_completed_once(self, capsys, monkeypatch, argv):
+        keys = []
+        cached_buchberger = groebner.cached_buchberger
+
+        def recording(pres, order, *args):
+            keys.append((pres.partition.parts, pres.flavor, pres.convention, order))
+            return cached_buchberger(pres, order, *args)
+
+        monkeypatch.setattr(groebner, "cached_buchberger", recording)
+        assert cli.main(list(argv)) == 0
+        capsys.readouterr()
+        assert keys and len(set(keys)) == len(keys)
+
 
 class TestFiltrationFlags:
     def test_filtration_ignores_convention_and_order(self, capsys, monkeypatch):
@@ -468,14 +501,17 @@ MEMBERSHIP_SUITES = ("--suite", "gamma", "--suite", "lambda", "--suite", "trunca
                      "--suite", "stability")
 
 
-def planted_basis(parts):
-    """A cached_buchberger that completes the K presentation of the partition
-    parts, in the asked convention and order, for every K presentation."""
+def planted_basis(parts, flavor=ideals.KTHEORY):
+    """A cached_buchberger that completes the flavor's presentation of the
+    partition parts (K: in the asked convention), in the asked order, for
+    every presentation of that flavor."""
     cached_buchberger = groebner.cached_buchberger
 
     def planted(pres, *args):
-        if pres.flavor == ideals.KTHEORY:
-            pres = k_tanisaki_generators(Partition(parts), pres.convention)
+        if pres.flavor == flavor:
+            lam = Partition(parts)
+            pres = (k_tanisaki_generators(lam, pres.convention) if flavor == ideals.KTHEORY
+                    else tanisaki_generators(lam))
         return cached_buchberger(pres, *args)
 
     return planted
@@ -550,6 +586,22 @@ class TestPlantedFailures:
         assert captured.out == ""
         assert (f"error: wrong K-basis: partition {lam}: staircase size 1, "
                 f"multinomial rank {lam.multinomial_rank()}\n") == captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--partition", "2,1", "--suite", "freeness"),
+        ("sweep", "--partition", "2,1"),
+        ("presentation", "--partition", "2,1", "--flavor", "cohomology"),
+    ])
+    def test_point_ideal_cohomology_basis_exits_one(self, capsys, monkeypatch, argv):
+        # only the filtration suite compares the cohomology staircase with
+        # Garsia-Procesi; every other reader is held to the multinomial rank
+        monkeypatch.setattr(groebner, "cached_buchberger",
+                            planted_basis((3,), ideals.COHOMOLOGY))
+        assert cli.main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: wrong cohomology basis: partition 2,1: "
+                                "staircase size 1, multinomial rank 3\n")
 
     def test_wrong_cohomology_series_exits_one_with_a_gp_finding(self, capsys, monkeypatch):
         staircase_series = groebner.staircase_series
