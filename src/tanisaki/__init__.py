@@ -14,16 +14,13 @@ from .groebner import (
 from .ideals import (
     GeneratorRecord,
     IdealPresentation,
-    h_polynomial,
     k_tanisaki_generators,
     tanisaki_generators,
     truncation_certificate,
 )
 from .lambda_ring import (
-    VirtualClass,
     equivalent_lambda_relations,
     gamma_op,
-    lambda_series,
     verify_gamma_relations,
 )
 from .linalg import (
@@ -57,7 +54,6 @@ __all__ = [
     "Partition",
     "PartitionError",
     "Polynomial",
-    "VirtualClass",
     "binomial",
     "buchberger",
     "elementary_symmetric",
@@ -67,13 +63,11 @@ __all__ = [
     "filtration_check",
     "gamma_op",
     "garsia_procesi_series",
-    "h_polynomial",
     "hilbert_series",
     "ideal_degree_rank",
     "integral_freeness_check",
     "jordan_matrix",
     "k_tanisaki_generators",
-    "lambda_series",
     "normal_form",
     "parse_partition",
     "smith_normal_form",

@@ -375,6 +375,18 @@ _CSV_COLUMNS = {
 }
 
 
+def _detail(sdoc: dict) -> list:
+    """What a suite block names against its verdict, for csv and text: failures,
+    findings, torsion degrees or mismatched rank-lemma rows; empty on a pass."""
+    if "failures" in sdoc:
+        return sdoc["failures"]
+    if "findings" in sdoc:
+        return sdoc["findings"]
+    if "degrees" in sdoc:
+        return [row for row in sdoc["degrees"] if row["nonunit_factors"]]
+    return [row for row in sdoc["rows"] if row["p_dual"] != row["jordan_rank"]]
+
+
 def _render_csv(doc: dict) -> str:
     command = doc["command"]
     buf = io.StringIO()
@@ -389,7 +401,7 @@ def _render_csv(doc: dict) -> str:
             ])
         elif command == "verify":
             for suite, sdoc in sorted(r["suites"].items()):
-                detail = json.dumps(sdoc.get("failures", sdoc.get("findings", [])), sort_keys=True)
+                detail = json.dumps(_detail(sdoc), sort_keys=True)
                 writer.writerow([part, suite, "pass" if sdoc["ok"] else "fail", detail])
         elif command == "rank-lemma":
             for row in r["rows"]:
@@ -424,7 +436,7 @@ def _render_text(doc: dict) -> str:
             for suite, sdoc in sorted(r["suites"].items()):
                 status = "pass" if sdoc["ok"] else "FAIL"
                 lines.append(f"  {suite:<12} {status}")
-                for f in (sdoc.get("failures") or [])[:5]:
+                for f in _detail(sdoc)[:5]:
                     lines.append(f"    counterexample: {json.dumps(f, sort_keys=True)}")
         if "presentations" in r:
             for blk in r["presentations"]:
@@ -443,8 +455,9 @@ def _render_text(doc: dict) -> str:
                 f"gb(K) {r['gb_size_ktheory']}  time {r['time_ms']}ms"
             )
         if "rows" in r and "suites" not in r:
-            bad = [row for row in r["rows"] if row["p_dual"] != row["jordan_rank"]]
+            bad = _detail(r)
             lines.append(f"  rank lemma rows {len(r['rows'])}  mismatches {len(bad)}")
+            lines += [f"    counterexample: {json.dumps(row, sort_keys=True)}" for row in bad[:5]]
     return "\n".join(lines) + "\n"
 
 

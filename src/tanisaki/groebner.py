@@ -106,9 +106,6 @@ class GroebnerBasis:
     def n(self) -> int:
         return len(self.engine.packing.shifts)
 
-    def leading_monomials(self) -> list[tuple[int, ...]]:
-        return list(self.engine.exponents)
-
     def __len__(self):
         return len(self.polys)
 

@@ -110,8 +110,8 @@ def lambda_coefficient(n: int, lines, shift: int, d: int, convention: str = "u")
     u_i = 1 + v_i turns the series into
     (1 + t)^(shift + len) * prod_i (1 + v_i t/(1 + t)), so in v-variables the
     weight of e_k(v_lines) is C(shift + len - k, d - k).  Every K-relation is
-    one such coefficient: h_d = lambda^d(sum_S [L_i] - q) and
-    gamma^d(x) = lambda^d(x + d - 1).
+    one such coefficient: h_d = lambda^d(sum_S [L_i] - q), and
+    `lambda_ring.gamma_op` writes gamma^d as one.
     """
     r = len(lines)
     in_v = convention == "v"
@@ -123,19 +123,6 @@ def lambda_coefficient(n: int, lines, shift: int, d: int, convention: str = "u")
             for m, c in _line_terms(n, lines, k).items():
                 terms[m] = c * w
     return Polynomial._of(n, terms)
-
-
-def h_polynomial(subset, d: int, q: int, n: int, convention: str = "u") -> Polynomial:
-    """The degree-d K-relation h_d = lambda^d(sum_{i in subset} [L_i] - q)
-    for a subset with q trivial summands.  Its top graded piece is
-    e_d(subset) and it vanishes at u = 1 (v = 0) whenever d >= s+1-q."""
-    subset = check_subset(subset, n)
-    if d < 1:
-        raise PartitionError(f"h polynomial degree must be >= 1, got {d}")
-    if q < 0:
-        raise PartitionError(f"q must be >= 0, got {q}")
-    _check_convention(convention)
-    return lambda_coefficient(n, subset, -q, d, convention)
 
 
 def k_tanisaki_generators(partition: Partition, convention: str = "u") -> IdealPresentation:

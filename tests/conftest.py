@@ -11,7 +11,7 @@ from tanisaki.groebner import (
     staircase_series,
     standard_monomials,
 )
-from tanisaki.ideals import k_tanisaki_generators, tanisaki_generators
+from tanisaki.ideals import k_tanisaki_generators, lambda_coefficient, tanisaki_generators
 from tanisaki.linalg import filtration_check, integral_freeness_check
 from tanisaki.polynomial import Polynomial
 
@@ -31,6 +31,12 @@ def random_polynomial(rng: random.Random, n: int, max_terms=5, max_exp=3, max_co
 def variables(n: int) -> list[Polynomial]:
     """The variables x_1..x_n, for writing fixtures as Python expressions."""
     return [Polynomial.variable(n, j) for j in range(1, n + 1)]
+
+
+def lambda_coefficients(n, lines, shift, truncation):
+    """lambda^0 .. lambda^truncation of sum_{i in lines} [L_i] + shift, each
+    built by lambda_coefficient."""
+    return [lambda_coefficient(n, lines, shift, k) for k in range(truncation + 1)]
 
 
 def series_by_multiplication(n, lines, shift, truncation):

@@ -1,7 +1,9 @@
 import concurrent.futures
+import csv
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -536,6 +538,46 @@ class TestPlantedFailures:
             assert rank == row["rank"]
             assert len([f for f in factors if f % 2 == 0]) == len(row["nonunit_factors"])
 
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_torsion_degrees_named_in_csv_and_text(self, capsys, monkeypatch, fmt):
+        # the degrees the json report lists, prime 2 in degrees 1 and 2, are
+        # the detail of the csv row and the counterexamples of the text block
+        lam = Partition((2, 1))
+        planted = planted_torsion(lam)
+        monkeypatch.setattr(cli, "tanisaki_generators", lambda p: planted)
+        code, out = run_cli(capsys, "verify", "--partition", "2,1", "--suite", "freeness",
+                            "--format", fmt)
+        assert code == 1
+        degrees = [{"d": 1, "nonunit_factors": [2], "rank": 1},
+                   {"d": 2, "nonunit_factors": [2, 2, 2], "rank": 6}]
+        if fmt == "csv":
+            assert list(csv.reader(io.StringIO(out))) == [
+                ["partition", "suite", "status", "detail"],
+                ["2,1", "freeness", "fail", json.dumps(degrees, sort_keys=True)],
+            ]
+        else:
+            assert out.splitlines()[2:] == ["  freeness     FAIL"] + [
+                f"    counterexample: {json.dumps(row, sort_keys=True)}" for row in degrees]
+
+    def test_rank_lemma_mismatch_named_in_csv_and_text(self, capsys, monkeypatch):
+        lam = Partition((2, 1))
+        (s, p_dual, rank), *rest = linalg.verify_rank_lemma(lam).rows
+        planted = linalg.RankLemmaReport(lam, ((s, p_dual, rank + 1), *rest), False)
+        monkeypatch.setattr(linalg, "verify_rank_lemma", lambda p: planted)
+        line = json.dumps({"jordan_rank": rank + 1, "p_dual": p_dual, "s": s})
+        code, out = run_cli(capsys, "verify", "--partition", "2,1", "--suite", "rank-lemma",
+                            "--format", "csv")
+        assert code == 1
+        assert list(csv.reader(io.StringIO(out)))[1] == ["2,1", "rank-lemma", "fail", f"[{line}]"]
+        code, out = run_cli(capsys, "verify", "--partition", "2,1", "--suite", "rank-lemma",
+                            "--format", "text")
+        assert code == 1
+        assert out.splitlines()[2:] == ["  rank-lemma   FAIL", f"    counterexample: {line}"]
+        code, out = run_cli(capsys, "rank-lemma", "--partition", "2,1", "--format", "text")
+        assert code == 1
+        assert out.splitlines()[2:] == ["  rank lemma rows 3  mismatches 1",
+                                        f"    counterexample: {line}"]
+
     def test_wrong_basis_exits_one_after_a_passing_run(self, capsys, monkeypatch):
         # the same checks pass first on the right basis in this process; the
         # planted full-flag basis of (1,1,1) for (2,1) is then refused by its
@@ -622,6 +664,11 @@ class TestPlantedFailures:
         assert rep["findings"] == [
             "degree 1: ideal rank 2 and gr dimension 2 vs 1 from the Garsia-Procesi series"
         ]
+        code, out = run_cli(capsys, "verify", "--partition", "1,1,1", "--suite", "filtration",
+                            "--format", "text")
+        assert code == 1
+        assert out.splitlines()[2:] == ["  filtration   FAIL", "    counterexample: "
+                                        f"{json.dumps(rep['findings'][0])}"]
 
 
 class TestParallel:

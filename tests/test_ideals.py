@@ -4,7 +4,6 @@ from math import comb
 import pytest
 
 from tanisaki.ideals import (
-    h_polynomial,
     k_tanisaki_generators,
     lambda_coefficient,
     tanisaki_generators,
@@ -99,16 +98,18 @@ class TestLambdaCoefficient:
 
 
 class TestHPolynomial:
+    """h_d = lambda^d(sum_{i in subset} [L_i] - q), built by lambda_coefficient."""
+
     def test_pair_with_one_trivial_summand(self):
         u1, u2 = variables(2)
-        assert h_polynomial((1, 2), 2, 1, 2) == u1 * u2 - u1 - u2 + 1
+        assert lambda_coefficient(2, (1, 2), -1, 2) == u1 * u2 - u1 - u2 + 1
 
     def test_degree_one_full_triple(self):
         u1, u2, u3 = variables(3)
-        assert h_polynomial((1, 2, 3), 1, 3, 3) == u1 + u2 + u3 - 3
+        assert lambda_coefficient(3, (1, 2, 3), -3, 1) == u1 + u2 + u3 - 3
 
     def test_degree_three_full_triple(self):
-        h3 = h_polynomial((1, 2, 3), 3, 3, 3)
+        h3 = lambda_coefficient(3, (1, 2, 3), -3, 3)
         e = lambda k: elementary_symmetric(3, k, (1, 2, 3))
         assert h3 == e(3) - 3 * e(2) + 6 * e(1) - 10
         # consistency with the full-flag relations e_k -> C(3, k)
@@ -120,7 +121,7 @@ class TestHPolynomial:
                 subset = tuple(range(1, s + 1))
                 for q in range(0, s + 1):
                     for d in range(max(1, s + 1 - q), s + 3):
-                        h = h_polynomial(subset, d, q, n)
+                        h = lambda_coefficient(n, subset, -q, d)
                         assert h.augmentation() == 0
                         assert h.graded_component(d) == elementary_symmetric(n, d, subset)
 
@@ -133,8 +134,8 @@ class TestHPolynomial:
                     for q in range(0, s + 1):
                         series = series_by_multiplication(n, subset, -q, s + 2)
                         for d in range(1, s + 3):
-                            assert h_polynomial(subset, d, q, n) == series[d]
-                            assert h_polynomial(subset, d, q, n, "v") == (
+                            assert lambda_coefficient(n, subset, -q, d) == series[d]
+                            assert lambda_coefficient(n, subset, -q, d, "v") == (
                                 series[d].shift_variables(1))
 
 
@@ -218,12 +219,12 @@ class TestTruncationCertificate:
         h3 = certs[0]
         assert h3["m"] == 3
         assert h3["combination"] == {2: -1}
-        assert h3["h"] == -h_polynomial((1, 2), 2, 1, 3)
+        assert h3["h"] == -lambda_coefficient(3, (1, 2), -1, 2)
 
     def test_full_subset_degenerate(self):
         lam = Partition((2, 1))  # q = s = 3 on the full subset
         for cert in truncation_certificate(lam, (1, 2, 3)):
-            assert cert["h"] == h_polynomial((1, 2, 3), cert["m"], 3, 3)
+            assert cert["h"] == lambda_coefficient(3, (1, 2, 3), -3, cert["m"])
             assert set(cert["combination"]) <= {1, 2, 3}
 
     def test_certificates_match_formula_everywhere(self):

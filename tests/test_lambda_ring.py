@@ -1,25 +1,24 @@
+import json
+
 import pytest
 
 from tanisaki import cli, ideals
-from tanisaki.groebner import buchberger, normal_form
+from tanisaki.groebner import GroebnerError, buchberger, normal_form
 from tanisaki.ideals import (
-    h_polynomial,
     k_tanisaki_generators,
     lambda_coefficient,
     truncation_certificate,
 )
 from tanisaki.lambda_ring import (
-    VirtualClass,
     equivalent_lambda_relations,
     gamma_membership,
     gamma_op,
-    lambda_series,
     verify_gamma_relations,
 )
 from tanisaki.partitions import Partition, enumerate_partitions, enumerate_subsets
 from tanisaki.polynomial import Polynomial, binomial
 
-from conftest import series_by_multiplication, variables
+from conftest import lambda_coefficients, series_by_multiplication, variables
 
 
 def kbasis(lam):
@@ -28,17 +27,17 @@ def kbasis(lam):
 
 class TestLambdaSeries:
     def test_single_line_bundle(self):
-        series = lambda_series(VirtualClass(2, (1,)), 3)
+        series = lambda_coefficients(2, (1,), 0, 3)
         assert [p.render("u") for p in series] == ["1", "u1", "0", "0"]
 
     def test_trivial_of_positive_rank(self):
         k = 4
-        series = lambda_series(VirtualClass(1, (), k), 6)
+        series = lambda_coefficients(1, (), k, 6)
         assert [p.augmentation() for p in series] == [binomial(k, d) for d in range(7)]
         assert all(p.degree() <= 0 for p in series)
 
     def test_virtual_pair_minus_one(self):
-        series = lambda_series(VirtualClass(2, (1, 2), -1), 3)
+        series = lambda_coefficients(2, (1, 2), -1, 3)
         u1, u2 = variables(2)
         assert series[0] == Polynomial.constant(2, 1)
         assert series[1] == u1 + u2 - 1
@@ -59,7 +58,7 @@ class TestLambdaSeries:
                     acc = acc + pk * ((-1) ** (d - k))
                     # (1+t)^(-1) has coefficients (-1)^(d-k)
             expected.append(acc)
-        got = lambda_series(VirtualClass(n, (1, 2), -1), trunc)
+        got = lambda_coefficients(n, (1, 2), -1, trunc)
         assert got == expected
 
     def test_multiplicativity(self, rng):
@@ -69,11 +68,9 @@ class TestLambdaSeries:
             other = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 3)))
             s1, s2 = rng.randint(-3, 3), rng.randint(-3, 3)
             trunc = 4
-            x = VirtualClass(n, lines, s1)
-            y = VirtualClass(n, other, s2)
-            xy = VirtualClass(n, tuple(sorted(lines + other)), s1 + s2)
-            a, b = lambda_series(x, trunc), lambda_series(y, trunc)
-            c = lambda_series(xy, trunc)
+            a = lambda_coefficients(n, lines, s1, trunc)
+            b = lambda_coefficients(n, other, s2, trunc)
+            c = lambda_coefficients(n, lines + other, s1 + s2, trunc)
             for d in range(trunc + 1):
                 conv = Polynomial.zero(n)
                 for k in range(d + 1):
@@ -93,19 +90,18 @@ class TestLambdaSeries:
 
 class TestGammaOp:
     def test_gamma_zero_is_one(self):
-        assert gamma_op(VirtualClass(2, (1, 2), -2), 0) == Polynomial.constant(2, 1)
+        assert gamma_op(2, (1, 2), -2, 0) == Polynomial.constant(2, 1)
 
     def test_gamma_one_is_identity(self):
-        x = VirtualClass(3, (1, 3), -2)
-        assert gamma_op(x, 1) == x.as_polynomial()
+        u1, _, u3 = variables(3)
+        assert gamma_op(3, (1, 3), -2, 1) == u1 + u3 - 2
 
     def test_gamma_of_zero_class(self):
-        zero = VirtualClass(2, (), 0)
         for d in (1, 2, 3):
-            assert gamma_op(zero, d).is_zero()
+            assert gamma_op(2, (), 0, d).is_zero()
 
     def test_line_bundle_rank_vanishing(self):
-        assert gamma_op(VirtualClass(1, (1,), -1), 2).is_zero()
+        assert gamma_op(1, (1,), -1, 2).is_zero()
 
 
 class TestRelationSweeps:
@@ -118,7 +114,7 @@ class TestRelationSweeps:
     def test_hook_pair_relation(self):
         lam = Partition((2, 1))
         gb = kbasis(lam)
-        poly = gamma_op(VirtualClass(3, (1, 2), -2), 2)
+        poly = gamma_op(3, (1, 2), -2, 2)
         u1, u2, _ = variables(3)
         assert poly == u1 * u2 - u1 - u2 + 1
         assert normal_form(poly.shift_variables(1), gb).is_zero()
@@ -140,9 +136,12 @@ class TestRelationSweeps:
             q = dual.p_function(s)
             subset = tuple(range(1, s + 1))
             series = series_by_multiplication(3, subset, -q, s + 2)
-            assert lambda_series(VirtualClass(3, subset, -q), s + 2) == series
-            for d in range(1, s + 3):
-                assert h_polynomial(subset, d, q, 3) == series[d]
+            assert lambda_coefficients(3, subset, -q, s + 2) == series
+            # the generators h_d of this subset are its kept coefficients
+            gens = [g for g in k_tanisaki_generators(lam).generators if g.subset == subset]
+            assert [g.d for g in gens] == list(range(max(1, s + 1 - q), s + 1))
+            for g in gens:
+                assert g.q == q and g.poly == series[g.d]
 
     def test_membership_helper(self):
         lam = Partition((3,))
@@ -150,6 +149,16 @@ class TestRelationSweeps:
         poly, nf, vanished = gamma_membership(lam, gb, (1,), 1)
         assert poly == variables(3)[0] - 1
         assert vanished and nf.is_zero()
+
+    def test_basis_without_source_is_refused(self):
+        # the convention is read from the source presentation, never guessed
+        lam = Partition((2, 1))
+        gb = buchberger(k_tanisaki_generators(lam, "v").polynomials())
+        for check in (lambda: verify_gamma_relations(lam, gb),
+                      lambda: equivalent_lambda_relations(lam, gb),
+                      lambda: gamma_membership(lam, gb, (1, 2), 2)):
+            with pytest.raises(GroebnerError, match="source presentation"):
+                check()
 
     def test_full_subset_relations_follow_from_flag_presentation(self):
         # s = n forces q = n: the relations must already die modulo
@@ -164,8 +173,32 @@ class TestRelationSweeps:
         ]
         gb = buchberger(flag_gens)
         for d in (1, 2, 3):
-            h = h_polynomial(tuple(range(1, n + 1)), d, n, n)
+            h = lambda_coefficient(n, tuple(range(1, n + 1)), -n, d)
             assert normal_form(h, gb).is_zero()
+
+
+class TestGammaCommandAgreesWithSweep:
+    @pytest.mark.parametrize("convention", ["u", "v"])
+    def test_every_sweep_row(self, capsys, convention):
+        # the gamma command and the gamma sweep share one gamma^d formula;
+        # the oracle expands gamma^d(x) = sum_k C(d-1, k-1) lambda^k(x) over
+        # coefficients found by series multiplication, not lambda_coefficient
+        for n in range(1, 5):
+            for lam in enumerate_partitions(n):
+                sweep = verify_gamma_relations(
+                    lam, buchberger(k_tanisaki_generators(lam, convention)))
+                part = ",".join(map(str, lam.parts))
+                for subset, d, vanished in sweep.rows:
+                    code = cli.main(["gamma", "--partition", part, "--convention", convention,
+                                     "--subset", ",".join(map(str, subset)), "--d", str(d)])
+                    result = json.loads(capsys.readouterr().out)["results"][0]
+                    series = series_by_multiplication(n, subset, -len(subset), d)
+                    expected = Polynomial.zero(n)
+                    for k in range(1, d + 1):
+                        expected = expected + series[k] * binomial(d - 1, k - 1)
+                    assert result["in_ideal"] is vanished, (lam, subset, d)
+                    assert result["gamma_polynomial"] == expected.render("u"), (lam, subset, d)
+                    assert code == (0 if result["ok"] else 1)
 
 
 class TestRelationsInV:

@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tanisaki.groebner import buchberger, normal_form
-from tanisaki.ideals import k_tanisaki_generators, tanisaki_generators
-from tanisaki.lambda_ring import VirtualClass, gamma_op, lambda_series
+from tanisaki.ideals import k_tanisaki_generators, lambda_coefficient, tanisaki_generators
+from tanisaki.lambda_ring import gamma_op
 from tanisaki.linalg import _invariant_factors_sparse, smith_normal_form
 from tanisaki.partitions import Partition, enumerate_partitions
 from tanisaki.polynomial import Polynomial, binomial
 
-from conftest import random_path_normal_form, random_polynomial
+from conftest import lambda_coefficients, random_path_normal_form, random_polynomial
 
 
 def polynomials(n, max_terms=4):
@@ -131,7 +131,7 @@ class TestNormalFormRemainder:
         gen = random.Random(23)
         cases = 0
         for gb in bases:
-            lms = gb.leading_monomials()
+            lms = gb.engine.exponents
             for _ in range(25):
                 p = random_polynomial(gen, gb.n, max_terms=6, max_exp=4, rational=True)
                 c = Fraction(gen.choice((-1, 1)) * gen.randint(1, 9), gen.randint(1, 9))
@@ -155,12 +155,9 @@ class TestLambdaMultiplicativity:
             lines_y = tuple(gen.randint(1, n) for _ in range(gen.randint(0, 3)))
             sx, sy = gen.randint(-3, 3), gen.randint(-3, 3)
             trunc = gen.randint(1, 4)
-            x = VirtualClass(n, lines_x, sx)
-            y = VirtualClass(n, lines_y, sy)
-            both = VirtualClass(n, tuple(sorted(lines_x + lines_y)), sx + sy)
-            a = lambda_series(x, trunc)
-            b = lambda_series(y, trunc)
-            c = lambda_series(both, trunc)
+            a = lambda_coefficients(n, lines_x, sx, trunc)
+            b = lambda_coefficients(n, lines_y, sy, trunc)
+            c = lambda_coefficients(n, lines_x + lines_y, sx + sy, trunc)
             for d in range(trunc + 1):
                 conv = Polynomial.zero(n)
                 for k in range(d + 1):
@@ -175,17 +172,17 @@ class TestGammaLambdaIdentity:
         for _ in range(120):
             n = gen.randint(1, 4)
             lines = tuple(gen.randint(1, n) for _ in range(gen.randint(0, 4)))
-            x = VirtualClass(n, lines, gen.randint(-4, 3))
+            shift = gen.randint(-4, 3)
             d = gen.randint(1, 4)
-            lhs = lambda_series(VirtualClass(x.n, x.lines, x.shift + d - 1), d)[d]
-            series = lambda_series(x, d)
+            lhs = lambda_coefficient(n, lines, shift + d - 1, d)
+            series = lambda_coefficients(n, lines, shift, d)
             rhs = Polynomial.zero(n)
             for k in range(1, d + 1):
                 w = binomial(d - 1, k - 1)
                 if w:
                     rhs = rhs + series[k] * w
             assert lhs == rhs
-            assert gamma_op(x, d) == rhs
+            assert gamma_op(n, lines, shift, d) == rhs
 
 
 class TestSnStability:
