@@ -27,8 +27,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from . import groebner, ideals, lambda_ring, linalg
 from .groebner import MonomialOrder, InfiniteQuotient
@@ -39,6 +39,7 @@ from .partitions import (
     check_subset,
     enumerate_partitions,
     enumerate_subsets,
+    parse_integers,
     parse_partition,
 )
 from .polynomial import monomial_text
@@ -53,12 +54,11 @@ HEAVY_SUITES = ("gamma", "lambda", "truncation", "filtration", "freeness", "stab
 ALL_SUITES = ("rank-lemma",) + HEAVY_SUITES
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     partitions: list[Partition]
     flavor: str = "both"
     convention: str = "v"
-    order: MonomialOrder = field(default_factory=lambda: MonomialOrder("degrevlex"))
+    order: MonomialOrder = groebner.DEGREVLEX
     fmt: str = "json"
     cache_dir: str | None = None
     jobs: int = 1
@@ -92,16 +92,16 @@ class WrongBasis(Exception):
     """A reduced basis whose staircase size is not the multinomial rank."""
 
 
-@dataclass
 class _Context:
     """One partition's shared work: each presentation, each basis and its
     staircase, and the gamma sweep are computed on first use, at most once,
     by whichever command or suite needs them."""
 
-    p: Partition
-    cfg: RunConfig
-    presentations: dict = field(default_factory=dict)
-    bases: dict = field(default_factory=dict)
+    def __init__(self, p: Partition, cfg: RunConfig):
+        self.p = p
+        self.cfg = cfg
+        self.presentations = {}
+        self.bases = {}
 
     def presentation(self, flavor: str, convention: str = "v"):
         """The flavor's generators (K: in the convention, which cohomology
@@ -573,11 +573,8 @@ def main(argv=None) -> int:
         elif args.command == "gamma":
             if len(partitions) != 1:
                 raise PartitionError("gamma takes exactly one partition")
-            try:
-                subset = tuple(int(t) for t in args.subset.split(","))
-            except ValueError:
-                raise PartitionError(f"bad --subset {args.subset!r}") from None
-            subset = check_subset(subset, partitions[0].n)
+            subset = check_subset(parse_integers(args.subset, "--subset position"),
+                                  partitions[0].n)
             if args.d < 0:
                 raise PartitionError("--d must be >= 0")
             # the verify sweep stops at s + 2, and gamma^d(sum [L_i] - s),

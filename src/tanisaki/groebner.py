@@ -46,10 +46,10 @@ import heapq
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .ideals import IdealPresentation
 from .polynomial import Polynomial, degrevlex_key
@@ -63,18 +63,12 @@ class InfiniteQuotient(GroebnerError):
     """The staircase has an infinite ray: the quotient is not finite rank."""
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """A multiplicative total order on monomials with 1 minimal."""
+class MonomialOrder(NamedTuple):
+    """A multiplicative total order on monomials with 1 minimal; `_Packing`
+    checks the kind and the priority before any completion or normal form."""
 
     kind: str = "degrevlex"
     priority: tuple[int, ...] | None = None  # 1-based variable priority
-
-    def __post_init__(self):
-        if self.kind not in ("degrevlex", "deglex", "lex"):
-            raise GroebnerError(f"unknown monomial order {self.kind!r}")
-        if self.priority is not None:
-            object.__setattr__(self, "priority", tuple(self.priority))
 
     def key(self, exps):
         e = exps if self.priority is None else tuple(exps[j - 1] for j in self.priority)
@@ -93,14 +87,21 @@ DEGLEX = MonomialOrder("deglex")
 LEX = MonomialOrder("lex")
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
-    polys: tuple[Polynomial, ...]  # monic, auto-reduced, sorted by leading monomial
-    order: MonomialOrder
-    engine: "_Engine" = field(compare=False, repr=False)  # polys as primitive integer terms
-    source: IdealPresentation | None = field(default=None, compare=False)
-    # over Q: the primes of every number the integer completion divided by
-    primes: frozenset[int] = field(default=frozenset(), compare=False)
+    """A reduced basis, equal to another exactly when polys and order are."""
+
+    __slots__ = ("polys", "order", "engine", "source", "primes", "__weakref__")
+
+    def __init__(self, polys, order, engine, source=None, primes=frozenset()):
+        self.polys = polys  # monic, auto-reduced, sorted by leading monomial
+        self.order = order
+        self.engine = engine  # polys as primitive integer terms
+        self.source = source  # the IdealPresentation completed, or None
+        self.primes = primes  # over Q: those of every number the completion divided by
+
+    def __eq__(self, other):
+        return (isinstance(other, GroebnerBasis)
+                and (self.polys, self.order) == (other.polys, other.order))
 
     @property
     def n(self) -> int:
@@ -132,10 +133,12 @@ class _Packing:
     """
 
     def __init__(self, order: MonomialOrder, n: int):
+        sums = {"degrevlex": range(n, 1, -1), "deglex": (n,), "lex": ()}.get(order.kind)
+        if sums is None:
+            raise GroebnerError(f"unknown monomial order {order.kind!r}")
         perm = list(order.priority) if order.priority is not None else list(range(1, n + 1))
         if sorted(perm) != list(range(1, n + 1)):
             raise GroebnerError(f"priority {order.priority} is not a permutation of 1..{n}")
-        sums = {"degrevlex": range(n, 1, -1), "deglex": (n,), "lex": ()}[order.kind]
         fields = [range(1, k + 1) for k in sums] + [(k,) for k in range(1, n + 1)]
         units = [0] * n
         self.guard = 0

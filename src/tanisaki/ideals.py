@@ -12,10 +12,10 @@ cohomology generators e_d are its unshifted coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .partitions import Partition, PartitionError, check_subset, enumerate_subsets
 from .polynomial import Polynomial, binomial
@@ -24,16 +24,14 @@ COHOMOLOGY = "cohomology"
 KTHEORY = "ktheory"
 
 
-@dataclass(frozen=True)
-class GeneratorRecord:
+class GeneratorRecord(NamedTuple):
     poly: Polynomial
     subset: tuple[int, ...]
     d: int
     q: int
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
+class IdealPresentation(NamedTuple):
     partition: Partition
     flavor: str
     convention: str  # "y" | "u" | "v"

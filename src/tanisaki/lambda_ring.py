@@ -8,7 +8,7 @@ the `gamma` command both call it, in the convention of the basis's source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groebner import GroebnerBasis, GroebnerError, normal_form
 from .ideals import lambda_coefficient
@@ -28,8 +28,7 @@ def gamma_op(n: int, lines, shift: int, d: int, convention: str = "u") -> Polyno
 # -- relation sweeps -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     partition: Partition
     kind: str  # "gamma" | "lambda"
     rows: tuple[tuple[tuple[int, ...], int, bool], ...]  # (subset, d, vanished)

@@ -22,9 +22,9 @@ the quotient in degree d.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from math import comb
 from operator import add
+from typing import NamedTuple
 
 from .ideals import IdealPresentation
 from .partitions import Partition, garsia_procesi_series
@@ -246,8 +246,7 @@ def jordan_matrix(partition: Partition) -> list[list[int]]:
     return mat
 
 
-@dataclass(frozen=True)
-class RankLemmaReport:
+class RankLemmaReport(NamedTuple):
     partition: Partition
     rows: tuple[tuple[int, int, int], ...]  # (s, p_dual(s), rank of J^(n-s))
     ok: bool
@@ -292,8 +291,7 @@ def verify_rank_lemma(partition: Partition) -> RankLemmaReport:
 # -- integral freeness -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(NamedTuple):
     partition: Partition
     # (d, rank of the ideal slice, torsion primes: p once per p-primary summand)
     degrees: tuple[tuple[int, int, tuple[int, ...]], ...]
@@ -343,13 +341,12 @@ def integral_freeness_check(partition: Partition, series, modular) -> FreenessRe
 # -- the filtration comparison ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
+class FiltrationReport(NamedTuple):
     partition: Partition
     rows: tuple[tuple[int, int, int, int], ...]  # (d, dim S_d, dim I_d, dim gr_d)
     verdict: bool
     mismatch_degree: int | None = None
-    findings: tuple[str, ...] = field(default=())
+    findings: tuple[str, ...] = ()
 
     def to_dict(self):
         return {

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Iterator
@@ -13,7 +12,6 @@ class PartitionError(ValueError):
     """Malformed partition input."""
 
 
-@dataclass(frozen=True)
 class Partition:
     """A weakly decreasing tuple of positive integers summing to n.
 
@@ -21,21 +19,25 @@ class Partition:
     on the fly.  Indices in every interface are 1-based.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts):
+        self.parts = parts = tuple(parts)
         for i, p in enumerate(parts):
-            if p < 1:
-                raise PartitionError(
-                    f"part {i + 1} must be a positive integer, got {p}"
-                )
+            if type(p) is not int or p < 1:
+                raise PartitionError(f"part {i + 1} must be a positive integer, got {p!r}")
             if i and parts[i - 1] < p:
-                raise PartitionError(
-                    f"parts must be weakly decreasing: part {i + 1} (={p}) "
-                    f"exceeds part {i} (={parts[i - 1]})"
-                )
+                raise PartitionError(f"parts must be weakly decreasing: part {i + 1} (={p}) "
+                                     f"exceeds part {i} (={parts[i - 1]})")
+
+    def __eq__(self, other):
+        return isinstance(other, Partition) and self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __repr__(self):
+        return f"Partition({self.parts})"
 
     @property
     def n(self) -> int:
@@ -101,18 +103,22 @@ def garsia_procesi_series(partition: Partition) -> tuple[int, ...]:
     return tuple(series)
 
 
+def parse_integers(text: str, name: str = "part") -> tuple[int, ...]:
+    """The comma-separated integers of text, each decimal digits after an
+    optional sign: int() alone would also read digit separators, "1_0" as
+    10.  Errors name the bad piece as `name` i."""
+    pieces = [t.strip() for t in text.split(",")]
+    for i, piece in enumerate(pieces):
+        if not (piece.isdecimal() or (piece[:1] in "+-" and piece[1:].isdecimal())):
+            raise PartitionError(f"{name} {i + 1} ({piece!r}) is not an integer")
+    return tuple(map(int, pieces))
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the comma-separated text form, e.g. "5,4,4,2,2,2,1"."""
-    pieces = [t.strip() for t in text.split(",")]
-    if pieces == [""]:
+    if not text.strip():
         raise PartitionError("empty partition")
-    parts = []
-    for i, piece in enumerate(pieces):
-        try:
-            parts.append(int(piece))
-        except ValueError:
-            raise PartitionError(f"part {i + 1} ({piece!r}) is not an integer") from None
-    return Partition(tuple(parts))
+    return Partition(parse_integers(text))
 
 
 def enumerate_subsets(n: int, s: int) -> Iterator[tuple[int, ...]]:
@@ -124,10 +130,12 @@ def enumerate_subsets(n: int, s: int) -> Iterator[tuple[int, ...]]:
 
 def check_subset(indices, n: int) -> tuple[int, ...]:
     """Validate 1 <= i_1 < ... < i_s <= n; return as a tuple."""
-    idx = tuple(int(i) for i in indices)
+    idx = tuple(indices)
     if not idx:
         raise PartitionError("empty index subset")
     for k, i in enumerate(idx):
+        if type(i) is not int:
+            raise PartitionError(f"position {k + 1} ({i!r}) is not an integer")
         if not 1 <= i <= n:
             raise PartitionError(f"index {i} out of range 1..{n}")
         if k and idx[k - 1] >= i:

@@ -88,11 +88,8 @@ class Polynomial:
                 if len(exps) != n or any(e < 0 or not isinstance(e, int) for e in exps):
                     raise PolynomialError(f"bad exponent vector {exps} for {n} variables")
                 canon[exps] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", canon)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Polynomial is immutable")
+        self.n = n
+        self.terms = canon
 
     # -- constructors -------------------------------------------------
 
@@ -102,8 +99,8 @@ class Polynomial:
         length-n exponent tuples, int or non-integral Fraction coefficients.
         Nothing is checked; the dict is stored, not copied."""
         p = object.__new__(cls)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "terms", terms)
+        p.n = n
+        p.terms = terms
         return p
 
     @classmethod

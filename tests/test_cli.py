@@ -1,6 +1,5 @@
 import concurrent.futures
 import csv
-import dataclasses
 import gc
 import hashlib
 import io
@@ -62,6 +61,8 @@ class TestExitCodes:
         assert cli.main(["gamma", "--partition", "2,1", "--subset", "a,b", "--d", "1"]) == 2
         capsys.readouterr()
         assert cli.main(["presentation"]) == 2  # no partitions at all
+        capsys.readouterr()
+        assert cli.main(["rank-lemma", "--partition", "0_2"]) == 2  # not read as 2
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv", [
@@ -139,7 +140,8 @@ class TestExitCodes:
         assert "--d must be <= n + 2 = 5" in captured.err
 
     @pytest.mark.parametrize("subset, named", [("9", "index 9 out of range 1..8"),
-                                               ("3,1", "position 2 (=1)")])
+                                               ("3,1", "position 2 (=1)"),
+                                               ("0_1", "position 1 ('0_1')")])
     def test_gamma_subset_checked_before_any_completion(self, capsys, monkeypatch,
                                                         subset, named):
         def completed(*args):
@@ -495,8 +497,8 @@ def planted_torsion(lam):
     pres = tanisaki_generators(lam)
     gens = list(pres.generators)
     k = next(i for i, g in enumerate(gens) if g.d == 1 and len(g.subset) == lam.n)
-    gens[k] = dataclasses.replace(gens[k], poly=gens[k].poly * 2)
-    return dataclasses.replace(pres, generators=tuple(gens))
+    gens[k] = gens[k]._replace(poly=gens[k].poly * 2)
+    return pres._replace(generators=tuple(gens))
 
 
 MEMBERSHIP_SUITES = ("--suite", "gamma", "--suite", "lambda", "--suite", "truncation",
@@ -705,11 +707,17 @@ class TestParallel:
 
 
 def test_presentation_leaves_process_pool_unimported():
+    # importing the CLI loads every layer, and neither dataclasses nor inspect
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    layers = ("groebner", "ideals", "lambda_ring", "linalg", "partitions", "polynomial")
     script = (
         "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
         "from tanisaki import cli\n"
+        "added = set(sys.modules) - before\n"
+        "print(sorted(added & {'dataclasses', 'inspect'}),"
+        f" [m for m in {layers!r} if 'tanisaki.' + m not in added])\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['presentation', '--partition', '2,1'])\n"
         "print(code, sorted(m for m in ('concurrent.futures', 'multiprocessing')"
@@ -719,7 +727,7 @@ def test_presentation_leaves_process_pool_unimported():
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.stdout == "0 []\n", proc.stderr
+    assert proc.stdout == "[] []\n0 []\n", proc.stderr
 
 
 def test_console_script_end_to_end():

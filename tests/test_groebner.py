@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -325,7 +324,7 @@ class TestHilbert:
         assert standard_monomials(gb) == [] and staircase_series([]) == ()
         pres = tanisaki_generators(Partition((2, 1)))
         unit = GeneratorRecord(Polynomial.constant(3, 2), (), 0, 0)
-        pres = dataclasses.replace(pres, generators=pres.generators + (unit,))
+        pres = pres._replace(generators=pres.generators + (unit,))
         assert hilbert_series(pres) == ()
 
     def test_rejects_inhomogeneous(self):

@@ -127,6 +127,8 @@ class TestSubsets:
             list(enumerate_subsets(3, 4))
         with pytest.raises(PartitionError):
             check_subset((2, 2), 3)
+        with pytest.raises(PartitionError, match="position 1"):
+            check_subset((1.5, 2), 3)
 
 
 class TestEnumeratePartitions:
@@ -163,6 +165,10 @@ class TestParsing:
             parse_partition("2,x")
         with pytest.raises(PartitionError):
             parse_partition("0")
+        with pytest.raises(PartitionError, match="part 1"):
+            parse_partition("1_0")
+        with pytest.raises(PartitionError, match="part 1"):
+            Partition((2.5, 1))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
