@@ -39,7 +39,7 @@ from .partitions import (
     garsia_procesi_series,
     parse_partition,
 )
-from .polynomial import Polynomial, binomial, elementary_symmetric
+from .polynomial import Polynomial, binomial
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "Polynomial",
     "binomial",
     "buchberger",
-    "elementary_symmetric",
     "enumerate_partitions",
     "enumerate_subsets",
     "equivalent_lambda_relations",

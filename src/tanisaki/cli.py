@@ -6,9 +6,10 @@ All output is deterministic for a fixed configuration; wall-clock timings
 (sweep only) are the single exception.
 
 Every basis a command reads comes from `_Context.basis`: one completion
-and one staircase walk per (flavor, convention, order) and partition, and
-a basis whose staircase size is not the multinomial rank exits 1 (stderr
-names the flavor) before any report is written.
+per (flavor, convention, order) and partition, one staircase walk per
+order and set of leading monomials (cohomology and K share it when theirs
+coincide), and a basis whose staircase size is not the multinomial rank
+exits 1 (stderr names the flavor) before any report is written.
 
 Run as `python -m tanisaki.cli`, the process ends with a hard exit: once
 `main` has returned its code, stdout and stderr are flushed and `os._exit`
@@ -93,8 +94,8 @@ class WrongBasis(Exception):
 
 
 class _Context:
-    """One partition's shared work: each presentation, each basis and its
-    staircase, and the gamma sweep are computed on first use, at most once,
+    """One partition's shared work: each presentation, each basis, each
+    staircase and the gamma sweep are computed on first use, at most once,
     by whichever command or suite needs them."""
 
     def __init__(self, p: Partition, cfg: RunConfig):
@@ -102,6 +103,7 @@ class _Context:
         self.cfg = cfg
         self.presentations = {}
         self.bases = {}
+        self.staircases = {}  # (order, leading exponents) -> standard monomials
 
     def presentation(self, flavor: str, convention: str = "v"):
         """The flavor's generators (K: in the convention, which cohomology
@@ -114,8 +116,9 @@ class _Context:
 
     def basis(self, flavor: str, order: MonomialOrder, convention: str = "v"):
         """The reduced basis of the flavor's presentation under the order
-        (presentation: .source), and its staircase, each completed and walked
-        once per context.
+        (presentation: .source), completed once per context, and its
+        staircase, walked once per context for each order and set of leading
+        monomials: the staircase depends on nothing else.
 
         The staircase must have the multinomial rank's size; otherwise
         WrongBasis is raised.  A basis of a larger ideal reduces every
@@ -125,7 +128,10 @@ class _Context:
         key = (pres.flavor, pres.convention, order)
         if key not in self.bases:
             gb = groebner.cached_buchberger(pres, order, self.cfg.cache_dir)
-            monos = groebner.standard_monomials(gb)
+            lead = (gb.order, tuple(gb.engine.exponents))
+            if lead not in self.staircases:
+                self.staircases[lead] = groebner.standard_monomials(gb)
+            monos = self.staircases[lead]
             rank = self.p.multinomial_rank()
             if len(monos) != rank:
                 name = "K-basis" if flavor == ideals.KTHEORY else "cohomology basis"

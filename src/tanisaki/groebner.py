@@ -45,14 +45,13 @@ import bisect
 import heapq
 import json
 import os
-import tempfile
 from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import NamedTuple
 
 from .ideals import IdealPresentation
-from .polynomial import Polynomial, degrevlex_key
+from .polynomial import Polynomial
 
 
 class GroebnerError(ValueError):
@@ -64,19 +63,12 @@ class InfiniteQuotient(GroebnerError):
 
 
 class MonomialOrder(NamedTuple):
-    """A multiplicative total order on monomials with 1 minimal; `_Packing`
-    checks the kind and the priority before any completion or normal form."""
+    """A multiplicative total order on monomials with 1 minimal, as a (kind,
+    priority) record; `_Packing` checks the kind and the priority before any
+    completion or normal form."""
 
     kind: str = "degrevlex"
     priority: tuple[int, ...] | None = None  # 1-based variable priority
-
-    def key(self, exps):
-        e = exps if self.priority is None else tuple(exps[j - 1] for j in self.priority)
-        if self.kind == "lex":
-            return e
-        if self.kind == "deglex":
-            return (sum(e), e)
-        return degrevlex_key(e)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "priority": list(self.priority) if self.priority else None}
@@ -633,6 +625,9 @@ def cached_buchberger(
     gb = buchberger(pres, order)
     if cache_dir is None:
         return gb
+    # imported here: shutil and random would otherwise load at every start
+    import tempfile
+
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:

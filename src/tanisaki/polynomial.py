@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from operator import add
 
 
@@ -189,54 +188,7 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)
 
-    def graded_component(self, d: int) -> "Polynomial":
-        if d < 0:
-            raise PolynomialError(f"degree must be >= 0, got {d}")
-        return Polynomial._of(self.n, {m: c for m, c in self.terms.items() if sum(m) == d})
-
-    def augmentation(self):
-        """Evaluation at all variables = 1."""
-        return _norm_coeff(Fraction(sum(self.terms.values())))
-
-    def evaluate(self, point):
-        point = list(point)
-        if len(point) != self.n:
-            raise PolynomialError("evaluation point has wrong length")
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            v = Fraction(c)
-            for x, e in zip(point, m):
-                if e:
-                    v *= Fraction(x) ** e
-            total += v
-        return _norm_coeff(total)
-
     # -- substitutions ------------------------------------------------
-
-    def shift_variables(self, delta) -> "Polynomial":
-        """Substitute x_j -> x_j + delta for every variable."""
-        delta = _norm_coeff(delta)
-        if delta == 0:
-            return self
-        terms = self.terms
-        weights = {}  # e -> [C(e, a) * delta^(e-a) for a = 0..e]
-        for j in range(self.n):
-            # one variable per pass: x_j^e -> sum_a C(e, a) delta^(e-a) x_j^a
-            res = {}
-            for m, c in terms.items():
-                e = m[j]
-                if not e:
-                    res[m] = res.get(m, 0) + c
-                    continue
-                w = weights.get(e)
-                if w is None:
-                    w = weights[e] = [math.comb(e, a) * delta ** (e - a) for a in range(e + 1)]
-                head, tail = m[:j], m[j + 1:]
-                for a, wa in enumerate(w):
-                    key = head + (a,) + tail
-                    res[key] = res.get(key, 0) + c * wa
-            terms = {m: c for m, c in res.items() if c}
-        return Polynomial._of(self.n, {m: _collapse(c) for m, c in terms.items()})
 
     def permute_variables(self, sigma) -> "Polynomial":
         """Substitute x_j -> x_{sigma(j)}; sigma is a 1-based bijection of [1, n]."""
@@ -291,22 +243,3 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self.n}, {self.render()})"
 
-
-def elementary_symmetric(n: int, k: int, indices: tuple[int, ...] | None = None) -> Polynomial:
-    """e_k of the selected variables (1-based; all n variables when omitted).
-
-    e_0 = 1; identically zero when k exceeds the number of selected variables.
-    """
-    if k < 0:
-        raise PolynomialError(f"elementary symmetric index must be >= 0, got {k}")
-    if indices is None:
-        indices = tuple(range(1, n + 1))
-    if len(set(indices)) != len(indices) or not all(1 <= i <= n for i in indices):
-        raise PolynomialError(f"variable indices {indices} must be distinct and in 1..{n}")
-    terms = {}
-    for chosen in combinations(indices, k):
-        e = [0] * n
-        for i in chosen:
-            e[i - 1] = 1
-        terms[tuple(e)] = 1
-    return Polynomial._of(n, terms)

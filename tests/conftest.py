@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 from operator import sub
 
 import pytest
@@ -13,7 +15,7 @@ from tanisaki.groebner import (
 )
 from tanisaki.ideals import k_tanisaki_generators, lambda_coefficient, tanisaki_generators
 from tanisaki.linalg import filtration_check, integral_freeness_check
-from tanisaki.polynomial import Polynomial
+from tanisaki.polynomial import Polynomial, PolynomialError, _norm_coeff, degrevlex_key
 
 
 def random_polynomial(rng: random.Random, n: int, max_terms=5, max_exp=3, max_coeff=9,
@@ -31,6 +33,77 @@ def random_polynomial(rng: random.Random, n: int, max_terms=5, max_exp=3, max_co
 def variables(n: int) -> list[Polynomial]:
     """The variables x_1..x_n, for writing fixtures as Python expressions."""
     return [Polynomial.variable(n, j) for j in range(1, n + 1)]
+
+
+def elementary_symmetric(n: int, k: int, indices: tuple[int, ...] | None = None) -> Polynomial:
+    """e_k of the selected variables (1-based; all n variables when omitted).
+
+    e_0 = 1; identically zero when k exceeds the number of selected variables.
+    """
+    if k < 0:
+        raise PolynomialError(f"elementary symmetric index must be >= 0, got {k}")
+    if indices is None:
+        indices = tuple(range(1, n + 1))
+    if len(set(indices)) != len(indices) or not all(1 <= i <= n for i in indices):
+        raise PolynomialError(f"variable indices {indices} must be distinct and in 1..{n}")
+    terms = {}
+    for chosen in combinations(indices, k):
+        e = [0] * n
+        for i in chosen:
+            e[i - 1] = 1
+        terms[tuple(e)] = 1
+    return Polynomial(n, terms)
+
+
+def shift_variables(p: Polynomial, delta) -> Polynomial:
+    """p with x_j -> x_j + delta substituted for every variable."""
+    delta = _norm_coeff(delta)
+    terms = p.terms
+    for j in range(p.n):
+        # one variable per pass: x_j^e -> sum_a C(e, a) delta^(e-a) x_j^a
+        res = {}
+        for m, c in terms.items():
+            for a in range(m[j] + 1):
+                key = m[:j] + (a,) + m[j + 1:]
+                res[key] = res.get(key, 0) + c * math.comb(m[j], a) * delta ** (m[j] - a)
+        terms = {m: c for m, c in res.items() if c}
+    return Polynomial(p.n, terms)
+
+
+def evaluate(p: Polynomial, point):
+    """p at the point, exactly."""
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        v = Fraction(c)
+        for x, e in zip(point, m):
+            v *= Fraction(x) ** e
+        total += v
+    return total
+
+
+def augmentation(p: Polynomial):
+    """p at all variables = 1."""
+    return sum(p.terms.values())
+
+
+def graded_component(p: Polynomial, d: int) -> Polynomial:
+    """The degree-d part of p."""
+    return Polynomial(p.n, {m: c for m, c in p.terms.items() if sum(m) == d})
+
+
+def order_key(order, exps):
+    """Sort key realizing the monomial order on exponent tuples (ascending),
+    read off the order's record rather than its packing."""
+    e = exps if order.priority is None else tuple(exps[j - 1] for j in order.priority)
+    if order.kind == "lex":
+        return e
+    if order.kind == "deglex":
+        return (sum(e), e)
+    return degrevlex_key(e)
+
+
+def leading_monomial(p: Polynomial, order):
+    return max(p.terms, key=lambda m: order_key(order, m))
 
 
 def lambda_coefficients(n, lines, shift, truncation):
@@ -62,14 +135,13 @@ def random_path_normal_form(p: Polynomial, gb, rng: random.Random) -> Polynomial
     with rng picking among the eligible reducers at every step.
 
     Shares no code with the Groebner engine: leading monomials come from
-    gb.order.key and each step cancels the largest remaining term.  On a
+    order_key and each step cancels the largest remaining term.  On a
     Groebner basis every choice must land on normal_form(p, gb)."""
-    key = gb.order.key
-    lead = [(max(g.terms, key=key), g) for g in gb.polys]
+    lead = [(leading_monomial(g, gb.order), g) for g in gb.polys]
     terms = {m: Fraction(c) for m, c in p.terms.items()}
     remainder = {}
     while terms:
-        m = max(terms, key=key)
+        m = max(terms, key=lambda e: order_key(gb.order, e))
         eligible = [(lm, g) for lm, g in lead if all(a <= b for a, b in zip(lm, m))]
         if not eligible:
             remainder[m] = terms.pop(m)
@@ -88,9 +160,8 @@ def random_path_normal_form(p: Polynomial, gb, rng: random.Random) -> Polynomial
 
 def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
     """The S-polynomial of f and g under order, over Fraction."""
-    key = order.key
-    lmf = max(f.terms, key=key)
-    lmg = max(g.terms, key=key)
+    lmf = leading_monomial(f, order)
+    lmg = leading_monomial(g, order)
     lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
     mf = {tuple(map(sub, lcm, lmf)): Fraction(1, 1) / f.terms[lmf]}
     mg = {tuple(map(sub, lcm, lmg)): Fraction(1, 1) / g.terms[lmg]}

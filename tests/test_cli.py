@@ -18,9 +18,8 @@ from tanisaki import cli, groebner, ideals, lambda_ring, linalg
 from tanisaki.ideals import k_tanisaki_generators, tanisaki_generators
 from tanisaki.partitions import Partition
 
-SCHEMA = json.load(
-    open(os.path.join(os.path.dirname(cli.__file__), "report_schema.json"))
-)
+with open(os.path.join(os.path.dirname(cli.__file__), "report_schema.json")) as fh:
+    SCHEMA = json.load(fh)
 
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
@@ -28,7 +27,8 @@ README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.
 
 def readme_examples():
     """Every `tanisaki ...` line of the README's CLI code block."""
-    text = open(README).read()
+    with open(README) as fh:
+        text = fh.read()
     block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
     return [line for line in block.splitlines() if line.startswith("tanisaki ")]
 
@@ -286,7 +286,8 @@ class TestCacheIntegration:
             fh.write("{not json")
         _, b = run_cli(capsys, *args)
         assert a == b
-        assert json.load(open(victim))  # rewritten as valid JSON
+        with open(victim) as fh:
+            assert json.load(fh)  # rewritten as valid JSON
 
     def test_redundant_cached_basis_is_not_reported(self, capsys, tmp_path):
         # a cached basis with a repeated element still presents the ideal,
@@ -467,6 +468,28 @@ class TestSharedPartitionWork:
         capsys.readouterr()
         assert keys and len(set(keys)) == len(keys)
 
+    @pytest.mark.parametrize("argv,walks", [
+        (("presentation", "--partition", "2,1", "--flavor", "both"), 1),
+        (("verify", "--n", "3"), 3),
+        (("verify", "--n", "3", "--convention", "u"), 3),
+        (("verify", "--n", "3", "--order", "lex"), 6),
+    ])
+    def test_each_staircase_walked_once(self, capsys, monkeypatch, argv, walks):
+        # the cohomology, K(u) and K(v) degrevlex bases of each partition of 3
+        # share their leading monomials, so they share one walk; a lex basis
+        # has its own
+        keys = []
+        standard_monomials = groebner.standard_monomials
+
+        def recording(gb, *args):
+            keys.append((gb.order, tuple(gb.engine.exponents)))
+            return standard_monomials(gb, *args)
+
+        monkeypatch.setattr(groebner, "standard_monomials", recording)
+        assert cli.main(list(argv)) == 0
+        capsys.readouterr()
+        assert len(keys) == walks and len(set(keys)) == walks
+
 
 class TestFiltrationFlags:
     def test_filtration_ignores_convention_and_order(self, capsys, monkeypatch):
@@ -635,6 +658,8 @@ class TestPlantedFailures:
         ("verify", "--partition", "2,1", "--suite", "freeness"),
         ("sweep", "--partition", "2,1"),
         ("presentation", "--partition", "2,1", "--flavor", "cohomology"),
+        # the K basis is walked first; the planted one gets a walk of its own
+        ("verify", "--partition", "2,1", "--suite", "gamma", "--suite", "freeness"),
     ])
     def test_point_ideal_cohomology_basis_exits_one(self, capsys, monkeypatch, argv):
         # only the filtration suite compares the cohomology staircase with
@@ -728,6 +753,19 @@ def test_presentation_leaves_process_pool_unimported():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.stdout == "[] []\n0 []\n", proc.stderr
+    # nor tempfile, shutil or random, which only a basis file write needs;
+    # -S keeps site's .pth files from loading them first
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from tanisaki import cli\n"
+        "print(sorted((set(sys.modules) - before) & {'tempfile', 'shutil', 'random'}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout == "[]\n", proc.stderr
 
 
 def test_console_script_end_to_end():

@@ -18,7 +18,13 @@ from tanisaki.linalg import _invariant_factors_sparse, smith_normal_form
 from tanisaki.partitions import Partition, enumerate_partitions
 from tanisaki.polynomial import Polynomial, binomial
 
-from conftest import lambda_coefficients, random_path_normal_form, random_polynomial
+from conftest import (
+    evaluate,
+    lambda_coefficients,
+    random_path_normal_form,
+    random_polynomial,
+    shift_variables,
+)
 
 
 def polynomials(n, max_terms=4):
@@ -83,14 +89,14 @@ class TestTrustedPath:
                   p - scalar, scalar - p, p.permute_variables(sigma)):
             assert_canonical(r)
         for delta in (1, -1, Fraction(1, 2)):
-            assert_canonical(p.shift_variables(delta))
+            assert_canonical(shift_variables(p, delta))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(exact_polynomials(3, max_terms=5),
            st.lists(st.fractions(-5, 5, max_denominator=5), min_size=3, max_size=3),
            st.sampled_from((1, -1, Fraction(1, 2))))
     def test_shift_agrees_with_evaluation(self, p, x, delta):
-        assert p.shift_variables(delta).evaluate(x) == p.evaluate([xi + delta for xi in x])
+        assert evaluate(shift_variables(p, delta), x) == evaluate(p, [xi + delta for xi in x])
 
 
 class TestConfluence:
