@@ -39,7 +39,6 @@ from .partitions import (
     PartitionError,
     check_subset,
     enumerate_partitions,
-    enumerate_subsets,
     parse_integers,
     parse_partition,
 )
@@ -206,12 +205,11 @@ def _suite_truncation(ctx: _Context) -> dict:
     gb, _ = ctx.kbasis
     failures = []
     checks = 0
-    for s in range(1, p.n + 1):
-        for subset in enumerate_subsets(p.n, s):
-            for cert in ideals.truncation_certificate(p, subset, ctx.cfg.convention):
-                checks += 1
-                if not groebner.normal_form(cert["h"], gb).is_zero():
-                    failures.append({"subset": list(subset), "m": cert["m"]})
+    for subset, _ in ideals.relation_grid(p):
+        for cert in ideals.truncation_certificate(p, subset, ctx.cfg.convention):
+            checks += 1
+            if not groebner.normal_form(cert["h"], gb).is_zero():
+                failures.append({"subset": list(subset), "m": cert["m"]})
     return {"partition": list(p.parts), "checks": checks, "failures": failures, "ok": not failures}
 
 
@@ -298,8 +296,11 @@ def cmd_verify(cfg: RunConfig) -> dict:
 
         # fork starts every worker at once: never more than there is work for
         workers = min(cfg.jobs, len(cfg.partitions))
+        # one contiguous share per worker: every task pickles the whole cfg, partitions included
+        share = -(-len(cfg.partitions) // workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_one, cfg.partitions, [cfg] * len(cfg.partitions)))
+            results = list(pool.map(_verify_one, cfg.partitions, [cfg] * len(cfg.partitions),
+                                    chunksize=share))
     else:
         results = [_verify_one(p, cfg) for p in cfg.partitions]
     return {"results": results, "ok": all(r["ok"] for r in results)}
@@ -332,16 +333,16 @@ def cmd_sweep(cfg: RunConfig) -> dict:
 def cmd_gamma(cfg: RunConfig, subset, d: int) -> dict:
     p = cfg.partitions[0]
     gb, _ = _Context(p, cfg).kbasis
-    poly, nf, vanished = lambda_ring.gamma_membership(p, gb, subset, d)
     s = len(subset)
-    q = p.dual().p_function(s)
-    claimed = d >= max(1, s + 1 - q)
+    nf = groebner.normal_form(lambda_ring.gamma_op(p.n, subset, -s, d, gb.source.convention), gb)
+    vanished = nf.is_zero()
+    claimed = d >= ideals.kept_degrees(s, p.dual().p_function(s)).start
     ok = vanished or not claimed
     result = {
         **_partition_block(p),
         "subset": list(subset),
         "d": d,
-        "gamma_polynomial": poly.render("u"),
+        "gamma_polynomial": lambda_ring.gamma_op(p.n, subset, -s, d).render("u"),
         "normal_form": nf.render(cfg.convention),
         "in_ideal": vanished,
         "claimed": claimed,
@@ -583,9 +584,9 @@ def main(argv=None) -> int:
                                   partitions[0].n)
             if args.d < 0:
                 raise PartitionError("--d must be >= 0")
-            # the verify sweep stops at s + 2, and gamma^d(sum [L_i] - s),
+            # the verify sweep stops at the last extra degree, and gamma^d(sum [L_i] - s),
             # the t^d coefficient of prod(1 + ([L_i] - 1) t), is zero for d > s
-            d_max = partitions[0].n + 2
+            d_max = ideals.extra_degrees(partitions[0].n)[-1]
             if args.d > d_max:
                 raise PartitionError(f"--d must be <= n + 2 = {d_max}, got {args.d}")
             doc = cmd_gamma(cfg, subset, args.d)

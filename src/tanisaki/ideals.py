@@ -45,27 +45,33 @@ class IdealPresentation(NamedTuple):
         return [g.poly for g in self.generators]
 
 
-def _d_range(s: int, q: int) -> range:
-    """Degrees kept for a size-s subset with q = p_dual(s): max(1, s+1-q)..s."""
-    return range(max(1, s + 1 - q), s + 1)
+def relation_grid(partition: Partition):
+    """Each nonempty subset of the n lines, size by size, with q = p_dual(s)."""
+    dual = partition.dual()
+    for s in range(1, partition.n + 1):
+        q = dual.p_function(s)
+        for subset in enumerate_subsets(partition.n, s):
+            yield subset, q
+
+
+def kept_degrees(s: int, q: int) -> range:
+    """The kept window d = s+1-q..s of a size-s subset.  It starts at d >= 1:
+    q, the sum of the s smallest dual parts, is at most s."""
+    return range(s + 1 - q, s + 1)
+
+
+def extra_degrees(s: int) -> tuple[int, int]:
+    """d = s+1 and s+2, past the window, which sweeps and certificates check."""
+    return s + 1, s + 2
 
 
 def _presentation(partition: Partition, flavor: str, convention: str, poly) -> IdealPresentation:
-    """One generator poly(subset, d, q) per size s, size-s subset and d in
-    _d_range(s, q), where q = p_dual(s).
-
-    For d >= 1 distinct (subset, d) pairs have distinct top-degree forms
-    e_d(subset), so no generator repeats.
-    """
-    n = partition.n
-    dual = partition.dual()
-    records = []
-    for s in range(1, n + 1):
-        q = dual.p_function(s)
-        for subset in enumerate_subsets(n, s):
-            for d in _d_range(s, q):
-                records.append(GeneratorRecord(poly(subset, d, q), subset, d, q))
-    return IdealPresentation(partition, flavor, convention, tuple(records))
+    """One generator poly(subset, d, q) per (subset, q) of the relation grid
+    and d in its kept window.  For d >= 1 distinct (subset, d) pairs have
+    distinct top-degree forms e_d(subset), so no generator repeats."""
+    return IdealPresentation(partition, flavor, convention, tuple(
+        GeneratorRecord(poly(subset, d, q), subset, d, q)
+        for subset, q in relation_grid(partition) for d in kept_degrees(len(subset), q)))
 
 
 def tanisaki_generators(partition: Partition) -> IdealPresentation:
@@ -147,18 +153,14 @@ def truncation_certificate(partition: Partition, subset, convention: str = "u") 
     subset = check_subset(subset, n)
     s = len(subset)
     q = partition.dual().p_function(s)
-    kept = {d: lambda_coefficient(n, subset, -q, d, convention) for d in _d_range(s, q)}
-
-    # combos[m]: dict d -> integer coefficient over the kept window
-    combos: dict[int, dict[int, int]] = {d: {d: 1} for d in kept}
+    kept = {d: lambda_coefficient(n, subset, -q, d, convention) for d in kept_degrees(s, q)}
+    combos = {d: {d: 1} for d in kept}  # m -> {kept d: integer coefficient}
     out = []
-    for m in (s + 1, s + 2):
+    for m in extra_degrees(s):
         combo: dict[int, int] = {}
         for k in range(1, q + 1):
-            lower = m - k
-            if lower < max(1, s + 1 - q):
-                continue  # e_0-like tail: h_{<=0} never occurs since q <= s
-            for d, c in combos[lower].items():
+            # m - k >= m - q lies in the kept window or is s + 1, already combined
+            for d, c in combos[m - k].items():
                 combo[d] = combo.get(d, 0) - comb(q, k) * c
         combo = {d: c for d, c in combo.items() if c}
         combos[m] = combo
@@ -166,8 +168,6 @@ def truncation_certificate(partition: Partition, subset, convention: str = "u") 
         for d, c in combo.items():
             h = h + kept[d] * c
         if h != lambda_coefficient(n, subset, -q, m, convention):
-            raise RuntimeError(
-                f"truncation recurrence failed for subset {subset}, m={m}"
-            )
+            raise RuntimeError(f"truncation recurrence failed for subset {subset}, m={m}")
         out.append({"m": m, "h": h, "combination": combo})
     return out

@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .groebner import GroebnerBasis, GroebnerError, normal_form
-from .ideals import lambda_coefficient
-from .partitions import Partition, PartitionError, check_subset, enumerate_subsets
+from .ideals import extra_degrees, kept_degrees, lambda_coefficient, relation_grid
+from .partitions import Partition, PartitionError
 from .polynomial import Polynomial
 
 
@@ -49,19 +49,17 @@ class RelationReport(NamedTuple):
 
 def _sweep(partition: Partition, gb: GroebnerBasis, kind: str) -> RelationReport:
     n = partition.n
-    dual = partition.dual()
     if gb.source is None:
         raise GroebnerError("relation sweeps need the basis's source presentation")
     convention = gb.source.convention
     rows = []
-    for s in range(1, n + 1):
-        q = dual.p_function(s)
-        for subset in enumerate_subsets(n, s):
-            for d in range(s + 1 - q, s + 3):
-                # gamma^d(x - s), or its equivalent lambda form lambda^d(x - q)
-                poly = (gamma_op(n, subset, -s, d, convention) if kind == "gamma"
-                        else lambda_coefficient(n, subset, -q, d, convention))
-                rows.append((subset, d, normal_form(poly, gb).is_zero()))
+    for subset, q in relation_grid(partition):
+        s = len(subset)
+        for d in (*kept_degrees(s, q), *extra_degrees(s)):
+            # gamma^d(x - s), or its equivalent lambda form lambda^d(x - q)
+            poly = (gamma_op(n, subset, -s, d, convention) if kind == "gamma"
+                    else lambda_coefficient(n, subset, -q, d, convention))
+            rows.append((subset, d, normal_form(poly, gb).is_zero()))
     return RelationReport(partition, kind, tuple(rows), all(good for _, _, good in rows))
 
 
@@ -74,14 +72,3 @@ def verify_gamma_relations(partition: Partition, gb: GroebnerBasis) -> RelationR
 def equivalent_lambda_relations(partition: Partition, gb: GroebnerBasis) -> RelationReport:
     """The equivalent exterior-power form lambda^d(sum [L_i] - q) = 0."""
     return _sweep(partition, gb, "lambda")
-
-
-def gamma_membership(partition: Partition, gb: GroebnerBasis, subset, d: int):
-    """gamma^d(sum [L_i] - s) for one subset: (polynomial in u, normal form, vanished)."""
-    if gb.source is None:
-        raise GroebnerError("gamma membership needs the basis's source presentation")
-    n = partition.n
-    subset = check_subset(subset, n)
-    poly = gamma_op(n, subset, -len(subset), d)
-    nf = normal_form(gamma_op(n, subset, -len(subset), d, gb.source.convention), gb)
-    return poly, nf, nf.is_zero()

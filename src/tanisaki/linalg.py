@@ -10,13 +10,13 @@ the primes the integer completion divided by.  Neither builds a Macaulay
 matrix.
 
 There is one elimination route: unimodular +-1 pivots (`_unit_pivots`)
-and then a dense Smith-normal-form residual (`smith_normal_form`).  It ranks
-the sparse Jordan powers of the rank lemma, and it serves the slice route
-that stays as a cross-check for small n: `_slice` builds the degree-d slice
-of a homogeneous ideal (every generator times every monomial of the
-complementary degree) and eliminates it afresh on every call.  Its rank is
-`ideal_degree_rank`, and its non-unit invariant factors are the torsion of
-the quotient in degree d.
+and then a dense Smith-normal-form residual (`smith_normal_form`).  Only
+the slice cross-check for small n eliminates on it: `_slice` builds the
+degree-d slice of a homogeneous ideal afresh on every call, its rank is
+`ideal_degree_rank` and its non-unit invariant factors are the quotient's
+torsion in degree d.  The rank lemma ranks Jordan powers, whose rows are
+zero or distinct unit vectors: `_unit_pivots` takes each row as its own
+pivot, eliminates nothing and leaves no residual for `smith_normal_form`.
 """
 
 from __future__ import annotations

@@ -183,13 +183,30 @@ def cohomology_basis(lam):
     return buchberger(tanisaki_generators(lam), DEGREVLEX)
 
 
+def kbasis(lam, order=DEGREVLEX):
+    """The K-basis in the v-convention, under order (degrevlex by default)."""
+    return buchberger(k_tanisaki_generators(lam, "v"), order)
+
+
 def series_of(gb):
     return staircase_series(standard_monomials(gb))
 
 
 def k_series(lam):
     """Per-degree K-staircase counts: v-convention, degrevlex, as verify uses."""
-    return series_of(buchberger(k_tanisaki_generators(lam, "v"), DEGREVLEX))
+    return series_of(kbasis(lam))
+
+
+def coinvariant_series_oracle(n):
+    """Coefficients of prod_{i=1}^{n} (1 + t + ... + t^(i-1))."""
+    series = [1]
+    for i in range(1, n + 1):
+        nxt = [0] * (len(series) + i - 1)
+        for a, c in enumerate(series):
+            for b in range(i):
+                nxt[a + b] += c
+        series = nxt
+    return tuple(series)
 
 
 def filtration_of(lam):

@@ -12,7 +12,6 @@ import time
 from tanisaki.groebner import (
     DEGREVLEX,
     LEX,
-    buchberger,
     hilbert_series,
     normal_form,
     standard_monomials,
@@ -31,27 +30,20 @@ from tanisaki.partitions import (
     garsia_procesi_series,
 )
 
-from conftest import cohomology_basis, filtration_of, freeness_of, series_of, shift_variables
+from conftest import (
+    cohomology_basis,
+    coinvariant_series_oracle,
+    filtration_of,
+    freeness_of,
+    kbasis,
+    series_of,
+    shift_variables,
+)
 
 
 def report(num, name, ok, extra=""):
     print(f"[criterion {num:>2}] {name}: {'PASS' if ok else 'FAIL'}{extra}")
     assert ok, f"criterion {num} ({name}) failed"
-
-
-def kbasis(lam, order=DEGREVLEX):
-    return buchberger(k_tanisaki_generators(lam, "v"), order)
-
-
-def coinvariant_series_oracle(n):
-    series = [1]
-    for i in range(1, n + 1):
-        nxt = [0] * (len(series) + i - 1)
-        for a, c in enumerate(series):
-            for b in range(i):
-                nxt[a + b] += c
-        series = nxt
-    return tuple(series)
 
 
 def test_criterion_01_k_rank_theorem():

@@ -707,8 +707,10 @@ class TestParallel:
         assert da["results"] == db["results"]
 
     def test_workers_capped_at_partition_count(self, capsys, monkeypatch):
-        # a recorder in place of the pool: it starts no process
+        # a recorder in place of the pool: it starts no process, and notes the
+        # contiguous shares that map would hand out for the chunksize it is given
         asked = []
+        shares = []
 
         class Recorder:
             def __init__(self, max_workers=None):
@@ -720,7 +722,9 @@ class TestParallel:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
+            def map(self, fn, *iterables, chunksize=1):
+                parts = [list(p.parts) for p in iterables[0]]
+                shares.append([parts[i:i + chunksize] for i in range(0, len(parts), chunksize)])
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
@@ -729,6 +733,12 @@ class TestParallel:
         assert code == 0
         assert asked == [2]
         assert doc["config"]["jobs"] == 64
+        # five partitions on two workers: one contiguous share each, in order
+        code, doc = run_json(capsys, "verify", "--n", "4", "--suite", "rank-lemma", "--jobs", "2")
+        assert code == 0
+        assert asked == [2, 2]
+        assert shares[1] == [[[4], [3, 1], [2, 2]], [[2, 1, 1], [1, 1, 1, 1]]]
+        assert [r["partition"] for r in doc["results"]] == [p for s in shares[1] for p in s]
 
 
 def test_presentation_leaves_process_pool_unimported():

@@ -34,24 +34,13 @@ from tanisaki.partitions import Partition, enumerate_partitions
 from tanisaki.polynomial import Polynomial
 
 from conftest import (
+    coinvariant_series_oracle,
     leading_monomial,
     order_key,
     random_path_normal_form,
     s_polynomial,
     variables,
 )
-
-
-def coinvariant_series_oracle(n):
-    """Coefficients of prod_{i=1}^{n} (1 + t + ... + t^(i-1))."""
-    series = [1]
-    for i in range(1, n + 1):
-        nxt = [0] * (len(series) + i - 1)
-        for a, c in enumerate(series):
-            for b in range(i):
-                nxt[a + b] += c
-        series = nxt
-    return tuple(series)
 
 
 class TestBuchberger:

@@ -9,27 +9,19 @@ from tanisaki.ideals import (
     lambda_coefficient,
     truncation_certificate,
 )
-from tanisaki.lambda_ring import (
-    equivalent_lambda_relations,
-    gamma_membership,
-    gamma_op,
-    verify_gamma_relations,
-)
+from tanisaki.lambda_ring import equivalent_lambda_relations, gamma_op, verify_gamma_relations
 from tanisaki.partitions import Partition, enumerate_partitions, enumerate_subsets
 from tanisaki.polynomial import Polynomial, binomial
 
 from conftest import (
     augmentation,
     elementary_symmetric,
+    kbasis,
     lambda_coefficients,
     series_by_multiplication,
     shift_variables,
     variables,
 )
-
-
-def kbasis(lam):
-    return buchberger(k_tanisaki_generators(lam, "v"))
 
 
 class TestLambdaSeries:
@@ -150,22 +142,20 @@ class TestRelationSweeps:
             for g in gens:
                 assert g.q == q and g.poly == series[g.d]
 
-    def test_membership_helper(self):
-        lam = Partition((3,))
-        gb = kbasis(lam)
-        poly, nf, vanished = gamma_membership(lam, gb, (1,), 1)
-        assert poly == variables(3)[0] - 1
-        assert vanished and nf.is_zero()
+    def test_membership_helper(self, capsys):
+        # the gamma command reduces gamma^d(sum [L_i] - s) on its own K-basis
+        assert cli.main(["gamma", "--partition", "3", "--subset", "1", "--d", "1"]) == 0
+        result = json.loads(capsys.readouterr().out)["results"][0]
+        assert result["gamma_polynomial"] == (variables(3)[0] - 1).render("u")
+        assert result["in_ideal"] is True
 
     def test_basis_without_source_is_refused(self):
         # the convention is read from the source presentation, never guessed
         lam = Partition((2, 1))
         gb = buchberger(k_tanisaki_generators(lam, "v").polynomials())
-        for check in (lambda: verify_gamma_relations(lam, gb),
-                      lambda: equivalent_lambda_relations(lam, gb),
-                      lambda: gamma_membership(lam, gb, (1, 2), 2)):
+        for sweep in (verify_gamma_relations, equivalent_lambda_relations):
             with pytest.raises(GroebnerError, match="source presentation"):
-                check()
+                sweep(lam, gb)
 
     def test_full_subset_relations_follow_from_flag_presentation(self):
         # s = n forces q = n: the relations must already die modulo

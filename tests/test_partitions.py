@@ -67,6 +67,8 @@ class TestPFunction:
             padded = lam.parts + (0,) * (n - len(lam.parts))
             values = [lam.p_function(s) for s in range(1, n + 1)]
             assert values == sorted(values)
+            # the s smallest of n parts summing to n sum to at most s
+            assert all(values[s - 1] <= s for s in range(1, n + 1))
             for s in range(2, n + 1):
                 assert values[s - 1] - values[s - 2] == padded[n - s]
 
