@@ -7,9 +7,14 @@ All output is deterministic for a fixed configuration; wall-clock timings
 
 Every basis a command reads comes from `_Context.basis`: one completion
 per (flavor, convention, order) and partition, one staircase walk per
-order and set of leading monomials (cohomology and K share it when theirs
-coincide), and a basis whose staircase size is not the multinomial rank
-exits 1 (stderr names the flavor) before any report is written.
+order and set of leading monomials (cohomology and K(u) share it when
+theirs coincide), and a basis whose staircase size is not the multinomial
+rank exits 1 (stderr names the flavor) before any report is written.
+The K(v) presentation is not completed: `ideals.v_certificate` checks
+that it is the Tanisaki presentation written in v, and the K(v) basis is
+then the cohomology completion under the same order.  A presentation the
+certificate refuses exits 1 the same way (stderr names the partition, the
+subset and d).
 
 Run as `python -m tanisaki.cli`, the process ends with a hard exit: once
 `main` has returned its code, stdout and stderr are flushed and `os._exit`
@@ -89,7 +94,8 @@ def _partition_block(p: Partition) -> dict:
 
 
 class WrongBasis(Exception):
-    """A reduced basis whose staircase size is not the multinomial rank."""
+    """A reduced basis whose staircase size is not the multinomial rank, or
+    a K(v) presentation that `ideals.v_certificate` refuses."""
 
 
 class _Context:
@@ -119,6 +125,13 @@ class _Context:
         staircase, walked once per context for each order and set of leading
         monomials: the staircase depends on nothing else.
 
+        The K(v) basis is not completed.  Once `ideals.v_certificate` shows
+        that the K(v) presentation is the cohomology one written in v, it is
+        the cohomology basis under the same order, with the K presentation
+        as source: the same polynomials, engine (so the same normal-form
+        memos), primes and staircase.  A refused presentation raises
+        WrongBasis naming the subset and d.
+
         The staircase must have the multinomial rank's size; otherwise
         WrongBasis is raised.  A basis of a larger ideal reduces every
         relation to 0, so without this check it would pass every membership
@@ -126,18 +139,45 @@ class _Context:
         pres = self.presentation(flavor, convention)
         key = (pres.flavor, pres.convention, order)
         if key not in self.bases:
-            gb = groebner.cached_buchberger(pres, order, self.cfg.cache_dir)
-            lead = (gb.order, tuple(gb.engine.exponents))
-            if lead not in self.staircases:
-                self.staircases[lead] = groebner.standard_monomials(gb)
-            monos = self.staircases[lead]
-            rank = self.p.multinomial_rank()
-            if len(monos) != rank:
-                name = "K-basis" if flavor == ideals.KTHEORY else "cohomology basis"
-                raise WrongBasis(f"wrong {name}: partition {self.p}: "
-                                 f"staircase size {len(monos)}, multinomial rank {rank}")
-            self.bases[key] = gb, monos
+            self.bases[key] = (self._shared_v_basis(order)
+                               if key[:2] == (ideals.KTHEORY, "v") else self._completed(pres, order))
         return self.bases[key]
+
+    def _completed(self, pres, order: MonomialOrder):
+        """pres completed under the order, and its staircase."""
+        gb = groebner.cached_buchberger(pres, order, self.cfg.cache_dir)
+        lead = (gb.order, tuple(gb.engine.exponents))
+        if lead not in self.staircases:
+            self.staircases[lead] = groebner.standard_monomials(gb)
+        monos = self.staircases[lead]
+        rank = self.p.multinomial_rank()
+        if len(monos) != rank:
+            name = "K-basis" if pres.flavor == ideals.KTHEORY else "cohomology basis"
+            raise WrongBasis(f"wrong {name}: partition {self.p}: "
+                             f"staircase size {len(monos)}, multinomial rank {rank}")
+        return gb, monos
+
+    @cached_property
+    def _certified_v(self):
+        """The K(v) presentation, once `ideals.v_certificate` has tied it to
+        the cohomology one: checked once per context, whatever the orders."""
+        pres = self.presentation(ideals.KTHEORY, "v")
+        bad = ideals.v_certificate(self.presentation(ideals.COHOMOLOGY), pres)
+        if bad is not None:
+            subset, d = bad
+            raise WrongBasis(f"K(v) presentation is not the Tanisaki ideal in v: "
+                             f"partition {self.p}: subset {','.join(map(str, subset))}, d {d}")
+        return pres
+
+    def _shared_v_basis(self, order: MonomialOrder):
+        """The cohomology basis and staircase under the order, with the
+        certified K(v) presentation as source; written to its own basis file."""
+        pres = self._certified_v
+        gb, monos = self.basis(ideals.COHOMOLOGY, order)
+        shared = groebner.GroebnerBasis(gb.polys, order, gb.engine, pres, gb.primes)
+        if self.cfg.cache_dir is not None:
+            groebner.write_basis(shared, self.cfg.cache_dir)
+        return shared, monos
 
     @property
     def kbasis(self):
@@ -216,7 +256,9 @@ def _suite_truncation(ctx: _Context) -> dict:
 def _suite_filtration(ctx: _Context) -> dict:
     """The K side is the staircase of the v-convention degrevlex basis,
     whatever --convention and --order say: the filtration is defined in the
-    v-variables and needs a degree-compatible order."""
+    v-variables and needs a degree-compatible order.  That basis is the
+    certified share of the degrevlex cohomology completion, so the suite
+    completes one basis and reads one staircase on both sides."""
     k_series = groebner.staircase_series(ctx.basis(ideals.KTHEORY, groebner.DEGREVLEX, "v")[1])
     coh_series = groebner.staircase_series(ctx.basis(ideals.COHOMOLOGY, groebner.DEGREVLEX)[1])
     return linalg.filtration_check(ctx.p, coh_series, k_series).to_dict()

@@ -36,7 +36,7 @@ cache and no switch to turn one off.
   only, before any normal form is asked for).  So every hit equals a fresh
   computation, and the engine takes the same steps, and records the same
   primes, as it would without them.
-Basis files (`cached_buchberger`) are written and never read back.
+Basis files (`write_basis`) are written and never read back.
 """
 
 from __future__ import annotations
@@ -80,7 +80,15 @@ LEX = MonomialOrder("lex")
 
 
 class GroebnerBasis:
-    """A reduced basis, equal to another exactly when polys and order are."""
+    """A reduced basis, equal to another exactly when polys and order are.
+
+    `primes` are those of the completion that built polys and engine.  A
+    basis shared by a second presentation of the same ideal (the K(v)
+    basis, which `cli` takes from the cohomology completion once
+    `ideals.v_certificate` holds) carries the primes of that completion:
+    its source differs from the completed one by a unitriangular integer
+    matrix, so both present one ideal over Z_(p) for every prime p.
+    """
 
     __slots__ = ("polys", "order", "engine", "source", "primes", "__weakref__")
 
@@ -617,14 +625,9 @@ def basis_to_dict(gb: GroebnerBasis) -> dict:
     }
 
 
-def cached_buchberger(
-    pres: IdealPresentation, order: MonomialOrder = DEGREVLEX, cache_dir: str | None = None
-) -> GroebnerBasis:
-    """Completion; with a cache_dir, the basis is also written there
+def write_basis(gb: GroebnerBasis, cache_dir: str) -> None:
+    """Write gb to its file under cache_dir, named for its source and order,
     atomically."""
-    gb = buchberger(pres, order)
-    if cache_dir is None:
-        return gb
     # imported here: shutil and random would otherwise load at every start
     import tempfile
 
@@ -634,9 +637,19 @@ def cached_buchberger(
         with os.fdopen(fd, "w") as fh:
             json.dump(basis_to_dict(gb), fh, sort_keys=True, indent=2)
             fh.write("\n")
-        os.replace(tmp, cache_path(pres, order, cache_dir))
+        os.replace(tmp, cache_path(gb.source, gb.order, cache_dir))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def cached_buchberger(
+    pres: IdealPresentation, order: MonomialOrder = DEGREVLEX, cache_dir: str | None = None
+) -> GroebnerBasis:
+    """Completion; with a cache_dir, the basis is also written there
+    (`write_basis`)."""
+    gb = buchberger(pres, order)
+    if cache_dir is not None:
+        write_basis(gb, cache_dir)
     return gb

@@ -8,6 +8,17 @@ truncation certificates and the lambda/gamma operations of `lambda_ring`, is
 one exterior-power coefficient built by `lambda_coefficient`, the one place
 that expands the line product and weights it for the convention; the
 cohomology generators e_d are its unshifted coefficients.
+
+In v the two presentations are one ideal.  For a size-s subset S with
+q = p_dual(s) and d in the kept window s+1-q..s,
+
+    h_d(v_S) = sum_{k = s+1-q}^{d} C(s-q-k, d-k) e_k(v_S),
+
+since the weight of e_k(v_S) vanishes for k <= s-q < d.  The k = d weight
+is 1, so over each subset's kept window the K(v) generators are a
+unitriangular integer matrix times the cohomology generators: the K(v)
+ideal is the Tanisaki ideal written in v, over Z and modulo every prime.
+`v_certificate` checks this identity on the built polynomials.
 """
 
 from __future__ import annotations
@@ -136,6 +147,38 @@ def k_tanisaki_generators(partition: Partition, convention: str = "u") -> IdealP
     n = partition.n
     return _presentation(partition, KTHEORY, convention,
                          lambda subset, d, q: lambda_coefficient(n, subset, -q, d, convention))
+
+
+def v_certificate(cohomology: IdealPresentation, kv: IdealPresentation):
+    """The first (subset, d) at which kv is not the unitriangular image of
+    the cohomology presentation, or None when the two present one ideal.
+
+    Each record (S, d, q) of kv must have d in its kept window and a
+    polynomial whose terms are those of sum_k C(s-q-k, d-k) e_k over the
+    built cohomology records (S, k), k = s+1-q..d; a missing (S, k) fails
+    at (S, d).  A cohomology record with no kv record of its (S, d) fails
+    at that (S, d).  Every subset is checked: nothing is assumed of kv's
+    builder or convention label.
+    """
+    e = {(g.subset, g.d): g.poly for g in cohomology.generators}
+    unmatched = dict.fromkeys(e)
+    for g in kv.generators:
+        s = len(g.subset)
+        window = kept_degrees(s, g.q)
+        if g.d not in window:
+            return g.subset, g.d
+        unmatched.pop((g.subset, g.d), None)
+        terms = {}
+        for k in range(window.start, g.d + 1):
+            ek = e.get((g.subset, k))
+            if ek is None:
+                return g.subset, g.d
+            w = binomial(s - g.q - k, g.d - k)
+            for m, c in ek.terms.items():
+                terms[m] = terms.get(m, 0) + w * c
+        if {m: c for m, c in terms.items() if c} != g.poly.terms:
+            return g.subset, g.d
+    return next(iter(unmatched), None)
 
 
 def truncation_certificate(partition: Partition, subset, convention: str = "u") -> list[dict]:

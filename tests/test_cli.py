@@ -16,7 +16,7 @@ import pytest
 
 from tanisaki import cli, groebner, ideals, lambda_ring, linalg
 from tanisaki.ideals import k_tanisaki_generators, tanisaki_generators
-from tanisaki.partitions import Partition
+from tanisaki.partitions import Partition, enumerate_partitions
 
 with open(os.path.join(os.path.dirname(cli.__file__), "report_schema.json")) as fh:
     SCHEMA = json.load(fh)
@@ -306,17 +306,36 @@ class TestCacheIntegration:
 
 
     def test_verify_writes_every_basis_it_completes(self, capsys, tmp_path):
-        # with --order lex the run completes three bases per partition: the
-        # K basis in the run's order, and the degrevlex cohomology and K(v)
-        # bases that the filtration and freeness suites read
+        # with --order lex the run completes two bases per partition, the
+        # cohomology basis in the run's order and the degrevlex one that the
+        # filtration and freeness suites read; each K(v) basis shares the
+        # cohomology completion of its order and is written beside it
         code, _ = run_cli(capsys, "verify", "--n", "3", "--order", "lex",
                           "--cache-dir", str(tmp_path))
         assert code == 0
         assert sorted(os.listdir(tmp_path)) == [
             f"gb_{parts}_{kind}.json"
             for parts in ("1-1-1", "2-1", "3")
-            for kind in ("cohomology_y_degrevlex", "ktheory_v_degrevlex", "ktheory_v_lex")
+            for kind in ("cohomology_y_degrevlex", "cohomology_y_lex",
+                         "ktheory_v_degrevlex", "ktheory_v_lex")
         ]
+
+    def test_shared_kv_basis_file_matches_the_direct_completion(self, capsys, tmp_path):
+        # the K(v) file is written from the shared basis, with the name and
+        # bytes a completion of the K(v) presentation itself would give
+        lam = Partition((3, 2, 1))
+        run, direct = tmp_path / "run", tmp_path / "direct"
+        for order in ("degrevlex", "lex"):
+            code, _ = run_cli(capsys, "presentation", "--partition", str(lam),
+                              "--order", order, "--cache-dir", str(run))
+            assert code == 0
+            groebner.cached_buchberger(k_tanisaki_generators(lam, "v"),
+                                       groebner.MonomialOrder(order), str(direct))
+        [name, name_lex] = sorted(os.listdir(direct))
+        assert name == "gb_3-2-1_ktheory_v_degrevlex.json"
+        assert name_lex == "gb_3-2-1_ktheory_v_lex.json"
+        for f in (name, name_lex):
+            assert (run / f).read_bytes() == (direct / f).read_bytes()
 
 
 class TestCacheCertification:
@@ -468,6 +487,56 @@ class TestSharedPartitionWork:
         capsys.readouterr()
         assert keys and len(set(keys)) == len(keys)
 
+    @pytest.mark.parametrize("convention,per_call", [("v", 1), ("u", 2)])
+    def test_presentation_completes_once_per_partition_in_v(self, capsys, monkeypatch,
+                                                            convention, per_call):
+        # in v the K-basis is the certified cohomology completion; in u the
+        # K presentation is completed on its own
+        calls = []
+        buchberger = groebner.buchberger
+
+        def counting(pres, *args):
+            calls.append((pres.flavor, pres.convention))
+            return buchberger(pres, *args)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        for lam in enumerate_partitions(4):
+            calls.clear()
+            assert cli.main(["presentation", "--partition", str(lam), "--flavor", "both",
+                             "--convention", convention]) == 0
+            assert len(calls) == per_call
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("orders", [(), ("--order", "lex")])
+    def test_verify_completes_one_basis_per_partition_and_order(self, capsys, monkeypatch,
+                                                                orders):
+        # every rational completion is a cohomology one (the F_p completions
+        # of the freeness suite are not counted), and each partition's K(v)
+        # presentation is certified once, whatever the orders
+        keys = []
+        certified = []
+        buchberger = groebner.buchberger
+        v_certificate = ideals.v_certificate
+
+        def recording(pres, order=groebner.DEGREVLEX, modulus=0):
+            if not modulus:
+                keys.append((pres.partition.parts, pres.flavor, order.kind))
+            return buchberger(pres, order, modulus)
+
+        def certifying(cohomology, kv):
+            certified.append(kv.partition.parts)
+            return v_certificate(cohomology, kv)
+
+        monkeypatch.setattr(groebner, "buchberger", recording)
+        monkeypatch.setattr(ideals, "v_certificate", certifying)
+        assert cli.main(["verify", "--n", "3", *orders]) == 0
+        capsys.readouterr()
+        kinds = {"degrevlex", *orders[1:]}
+        partitions = [(3,), (2, 1), (1, 1, 1)]
+        assert sorted(keys) == sorted((parts, ideals.COHOMOLOGY, kind)
+                                      for parts in partitions for kind in kinds)
+        assert certified == partitions
+
     @pytest.mark.parametrize("argv,walks", [
         (("presentation", "--partition", "2,1", "--flavor", "both"), 1),
         (("verify", "--n", "3"), 3),
@@ -491,6 +560,51 @@ class TestSharedPartitionWork:
         assert len(keys) == walks and len(set(keys)) == walks
 
 
+class TestSharedVBasis:
+    """The K(v) basis is the certified cohomology completion; the direct
+    K(v) completion, which no command runs, is the oracle."""
+
+    @pytest.mark.parametrize("order", [groebner.DEGREVLEX, groebner.DEGLEX, groebner.LEX])
+    def test_equals_the_direct_completion(self, order):
+        for n in range(1, 7):
+            for lam in enumerate_partitions(n):
+                ctx = cli._Context(lam, cli.RunConfig([lam], order=order))
+                gb, monos = ctx.basis(ideals.KTHEORY, order, "v")
+                coh, coh_monos = ctx.basis(ideals.COHOMOLOGY, order)
+                assert gb.polys == groebner.buchberger(k_tanisaki_generators(lam, "v"), order).polys
+                assert gb.source is ctx.presentation(ideals.KTHEORY, "v")
+                assert gb.engine is coh.engine and gb.primes == coh.primes
+                assert monos is coh_monos
+
+    def test_translated_plant_has_the_multinomial_rank(self):
+        # the staircase check cannot see the plant: the u-generators read as
+        # v present a translate of the ideal, of the same rank
+        lam = Partition((2, 1))
+        gb = groebner.buchberger(translated_kv(lam, "v"), groebner.DEGREVLEX)
+        assert len(groebner.standard_monomials(gb)) == lam.multinomial_rank()
+
+    @pytest.mark.parametrize("argv", [
+        ("presentation", "--partition", "2,1"),
+        ("presentation", "--partition", "2,1", "--flavor", "ktheory", "--format", "text"),
+        ("verify", "--partition", "2,1", "--suite", "gamma"),
+        ("gamma", "--partition", "2,1", "--subset", "1,2", "--d", "2"),
+    ])
+    def test_translated_presentation_exits_one(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "k_tanisaki_generators", translated_kv)
+        assert cli.main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: K(v) presentation is not the Tanisaki ideal in v: "
+                                "partition 2,1: subset 1,2, d 2\n")
+
+    def test_u_convention_is_completed_not_certified(self, capsys, monkeypatch):
+        # the K(u) ideal is the translate, so the plant changes nothing in u
+        args = ("verify", "--partition", "2,1", "--suite", "gamma", "--convention", "u")
+        _, plain = run_cli(capsys, *args)
+        monkeypatch.setattr(cli, "k_tanisaki_generators", translated_kv)
+        assert run_cli(capsys, *args) == (0, plain)
+
+
 class TestFiltrationFlags:
     def test_filtration_ignores_convention_and_order(self, capsys, monkeypatch):
         _, default = run_json(capsys, "verify", "--n", "4", "--suite", "filtration")
@@ -509,8 +623,14 @@ class TestFiltrationFlags:
         blocks = [r["suites"]["filtration"] for r in default["results"]]
         assert blocks == [r["suites"]["filtration"] for r in other["results"]]
         assert all(b["ok"] for b in blocks)
-        # the K(v) basis, then the cohomology basis the ideal column reads
-        assert asked == [("v", (groebner.DEGREVLEX,)), ("y", (groebner.DEGREVLEX,))] * len(blocks)
+        # only the degrevlex cohomology basis: the K(v) side shares it
+        assert asked == [("y", (groebner.DEGREVLEX,))] * len(blocks)
+
+
+def translated_kv(lam, convention="u"):
+    """The K(u) presentation of lam, labelled with the convention: in v, the
+    K-ideal translated by v_i -> v_i - 1."""
+    return k_tanisaki_generators(lam, "u")._replace(convention=convention)
 
 
 def planted_torsion(lam):
@@ -606,11 +726,13 @@ class TestPlantedFailures:
     def test_wrong_basis_exits_one_after_a_passing_run(self, capsys, monkeypatch):
         # the same checks pass first on the right basis in this process; the
         # planted full-flag basis of (1,1,1) for (2,1) is then refused by its
-        # staircase size before any suite runs
+        # staircase size before any suite runs.  The K(v) basis these suites
+        # read is the cohomology completion, so the plant goes there
         argv = ("verify", "--partition", "2,1", "--suite", "gamma", "--suite", "truncation",
                 "--suite", "stability")
         assert run_cli(capsys, *argv)[0] == 0
-        monkeypatch.setattr(groebner, "cached_buchberger", planted_basis((1, 1, 1)))
+        monkeypatch.setattr(groebner, "cached_buchberger",
+                            planted_basis((1, 1, 1), ideals.COHOMOLOGY))
         assert cli.main(list(argv)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -645,13 +767,16 @@ class TestPlantedFailures:
     ])
     def test_point_ideal_basis_exits_one(self, capsys, monkeypatch, argv):
         # the point ideal of (n) holds the true one, so every relation
-        # reduces to 0 on its basis: only the staircase size tells
+        # reduces to 0 on its basis: only the staircase size tells.  In v
+        # the K-basis is the cohomology completion, so the plant goes there
         lam = Partition(tuple(int(t) for t in argv[2].split(",")))
-        monkeypatch.setattr(groebner, "cached_buchberger", planted_basis((lam.n,)))
+        flavor, name = ((ideals.KTHEORY, "K-basis") if "--convention" in argv
+                        else (ideals.COHOMOLOGY, "cohomology basis"))
+        monkeypatch.setattr(groebner, "cached_buchberger", planted_basis((lam.n,), flavor))
         assert cli.main(list(argv)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert (f"error: wrong K-basis: partition {lam}: staircase size 1, "
+        assert (f"error: wrong {name}: partition {lam}: staircase size 1, "
                 f"multinomial rank {lam.multinomial_rank()}\n") == captured.err
 
     @pytest.mark.parametrize("argv", [

@@ -8,6 +8,7 @@ from tanisaki.ideals import (
     lambda_coefficient,
     tanisaki_generators,
     truncation_certificate,
+    v_certificate,
 )
 from tanisaki.partitions import Partition, PartitionError, enumerate_partitions, enumerate_subsets
 from tanisaki.polynomial import Polynomial
@@ -196,6 +197,46 @@ class TestKGenerators:
                     assert graded_component(g.poly, g.d) == elementary_symmetric(n, g.d, g.subset)
                     assert g.poly not in seen
                     seen.add(g.poly)
+
+
+class TestVCertificate:
+    def test_holds_for_every_partition_up_to_seven(self):
+        for n in range(1, 8):
+            for lam in enumerate_partitions(n):
+                assert v_certificate(tanisaki_generators(lam), k_tanisaki_generators(lam, "v")) is None
+
+    def test_translated_presentation_is_refused(self):
+        # the u-generators read as v-polynomials: the ideal translated by
+        # v_i -> v_i - 1.  For (2,1) the first record, h_2 of {1, 2}, is
+        # v1*v2 - v1 - v2 + 1, not e_2(v_1, v_2) = v1*v2
+        lam = Partition((2, 1))
+        translated = k_tanisaki_generators(lam, "u")._replace(convention="v")
+        assert v_certificate(tanisaki_generators(lam), translated) == ((1, 2), 2)
+
+    def test_every_subset_is_checked(self):
+        # one wrong polynomial on the last subset of each size is found there
+        lam = Partition((3, 2, 1))
+        coh, kv = tanisaki_generators(lam), k_tanisaki_generators(lam, "v")
+        for s in {len(g.subset) for g in kv.generators}:
+            last = max(i for i, g in enumerate(kv.generators) if len(g.subset) == s)
+            gens = list(kv.generators)
+            gens[last] = gens[last]._replace(poly=gens[last].poly * 2)
+            g = gens[last]
+            assert v_certificate(coh, kv._replace(generators=tuple(gens))) == (g.subset, g.d)
+
+    def test_missing_records_fail_at_their_subset_and_degree(self):
+        lam = Partition((2, 1))
+        coh, kv = tanisaki_generators(lam), k_tanisaki_generators(lam, "v")
+        # a K record whose cohomology record (S, k) is missing
+        g = kv.generators[-1]
+        dropped = tuple(c for c in coh.generators if (c.subset, c.d) != (g.subset, g.d))
+        assert v_certificate(coh._replace(generators=dropped), kv) == (g.subset, g.d)
+        # a cohomology record with no K record: the K ideal could be smaller
+        assert v_certificate(coh, kv._replace(generators=kv.generators[:-1])) == (g.subset, g.d)
+        # a K record outside its kept window
+        low = g._replace(d=g.d - g.q)
+        assert v_certificate(coh, kv._replace(generators=kv.generators + (low,))) == (
+            low.subset, low.d)
 
 
 class TestStability:
