@@ -7,9 +7,11 @@ All output is deterministic for a fixed configuration; wall-clock timings
 
 Every basis a command reads comes from `_Context.basis`: one completion
 per (flavor, convention, order) and partition, one staircase walk per
-order and set of leading monomials (cohomology and K(u) share it when
-theirs coincide), and a basis whose staircase size is not the multinomial
-rank exits 1 (stderr names the flavor) before any report is written.
+order (cohomology, K(u) and K(v) share their leading monomials under every
+order, since u_i = v_i + 1 sends a monomial to itself plus monomials that
+properly divide it), and a basis whose staircase size is not the
+multinomial rank exits 1 (stderr names the flavor) before any report is
+written.  No command eliminates: `linalg` judges counts and series.
 The K(v) presentation is not completed: `ideals.v_certificate` checks
 that it is the Tanisaki presentation written in v, and the K(v) basis is
 then the cohomology completion under the same order.  A presentation the
@@ -123,7 +125,8 @@ class _Context:
         """The reduced basis of the flavor's presentation under the order
         (presentation: .source), completed once per context, and its
         staircase, walked once per context for each order and set of leading
-        monomials: the staircase depends on nothing else.
+        monomials: the staircase depends on nothing else, and the flavors
+        and conventions share their leading monomials under every order.
 
         The K(v) basis is not completed.  Once `ideals.v_certificate` shows
         that the K(v) presentation is the cohomology one written in v, it is
@@ -254,14 +257,12 @@ def _suite_truncation(ctx: _Context) -> dict:
 
 
 def _suite_filtration(ctx: _Context) -> dict:
-    """The K side is the staircase of the v-convention degrevlex basis,
-    whatever --convention and --order say: the filtration is defined in the
-    v-variables and needs a degree-compatible order.  That basis is the
-    certified share of the degrevlex cohomology completion, so the suite
-    completes one basis and reads one staircase on both sides."""
-    k_series = groebner.staircase_series(ctx.basis(ideals.KTHEORY, groebner.DEGREVLEX, "v")[1])
-    coh_series = groebner.staircase_series(ctx.basis(ideals.COHOMOLOGY, groebner.DEGREVLEX)[1])
-    return linalg.filtration_check(ctx.p, coh_series, k_series).to_dict()
+    """The staircase of the v-convention degrevlex K-basis, whatever
+    --convention and --order say: the filtration is defined in the
+    v-variables and needs a degree-compatible order.  Asking for that basis
+    runs the certificate, and its staircase is the cohomology one."""
+    monos = ctx.basis(ideals.KTHEORY, groebner.DEGREVLEX, "v")[1]
+    return linalg.filtration_check(ctx.p, groebner.staircase_series(monos)).to_dict()
 
 
 def _suite_freeness(ctx: _Context) -> dict:

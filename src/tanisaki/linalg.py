@@ -1,22 +1,16 @@
-"""Exact linear algebra: the verdicts of the filtration and freeness
-checks, the rank lemma, and the slice route that cross-checks them.
+"""Exact linear algebra: the verdicts of the rank lemma and of the
+filtration and freeness checks, and the slice oracle of the tests.
 
-This module never imports the Groebner engine.  The filtration and freeness
-checks receive staircase series (standard monomials per degree) from their
-caller and judge them: the filtration check against the Garsia-Procesi
-series of the partition, computed from the partition alone, and the
-freeness check against the staircases of the same generators over F_p for
-the primes the integer completion divided by.  Neither builds a Macaulay
-matrix.
+No command eliminates.  The rank lemma counts the rows of Jordan powers,
+which are zero or distinct unit vectors.  The filtration and freeness
+checks judge staircase series (standard monomials per degree) that their
+caller passes in: against the Garsia-Procesi series of the partition, and
+against the staircases of the same generators over F_p for the primes the
+integer completion divided by.  This module never imports the Groebner
+engine.
 
-There is one elimination route: unimodular +-1 pivots (`_unit_pivots`)
-and then a dense Smith-normal-form residual (`smith_normal_form`).  Only
-the slice cross-check for small n eliminates on it: `_slice` builds the
-degree-d slice of a homogeneous ideal afresh on every call, its rank is
-`ideal_degree_rank` and its non-unit invariant factors are the quotient's
-torsion in degree d.  The rank lemma ranks Jordan powers, whose rows are
-zero or distinct unit vectors: `_unit_pivots` takes each row as its own
-pivot, eliminates nothing and leaves no residual for `smith_normal_form`.
+The last section is the elimination route (+-1 pivots, then a Smith
+residual) and the degree-d slices of an ideal that the tests eliminate on.
 """
 
 from __future__ import annotations
@@ -31,7 +25,191 @@ from .partitions import Partition, garsia_procesi_series
 from .polynomial import Polynomial
 
 
-# -- Smith normal form --------------------------------------------------
+def dim_graded_piece(n: int, d: int) -> int:
+    return comb(d + n - 1, n - 1)
+
+
+# -- Jordan form and the rank lemma ---------------------------------------
+
+
+def jordan_matrix(partition: Partition) -> list[list[int]]:
+    """Block-diagonal nilpotent matrix with the partition's block sizes."""
+    n = partition.n
+    mat = [[0] * n for _ in range(n)]
+    offset = 0
+    for p in partition.parts:
+        for i in range(p - 1):
+            mat[offset + i][offset + i + 1] = 1
+        offset += p
+    return mat
+
+
+class RankLemmaReport(NamedTuple):
+    partition: Partition
+    rows: tuple[tuple[int, int, int], ...]  # (s, p_dual(s), rank of J^(n-s))
+    ok: bool
+
+    def to_dict(self):
+        return {
+            "partition": list(self.partition.parts),
+            "rows": [{"s": s, "p_dual": p, "jordan_rank": r} for s, p, r in self.rows],
+            "ok": self.ok,
+        }
+
+
+def verify_rank_lemma(partition: Partition) -> RankLemmaReport:
+    """Check p_dual(s) == rank(J^(n-s)) for every s in 1..n.  The powers
+    of J are sparse rows {col: value}; their nonzero rows must be distinct
+    unit vectors (ValueError otherwise), so the rank is their count."""
+    n = partition.n
+    dual = partition.dual()
+    jrows = [{c: v for c, v in enumerate(row) if v} for row in jordan_matrix(partition)]
+    power = [{i: 1} for i in range(n)]  # J^0
+    ranks = [0] * (n + 1)  # ranks[k] = rank(J^k)
+    for k in range(n + 1):
+        nonzero = [row for row in power if row]
+        units = {c for row in nonzero if len(row) == 1 for c, v in row.items() if v == 1}
+        if len(units) < len(nonzero):
+            raise ValueError(f"the nonzero rows of J^{k} are not distinct unit vectors")
+        ranks[k] = len(nonzero)
+        if k < n:
+            nxt = []
+            for row in power:
+                acc = {}
+                for c, v in row.items():
+                    for j, w in jrows[c].items():
+                        acc[j] = acc.get(j, 0) + v * w
+                nxt.append({j: v for j, v in acc.items() if v})
+            power = nxt
+    rows = []
+    ok = True
+    for s in range(1, n + 1):
+        p = dual.p_function(s)
+        r = ranks[n - s]
+        rows.append((s, p, r))
+        ok = ok and p == r
+    return RankLemmaReport(partition, tuple(rows), ok)
+
+
+# -- integral freeness -----------------------------------------------------
+
+
+class FreenessReport(NamedTuple):
+    partition: Partition
+    # (d, rank of the ideal slice, torsion primes: p once per p-primary summand)
+    degrees: tuple[tuple[int, int, tuple[int, ...]], ...]
+    ok: bool
+
+    def to_dict(self):
+        return {
+            "partition": list(self.partition.parts),
+            "degrees": [
+                {"d": d, "rank": r, "nonunit_factors": list(f)} for d, r, f in self.degrees
+            ],
+            "ok": self.ok,
+        }
+
+
+def _count(series, d: int) -> int:
+    """series[d], and 0 past its end."""
+    return series[d] if d < len(series) else 0
+
+
+def integral_freeness_check(partition: Partition, series, modular) -> FreenessReport:
+    """Check that the cohomology quotient M = Z[y]/I is Z-free, from a prime
+    certificate of the integer completion of I.
+
+    series[d] counts the degree-d standard monomials of I over Q, so the
+    ideal slice has rank dim S_d - series[d].  modular maps each prime p the
+    integer completion divided by to the staircase series, through degree
+    dim + 1, of the same generators completed over F_p.  At every other prime
+    the completion is valid over Z_(p), so M_(p) is free on the staircase.  At
+    p in modular, dim (M/pM)_d = series[d] + the number of p-primary summands
+    of M_d, so each excess count is a torsion summand, listed as p in degree
+    d for d = 1..dim + 1.
+    """
+    n = partition.n
+    degrees = []
+    for d in range(1, partition.springer_dimension() + 2):
+        torsion = []
+        for p in sorted(modular):
+            excess = _count(modular[p], d) - _count(series, d)
+            if excess < 0:
+                raise ValueError(f"F_{p} staircase below the rational one in degree {d}")
+            torsion += [p] * excess
+        degrees.append((d, dim_graded_piece(n, d) - _count(series, d), tuple(torsion)))
+    return FreenessReport(partition, tuple(degrees), not any(t for _, _, t in degrees))
+
+
+# -- the filtration comparison ---------------------------------------------
+
+
+class FiltrationReport(NamedTuple):
+    partition: Partition
+    rows: tuple[tuple[int, int, int, int], ...]  # (d, dim S_d, dim I_d, dim gr_d)
+    verdict: bool
+    mismatch_degree: int | None = None
+    findings: tuple[str, ...] = ()
+
+    def to_dict(self):
+        return {
+            "partition": list(self.partition.parts),
+            "rows": [
+                {"d": d, "dim_S": s, "dim_ideal": i, "dim_gr": g}
+                for d, s, i, g in self.rows
+            ],
+            "verdict": "pass" if self.verdict else "fail",
+            "ok": self.verdict,
+            "mismatch_degree": self.mismatch_degree,
+            "findings": list(self.findings),
+        }
+
+
+def filtration_check(partition: Partition, series) -> FiltrationReport:
+    """Judge the degree filtration of the K-ideal from one staircase series.
+
+    series[d] counts the degree-d standard monomials of the degrevlex basis
+    of the K(v) ideal, the cohomology ideal written in v; past its end it
+    counts 0.  The ideal column is dim S_d - series[d], and so is the gr
+    column, since under degrevlex in(I) = in(gr I).  Per degree it must be
+    dim S_d - GP_d, GP the Garsia-Procesi series, and the quotient must
+    have the multinomial rank.
+    """
+    n = partition.n
+    top = partition.springer_dimension() + 1
+    gp = garsia_procesi_series(partition)
+    s_dims = [dim_graded_piece(n, d) for d in range(top + 1)]
+    ideal_dims = [s_dims[d] - _count(series, d) for d in range(top + 1)]
+    gp_dims = [s_dims[d] - _count(gp, d) for d in range(top + 1)]
+    mismatch = next((d for d in range(top + 1) if ideal_dims[d] != gp_dims[d]), None)
+
+    findings = []
+    if mismatch is not None:
+        dim = ideal_dims[mismatch]
+        findings.append(
+            f"degree {mismatch}: ideal rank {dim} and gr dimension "
+            f"{dim} vs {gp_dims[mismatch]} from the Garsia-Procesi series"
+        )
+    quotient_total = sum(s_dims[d] - ideal_dims[d] for d in range(top))  # d <= springer dim
+    cumulative_ok = (
+        quotient_total == partition.multinomial_rank() and ideal_dims[top] == s_dims[top]
+    )
+    verdict = mismatch is None and cumulative_ok
+    if not cumulative_ok:
+        findings.append(
+            f"cumulative quotient rank {quotient_total} vs multinomial "
+            f"{partition.multinomial_rank()}; top-slice ideal rank {ideal_dims[top]} "
+            f"vs {s_dims[top]}"
+        )
+    rows = tuple((d, s_dims[d], ideal_dims[d], ideal_dims[d]) for d in range(top + 1))
+    return FiltrationReport(
+        partition, rows, verdict, mismatch_degree=mismatch, findings=tuple(findings)
+    )
+
+
+# -- the tests' slice oracle ------------------------------------------------
+# No command reaches this section.  It stays in the package only because the
+# benchmark tracer wraps ideal_degree_rank.
 
 
 def smith_normal_form(matrix) -> list[int]:
@@ -178,9 +356,6 @@ def _invariant_factors_sparse(rows) -> list[int]:
     return factors
 
 
-# -- monomial bookkeeping ------------------------------------------------
-
-
 def monomials_of_degree(n: int, d: int):
     """All exponent vectors of total degree d, first variable heaviest first."""
     if n == 1:
@@ -189,13 +364,6 @@ def monomials_of_degree(n: int, d: int):
     for e in range(d, -1, -1):
         for rest in monomials_of_degree(n - 1, d - e):
             yield (e,) + rest
-
-
-def dim_graded_piece(n: int, d: int) -> int:
-    return comb(d + n - 1, n - 1)
-
-
-# -- degreewise ideal ranks ----------------------------------------------
 
 
 def _shifted_rows(poly: Polynomial, shifts, cols):
@@ -229,186 +397,3 @@ def ideal_degree_rank(pres: IdealPresentation, d: int) -> int:
     """Rank of the degree-d slice of a homogeneous ideal: the number of
     invariant factors of its elimination."""
     return _slice(pres, d)[0]
-
-
-# -- Jordan form and the rank lemma ---------------------------------------
-
-
-def jordan_matrix(partition: Partition) -> list[list[int]]:
-    """Block-diagonal nilpotent matrix with the partition's block sizes."""
-    n = partition.n
-    mat = [[0] * n for _ in range(n)]
-    offset = 0
-    for p in partition.parts:
-        for i in range(p - 1):
-            mat[offset + i][offset + i + 1] = 1
-        offset += p
-    return mat
-
-
-class RankLemmaReport(NamedTuple):
-    partition: Partition
-    rows: tuple[tuple[int, int, int], ...]  # (s, p_dual(s), rank of J^(n-s))
-    ok: bool
-
-    def to_dict(self):
-        return {
-            "partition": list(self.partition.parts),
-            "rows": [{"s": s, "p_dual": p, "jordan_rank": r} for s, p, r in self.rows],
-            "ok": self.ok,
-        }
-
-
-def verify_rank_lemma(partition: Partition) -> RankLemmaReport:
-    """Check p_dual(s) == rank(J^(n-s)) for every s in 1..n.  The powers
-    of J are kept as sparse rows {col: value} and ranked by elimination."""
-    n = partition.n
-    dual = partition.dual()
-    jrows = [{c: v for c, v in enumerate(row) if v} for row in jordan_matrix(partition)]
-    power = [{i: 1} for i in range(n)]  # J^0
-    ranks = [0] * (n + 1)  # ranks[k] = rank(J^k)
-    for k in range(n + 1):
-        ranks[k] = len(_invariant_factors_sparse(power))
-        if k < n:
-            nxt = []
-            for row in power:
-                acc = {}
-                for c, v in row.items():
-                    for j, w in jrows[c].items():
-                        acc[j] = acc.get(j, 0) + v * w
-                nxt.append({j: v for j, v in acc.items() if v})
-            power = nxt
-    rows = []
-    ok = True
-    for s in range(1, n + 1):
-        p = dual.p_function(s)
-        r = ranks[n - s]
-        rows.append((s, p, r))
-        ok = ok and p == r
-    return RankLemmaReport(partition, tuple(rows), ok)
-
-
-# -- integral freeness -----------------------------------------------------
-
-
-class FreenessReport(NamedTuple):
-    partition: Partition
-    # (d, rank of the ideal slice, torsion primes: p once per p-primary summand)
-    degrees: tuple[tuple[int, int, tuple[int, ...]], ...]
-    ok: bool
-
-    def to_dict(self):
-        return {
-            "partition": list(self.partition.parts),
-            "degrees": [
-                {"d": d, "rank": r, "nonunit_factors": list(f)} for d, r, f in self.degrees
-            ],
-            "ok": self.ok,
-        }
-
-
-def _count(series, d: int) -> int:
-    """series[d], and 0 past its end."""
-    return series[d] if d < len(series) else 0
-
-
-def integral_freeness_check(partition: Partition, series, modular) -> FreenessReport:
-    """Check that the cohomology quotient M = Z[y]/I is Z-free, from a prime
-    certificate of the integer completion of I.
-
-    series[d] counts the degree-d standard monomials of I over Q, so the
-    ideal slice has rank dim S_d - series[d].  modular maps each prime p the
-    integer completion divided by to the staircase series, through degree
-    dim + 1, of the same generators completed over F_p.  At every other prime
-    the completion is valid over Z_(p), so M_(p) is free on the staircase.  At
-    p in modular, dim (M/pM)_d = series[d] + the number of p-primary summands
-    of M_d, so each excess count is a torsion summand, listed as p in degree
-    d for d = 1..dim + 1.
-    """
-    n = partition.n
-    degrees = []
-    for d in range(1, partition.springer_dimension() + 2):
-        torsion = []
-        for p in sorted(modular):
-            excess = _count(modular[p], d) - _count(series, d)
-            if excess < 0:
-                raise ValueError(f"F_{p} staircase below the rational one in degree {d}")
-            torsion += [p] * excess
-        degrees.append((d, dim_graded_piece(n, d) - _count(series, d), tuple(torsion)))
-    return FreenessReport(partition, tuple(degrees), not any(t for _, _, t in degrees))
-
-
-# -- the filtration comparison ---------------------------------------------
-
-
-class FiltrationReport(NamedTuple):
-    partition: Partition
-    rows: tuple[tuple[int, int, int, int], ...]  # (d, dim S_d, dim I_d, dim gr_d)
-    verdict: bool
-    mismatch_degree: int | None = None
-    findings: tuple[str, ...] = ()
-
-    def to_dict(self):
-        return {
-            "partition": list(self.partition.parts),
-            "rows": [
-                {"d": d, "dim_S": s, "dim_ideal": i, "dim_gr": g}
-                for d, s, i, g in self.rows
-            ],
-            "verdict": "pass" if self.verdict else "fail",
-            "ok": self.verdict,
-            "mismatch_degree": self.mismatch_degree,
-            "findings": list(self.findings),
-        }
-
-
-def filtration_check(partition: Partition, coh_series, k_series) -> FiltrationReport:
-    """Compare the degree filtration of the K-ideal against the cohomology
-    ideal, both read from staircases and both checked against Garsia-Procesi.
-
-    coh_series[d] is the number of degree-d standard monomials of the
-    cohomology ideal, and k_series[d] that of the K-ideal in the v-convention
-    under a degree-compatible order (degrevlex); degrees past a series' end
-    count 0.  For such an order the leading monomial of f is that of its
-    top-degree form, so in(I) = in(gr I) and the gr column is
-    dim S_d - k_series[d]; the ideal column is dim S_d - coh_series[d].  Per
-    degree both must equal dim S_d - GP_d, GP the Garsia-Procesi series, and
-    the cumulative quotient rank must equal the multinomial rank.
-    """
-    n = partition.n
-    top = partition.springer_dimension() + 1
-    gp = garsia_procesi_series(partition)
-    s_dims = [dim_graded_piece(n, d) for d in range(top + 1)]
-    ideal_dims = [s_dims[d] - _count(coh_series, d) for d in range(top + 1)]
-    gr_dims = [s_dims[d] - _count(k_series, d) for d in range(top + 1)]
-    gp_dims = [s_dims[d] - _count(gp, d) for d in range(top + 1)]
-    split = next((d for d in range(top + 1) if gr_dims[d] != ideal_dims[d]), None)
-    mismatch = next(
-        (d for d in range(top + 1) if not ideal_dims[d] == gr_dims[d] == gp_dims[d]), None
-    )
-
-    findings = []
-    if split is not None:
-        findings.append(
-            f"degree {split}: gr dimension {gr_dims[split]} != ideal rank {ideal_dims[split]}"
-        )
-    if mismatch is not None:
-        findings.append(
-            f"degree {mismatch}: ideal rank {ideal_dims[mismatch]} and gr dimension "
-            f"{gr_dims[mismatch]} vs {gp_dims[mismatch]} from the Garsia-Procesi series"
-        )
-    quotient_total = sum(s_dims[d] - ideal_dims[d] for d in range(top))  # d <= springer dim
-    cumulative_ok = (
-        quotient_total == partition.multinomial_rank() and ideal_dims[top] == s_dims[top]
-    )
-    verdict = mismatch is None and cumulative_ok
-    if not cumulative_ok:
-        findings.append(
-            f"cumulative quotient rank {quotient_total} vs multinomial "
-            f"{partition.multinomial_rank()}; top-slice ideal rank {ideal_dims[top]} "
-            f"vs {s_dims[top]}"
-        )
-    rows = tuple((d, s_dims[d], ideal_dims[d], gr_dims[d]) for d in range(top + 1))
-    return FiltrationReport(
-        partition, rows, verdict, mismatch_degree=mismatch, findings=tuple(findings)
-    )

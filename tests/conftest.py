@@ -210,7 +210,11 @@ def coinvariant_series_oracle(n):
 
 
 def filtration_of(lam):
-    return filtration_check(lam, series_of(cohomology_basis(lam)), k_series(lam))
+    """The filtration report on verify's one series, once the independent
+    K(v) completion is shown to have the cohomology staircase series."""
+    series = series_of(cohomology_basis(lam))
+    assert k_series(lam) == series, lam
+    return filtration_check(lam, series)
 
 
 def freeness_of(lam):

@@ -252,6 +252,18 @@ class TestDeterminism:
         _, b = run_cli(capsys, *args)
         assert a == b
 
+    def test_convention_changes_only_the_config(self, capsys):
+        # cohomology, K(u) and K(v) give the same verdicts, details included
+        runs = {c: {fmt: run_cli(capsys, "verify", "--n", "4", "--convention", c,
+                                 "--format", fmt) for fmt in ("json", "csv", "text")}
+                for c in ("u", "v")}
+        assert runs["u"]["csv"] == runs["v"]["csv"]
+        assert runs["u"]["text"] == runs["v"]["text"]
+        (code_u, u), (code_v, v) = ((code, json.loads(out)) for code, out in
+                                    (runs["u"]["json"], runs["v"]["json"]))
+        assert (u["config"].pop("convention"), v["config"].pop("convention")) == ("u", "v")
+        assert (code_u, u) == (code_v, v)
+
     def test_sweep_deterministic_modulo_timings(self, capsys):
         _, a = run_json(capsys, "sweep", "--n", "3")
         _, b = run_json(capsys, "sweep", "--n", "3")
@@ -453,20 +465,18 @@ class TestSharedPartitionWork:
         assert len(reductions) == len(distinct) < len(pairs)
 
     def test_no_cohomology_slice_eliminated(self, capsys, monkeypatch):
-        calls = []
-        unit_pivots = linalg._unit_pivots
+        # no command eliminates: every suite runs, (2,2) has the prime 2 in
+        # its certificate, so an F_2 completion runs, and the rank lemma
+        # counts the rows of Jordan powers up to n = 8
+        def eliminating(*args):
+            raise AssertionError("a command reached the elimination route")
 
-        def counting(rows):
-            calls.append(1)
-            return unit_pivots(rows)
-
-        monkeypatch.setattr(linalg, "_unit_pivots", counting)
-        # (2,2) has the prime 2 in its certificate, so an F_2 completion runs
-        code, doc = run_json(
-            capsys, "verify", "--n", "4", "--suite", "filtration", "--suite", "freeness"
-        )
-        assert code == 0
-        assert calls == []
+        for name in ("_unit_pivots", "_invariant_factors_sparse", "smith_normal_form"):
+            monkeypatch.setattr(linalg, name, eliminating)
+        for argv in (("verify", "--n", "4"),
+                     ("verify", "--n", "4", "--convention", "u", "--order", "lex"),
+                     ("rank-lemma", "--n", "8")):
+            assert run_cli(capsys, *argv)[0] == 0, argv
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--n", "3"),
@@ -588,6 +598,10 @@ class TestSharedVBasis:
         ("presentation", "--partition", "2,1", "--flavor", "ktheory", "--format", "text"),
         ("verify", "--partition", "2,1", "--suite", "gamma"),
         ("gamma", "--partition", "2,1", "--subset", "1,2", "--d", "2"),
+        # the filtration reads the K(v) degrevlex staircase under any flags
+        ("verify", "--partition", "2,1", "--suite", "filtration"),
+        ("verify", "--partition", "2,1", "--suite", "filtration", "--convention", "u",
+         "--order", "lex"),
     ])
     def test_translated_presentation_exits_one(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(cli, "k_tanisaki_generators", translated_kv)

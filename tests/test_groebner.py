@@ -496,16 +496,26 @@ class TestEngineMemos:
 
 
 class TestSharedLeadingMonomials:
-    @pytest.mark.parametrize("convention", ["u", "v"])
-    def test_cohomology_and_k_bases_share_leading_monomials(self, convention):
-        # the CLI walks one staircase for a partition's two degrevlex bases
-        # when their leading monomials coincide, as they do through n = 6
-        for n in range(1, 7):
+    """The CLI walks one staircase per order for a partition's bases: the
+    K(v) ideal is the cohomology one in v, and u_i = v_i + 1 sends each
+    monomial to itself plus monomials that properly divide it, so no
+    leading monomial changes under any order."""
+
+    @pytest.mark.parametrize("order,max_n,convention", [
+        pytest.param(DEGREVLEX, 6, "u", id="u"),
+        pytest.param(DEGREVLEX, 6, "v", id="v"),
+        pytest.param(DEGLEX, 5, "u", id="deglex-u"),
+        pytest.param(DEGLEX, 5, "v", id="deglex-v"),
+        pytest.param(LEX, 5, "u", id="lex-u"),
+        pytest.param(LEX, 5, "v", id="lex-v"),
+    ])
+    def test_cohomology_and_k_bases_share_leading_monomials(self, order, max_n, convention):
+        for n in range(1, max_n + 1):
             for lam in enumerate_partitions(n):
-                coh, k = (buchberger(tanisaki_generators(lam)),
-                          buchberger(k_tanisaki_generators(lam, convention)))
-                assert ([leading_monomial(p, DEGREVLEX) for p in coh.polys]
-                        == [leading_monomial(p, DEGREVLEX) for p in k.polys]), lam
+                coh, k = (buchberger(tanisaki_generators(lam), order),
+                          buchberger(k_tanisaki_generators(lam, convention), order))
+                assert ([leading_monomial(p, order) for p in coh.polys]
+                        == [leading_monomial(p, order) for p in k.polys]), lam
 
 
 def brute_force_staircase(gb, max_degree=None):

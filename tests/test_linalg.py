@@ -1,5 +1,6 @@
 import pytest
 
+from tanisaki import linalg
 from tanisaki.groebner import buchberger, standard_monomials
 from tanisaki.ideals import k_tanisaki_generators, tanisaki_generators
 from tanisaki.linalg import (
@@ -16,7 +17,7 @@ from tanisaki.linalg import (
 )
 from tanisaki.partitions import Partition, enumerate_partitions
 
-from conftest import filtration_of, freeness_of, k_series
+from conftest import filtration_of, freeness_of
 
 
 def sparse_rank(matrix):
@@ -97,6 +98,29 @@ class TestRankLemma:
     def test_sweep(self, n):
         for lam in enumerate_partitions(n):
             assert verify_rank_lemma(lam).ok
+
+    def test_counts_match_the_elimination_oracle(self):
+        # rank(J^k) for k = n - s, counted by the lemma and eliminated here
+        for n in range(1, 10):
+            for lam in enumerate_partitions(n):
+                jordan = jordan_matrix(lam)
+                power = [[int(i == j) for j in range(n)] for i in range(n)]
+                ranks = []
+                for _ in range(n):
+                    ranks.append(sparse_rank(power))
+                    power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*jordan)]
+                             for row in power]
+                counted = [r for _, _, r in verify_rank_lemma(lam).rows]
+                assert counted == [ranks[n - s] for s in range(1, n + 1)], lam
+
+    @pytest.mark.parametrize("planted", [
+        [[0, 1, 0], [0, 1, 0], [0, 0, 0]],  # J e_2 repeated
+        [[0, 2, 0], [0, 0, 0], [0, 0, 0]],  # an entry of 2
+    ])
+    def test_non_unit_rows_are_refused(self, monkeypatch, planted):
+        monkeypatch.setattr(linalg, "jordan_matrix", lambda partition: planted)
+        with pytest.raises(ValueError, match=r"J\^1 are not distinct unit vectors"):
+            verify_rank_lemma(Partition((2, 1)))
 
 
 class TestIdealDegreeRank:
@@ -222,9 +246,9 @@ class TestFreeness:
 
 class TestFiltrationAgainstGarsiaProcesi:
     def test_wrong_cohomology_series_is_a_finding(self):
-        # the K side is right, so gr and ideal columns split, and the ideal
-        # column leaves the Garsia-Procesi series
+        # one standard monomial moved from degree 1 to degree 2: the total
+        # is the multinomial rank, but degree 1 leaves Garsia-Procesi
         lam = Partition((1, 1, 1))
-        rep = filtration_check(lam, (1, 1, 3, 1), k_series(lam))
+        rep = filtration_check(lam, (1, 1, 3, 1))
         assert not rep.verdict and rep.mismatch_degree == 1
         assert any("Garsia-Procesi" in f for f in rep.findings)
