@@ -43,14 +43,8 @@ class Partition:
     def n(self) -> int:
         return sum(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
 
     def dual(self) -> "Partition":
         """Conjugate partition: j-th part counts the parts of self that are >= j."""

@@ -1,8 +1,12 @@
+import functools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from operator import sub
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +179,63 @@ def random_point(rng: random.Random, n: int):
 @pytest.fixture
 def rng():
     return random.Random(20260809)
+
+
+TESTS = Path(__file__).resolve().parent
+PROPERTY_FILE = "tests/test_properties.py"
+CRITERION_11 = "tests/test_acceptance.py::test_criterion_11_property_suites_standalone"
+_standalone_run = []  # the process running the property file standalone, once started
+_from_standalone_run = set()  # property items that report the standalone run's outcome
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_collection_modifyitems(items):
+    """Each property test runs once per session.  When criterion 11 is
+    collected, `pytest tests/test_properties.py` starts in a fresh process
+    beside the session, and the file's own items report their outcome in
+    that run instead of running again.  They and criterion 11 move to the
+    end of the session, so the rest of the suite runs while they wait."""
+    ids = [item.nodeid for item in items]
+    if CRITERION_11 in ids:
+        _from_standalone_run.update(i for i in ids if i.startswith(PROPERTY_FILE + "::"))
+        items.sort(key=lambda item: item.nodeid in _from_standalone_run
+                   or item.nodeid == CRITERION_11)
+        _standalone_run.append(subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-q", "-rpfE", str(TESTS / "test_properties.py")],
+            cwd=TESTS.parent, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ))
+
+
+@functools.cache
+def standalone_property_run():
+    """Waits for the standalone run of the property file: its exit code,
+    its stdout, and the outcome word of each test id."""
+    proc = _standalone_run[0]
+    stdout, _ = proc.communicate(timeout=600)
+    outcomes = {}
+    for line in stdout.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ("PASSED", "FAILED", "ERROR"):
+            outcomes[rest.split(" - ")[0]] = word
+    return proc.returncode, stdout, outcomes
+
+
+def pytest_pyfunc_call(pyfuncitem):
+    if pyfuncitem.nodeid in _from_standalone_run:
+        _, stdout, outcomes = standalone_property_run()
+        if outcomes.get(pyfuncitem.nodeid) != "PASSED":
+            pytest.fail(f"not passed when {PROPERTY_FILE} ran standalone:\n{stdout}",
+                        pytrace=False)
+        return True
+    return None
+
+
+def pytest_sessionfinish():
+    """A session stopped before criterion 11 leaves no standalone run behind."""
+    for proc in _standalone_run:
+        if proc.returncode is None:
+            proc.kill()
+            proc.communicate()
 
 
 def cohomology_basis(lam):

@@ -4,9 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to watch the lines appear;
 every tolerance is exact equality.
 """
 
-import os
-import subprocess
-import sys
 import time
 
 from tanisaki.groebner import (
@@ -38,6 +35,7 @@ from conftest import (
     kbasis,
     series_of,
     shift_variables,
+    standalone_property_run,
 )
 
 
@@ -168,13 +166,9 @@ def test_criterion_10_oracle_groebner_cross_validation():
 
 
 def test_criterion_11_property_suites_standalone():
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q",
-         os.path.join(os.path.dirname(__file__), "test_properties.py")],
-        capture_output=True, text=True, timeout=600,
-    )
-    ok = proc.returncode == 0
-    tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    code, stdout, _ = standalone_property_run()
+    ok = code == 0
+    tail = stdout.strip().splitlines()[-1] if stdout.strip() else ""
     report(11, "randomized property suites run standalone with zero failures", ok,
            f"  [{tail}]")
 

@@ -39,6 +39,7 @@ from conftest import (
     order_key,
     random_path_normal_form,
     s_polynomial,
+    shift_variables,
     variables,
 )
 
@@ -499,7 +500,15 @@ class TestSharedLeadingMonomials:
     """The CLI walks one staircase per order for a partition's bases: the
     K(v) ideal is the cohomology one in v, and u_i = v_i + 1 sends each
     monomial to itself plus monomials that properly divide it, so no
-    leading monomial changes under any order."""
+    leading monomial changes under any order.
+
+    The bases themselves correspond too: the K(v) basis is the cohomology
+    basis, and the K(u) basis is the cohomology basis with v_i = u_i - 1
+    substituted, term for term.  The proper divisors of a leading monomial
+    of a minimal basis are standard, and so is every divisor of a standard
+    monomial, so the substituted reduced basis is already reduced.  This
+    gives ROADMAP item 14 a K(u) basis with no completion and no tail
+    reduction."""
 
     @pytest.mark.parametrize("order,max_n,convention", [
         pytest.param(DEGREVLEX, 6, "u", id="u"),
@@ -516,6 +525,10 @@ class TestSharedLeadingMonomials:
                           buchberger(k_tanisaki_generators(lam, convention), order))
                 assert ([leading_monomial(p, order) for p in coh.polys]
                         == [leading_monomial(p, order) for p in k.polys]), lam
+                if convention == "v":
+                    assert k.polys == coh.polys, lam
+                else:
+                    assert k.polys == tuple(shift_variables(p, -1) for p in coh.polys), lam
 
 
 def brute_force_staircase(gb, max_degree=None):
