@@ -1,7 +1,8 @@
 """Command-line surface: presentations, verification sweeps, reports.
 
 Commands: presentation, verify, sweep, gamma, rank-lemma.  Exit codes:
-0 all checks passed, 1 verification failure, 2 usage or configuration error.
+0 all checks passed, 1 verification failure, 2 usage or configuration error
+or a report or basis file that cannot be written.
 All output is deterministic for a fixed configuration; wall-clock timings
 (sweep only) are the single exception.
 
@@ -20,8 +21,7 @@ subset and d).
 
 Run as `python -m tanisaki.cli`, the process ends with a hard exit: once
 `main` has returned its code, stdout and stderr are flushed and `os._exit`
-ends the process without the interpreter's teardown (as mypy does).  If a
-flush raises OSError, the ordinary `sys.exit` path reports it instead.
+ends the process without the interpreter's teardown (as mypy does).
 `main` itself is a plain function that returns the exit code, so the
 console script and in-process callers see no difference.
 """
@@ -635,6 +635,15 @@ def main(argv=None) -> int:
             doc = cmd_gamma(cfg, subset, args.d)
         else:
             doc = cmd_rank_lemma(cfg)
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "tool": "tanisaki",
+            "command": args.command,
+            "config": cfg.to_dict(),
+            **doc,
+        }
+        sys.stdout.write(render_report(doc, cfg.fmt))
+        sys.stdout.flush()
     except PartitionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -644,24 +653,23 @@ def main(argv=None) -> int:
     except WrongBasis as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "tanisaki",
-        "command": args.command,
-        "config": cfg.to_dict(),
-        **doc,
-    }
-    sys.stdout.write(render_report(doc, cfg.fmt))
+    except OSError as exc:  # the report or a basis file cannot be written
+        print(f"error: cannot write {exc.filename or 'the report'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        try:  # so that the flush at interpreter exit cannot fail again
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            return 2  # an in-memory stdout has no descriptor
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 2
     return 0 if doc["ok"] else 1
 
 
 if __name__ == "__main__":
     # hard exit, as the module docstring describes
     code = main()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError:
-        sys.exit(code)
+    sys.stdout.flush()
+    sys.stderr.flush()
     os._exit(code)

@@ -63,15 +63,14 @@ class InfiniteQuotient(GroebnerError):
 
 
 class MonomialOrder(NamedTuple):
-    """A multiplicative total order on monomials with 1 minimal, as a (kind,
-    priority) record; `_Packing` checks the kind and the priority before any
-    completion or normal form."""
+    """A multiplicative total order on monomials with 1 minimal, named by its
+    kind; `_Packing` checks the kind before any completion or normal form."""
 
     kind: str = "degrevlex"
-    priority: tuple[int, ...] | None = None  # 1-based variable priority
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "priority": list(self.priority) if self.priority else None}
+        # schema 2 reports carry a priority key, which no order sets
+        return {"kind": self.kind, "priority": None}
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
@@ -122,23 +121,19 @@ class _Packing:
     monomial order (Bachmann-Schoenemann, ISSAC 1998).
 
     Fields of _FIELD bits, most significant first: the order fields, then
-    one exponent field per variable in priority order.  Degrevlex has the
-    partial sums e_1+...+e_k of the priority-permuted exponents, k = n..2
-    (e_1 itself is the top exponent field); deglex has the degree; lex has
-    none.  Every field is linear in the exponents, so a product is a sum and
-    a quotient a difference.  While every field stays below its guard bit,
-    a | b is ((b | guard) - a) & guard == guard: no field borrows from the
-    next, and each field of b keeps its guard bit exactly when it is at
-    least a's.
+    one exponent field per variable, x_1 first.  Degrevlex has the partial
+    sums e_1+...+e_k, k = n..2 (e_1 itself is the top exponent field);
+    deglex has the degree; lex has none.  Every field is linear in the
+    exponents, so a product is a sum and a quotient a difference.  While
+    every field stays below its guard bit, a | b is
+    ((b | guard) - a) & guard == guard: no field borrows from the next, and
+    each field of b keeps its guard bit exactly when it is at least a's.
     """
 
     def __init__(self, order: MonomialOrder, n: int):
         sums = {"degrevlex": range(n, 1, -1), "deglex": (n,), "lex": ()}.get(order.kind)
         if sums is None:
             raise GroebnerError(f"unknown monomial order {order.kind!r}")
-        perm = list(order.priority) if order.priority is not None else list(range(1, n + 1))
-        if sorted(perm) != list(range(1, n + 1)):
-            raise GroebnerError(f"priority {order.priority} is not a permutation of 1..{n}")
         fields = [range(1, k + 1) for k in sums] + [(k,) for k in range(1, n + 1)]
         units = [0] * n
         self.guard = 0
@@ -148,10 +143,10 @@ class _Packing:
             shift = pos * _FIELD
             self.guard |= 1 << (shift + _FIELD - 1)
             for k in ks:
-                units[perm[k - 1] - 1] += 1 << shift
+                units[k - 1] += 1 << shift
             if pos < n:
                 self.exponent_guard |= 1 << (shift + _FIELD - 1)
-                self.shifts[perm[n - pos - 1] - 1] = shift
+                self.shifts[n - pos - 1] = shift
         self.units = tuple(units)
         self.graded = order.kind != "lex"
         self.packed: dict[tuple[int, ...], int] = {}  # exponent tuple -> pack(exps)
@@ -225,12 +220,12 @@ class _Engine:
     """Mutable reduction state: parallel arrays of basis data, every
     monomial packed by the engine's _Packing.
 
-    With modulus 0 the engine works over Z and every number it divides a
-    polynomial by (a content in `add`, a periodic content in `reduce`) goes
-    into `divisors`; scaling by a multiplier mt never divides, so it is not
-    recorded.  With a prime modulus p it works over F_p: basis elements are
-    monic with coefficients in 0..p-1, so each reduction step has mt = 1, and
-    `reduce` drops a leading term that vanishes mod p.
+    With modulus 0 the engine works over Z and every content it divides a
+    polynomial by in `add` goes into `divisors`; `reduce` only scales by
+    multipliers mt and never divides, so it records nothing.  With a prime
+    modulus p it works over F_p: basis elements are monic with coefficients
+    in 0..p-1, so each reduction step has mt = 1, and `reduce` drops a
+    leading term that vanishes mod p.
     """
 
     def __init__(self, order: MonomialOrder, n: int, modulus: int = 0):
@@ -277,15 +272,14 @@ class _Engine:
 
     def reduce(self, terms):
         """Full reduction: (remainder, scale) with remainder == scale * normal
-        form and scale > 0.  Each step's reducer comes through the reducers
-        memo."""
+        form, where the int scale > 0 is the product of the step multipliers.
+        Each step's reducer comes through the reducers memo."""
         terms = dict(terms)
         remainder = {}
         scale = 1
         guard = self.packing.guard
         p = self.modulus
         memo = self.reducers
-        steps = 0
         while terms:
             lm = max(terms)
             if lm & guard:
@@ -322,25 +316,6 @@ class _Engine:
                     terms[me] = v
                 else:
                     del terms[me]
-            steps += 1
-            if steps % 64 == 0 and terms and not p:
-                g = 0
-                for v in terms.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g != 1:
-                    for v in remainder.values():
-                        g = gcd(g, v)
-                        if g == 1:
-                            break
-                if g > 1:
-                    self.divisors.add(g)
-                    scale = Fraction(scale, g)
-                    for m in terms:
-                        terms[m] //= g
-                    for m in remainder:
-                        remainder[m] //= g
         return remainder, scale
 
     def s_poly(self, i, j, lcm):
@@ -451,16 +426,15 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX, modulus: int = 0) -> Gr
     # tail-reduce to the unique auto-reduced form; leading monomials of a
     # minimal basis never change, so one pass leaves every element reduced.
     # No monomial below lm is divisible by lm, so an element never reduces
-    # its own tail: c*lm + tail becomes c*num*lm + den*r, where
-    # r == (num/den) * NF(tail)
+    # its own tail: c*lm + tail becomes c*scale*lm + r, where
+    # r == scale * NF(tail)
     final = _Engine(order, n, modulus)
     for i in kept:
         final.add(eng.terms[i])
     for pos, lm in enumerate(final.lms):
         terms = final.terms[pos]
         r, scale = final.reduce({m: c for m, c in terms.items() if m != lm})
-        num, den = scale.numerator, scale.denominator
-        r = {lm: terms[lm] * num, **{m: c * den for m, c in r.items()}}
+        r = {lm: terms[lm] * scale, **r}
         if not modulus:  # mod p the leading coefficient stays 1
             r = _primitive(r, lm, final.divisors)
         final.terms[pos] = r

@@ -98,12 +98,11 @@ def graded_component(p: Polynomial, d: int) -> Polynomial:
 def order_key(order, exps):
     """Sort key realizing the monomial order on exponent tuples (ascending),
     read off the order's record rather than its packing."""
-    e = exps if order.priority is None else tuple(exps[j - 1] for j in order.priority)
     if order.kind == "lex":
-        return e
+        return exps
     if order.kind == "deglex":
-        return (sum(e), e)
-    return degrevlex_key(e)
+        return (sum(exps), exps)
+    return degrevlex_key(exps)
 
 
 def leading_monomial(p: Polynomial, order):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import errno
 import gc
 import hashlib
 import io
@@ -973,3 +974,45 @@ def test_module_entry_point_matches_main(capsys, monkeypatch, argv, code, plante
         assert proc.stderr == b""  # the hard exit skipped the atexit hook
     assert (cli.main(list(argv)), capsys.readouterr().out.encode()) == (code, proc.stdout)
     assert proc.returncode == code
+
+
+# what the `tanisaki` console script runs
+CONSOLE_SCRIPT = "import sys\nfrom tanisaki.cli import main\nsys.exit(main())\n"
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("closed-pipe", "Broken pipe"),
+    pytest.param("/dev/full", "No space left on device", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full")),
+], ids=["closed-pipe", "dev-full"])
+@pytest.mark.parametrize("head", [["-m", "tanisaki.cli"], ["-c", CONSOLE_SCRIPT]],
+                         ids=["module", "console-script"])
+def test_unwritable_report_exits_2(target, reason, head):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if target == "closed-pipe":
+        r, fd = os.pipe()
+        os.close(r)  # closed before the child starts: every write is EPIPE
+    else:
+        fd = os.open(target, os.O_WRONLY)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *head, "rank-lemma", "--partition", "2,1", "--format", "text"],
+            stdout=fd, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+    finally:
+        os.close(fd)
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot write the report: {reason}\n")
+
+
+def test_unwritable_basis_file_exits_2(capsys, monkeypatch, tmp_path):
+    target = str(tmp_path / "gb.json")
+
+    def full(gb, cache_dir):
+        raise OSError(errno.ENOSPC, "No space left on device", target)
+
+    monkeypatch.setattr(groebner, "write_basis", full)
+    code = cli.main(["presentation", "--partition", "2,1", "--cache-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: cannot write {target}: No space left on device\n")
