@@ -6,18 +6,15 @@ or a report or basis file that cannot be written.
 All output is deterministic for a fixed configuration; wall-clock timings
 (sweep only) are the single exception.
 
-Every basis a command reads comes from `_Context.basis`: one completion
-per (flavor, convention, order) and partition, one staircase walk per
-order (cohomology, K(u) and K(v) share their leading monomials under every
-order, since u_i = v_i + 1 sends a monomial to itself plus monomials that
-properly divide it), and a basis whose staircase size is not the
-multinomial rank exits 1 (stderr names the flavor) before any report is
-written.  No command eliminates: `linalg` judges counts and series.
-The K(v) presentation is not completed: `ideals.v_certificate` checks
-that it is the Tanisaki presentation written in v, and the K(v) basis is
-then the cohomology completion under the same order.  A presentation the
-certificate refuses exits 1 the same way (stderr names the partition, the
-subset and d).
+Every basis a command reads comes from `_Context.basis`.  Only the
+cohomology presentation is completed, once per order and partition, and a
+basis whose staircase size is not the multinomial rank exits 1 before any
+report is written.  No command eliminates: `linalg` judges counts and
+series.  `ideals.k_certificate` checks that a K presentation is the
+Tanisaki one written in v (in u: after u_i = v_i + 1); the K basis is then
+the cohomology completion of the same order in the K variables, with its
+staircase.  A refused presentation exits 1 the same way (stderr names the
+convention, the partition, the subset and d).
 
 Run as `python -m tanisaki.cli`, the process ends with a hard exit: once
 `main` has returned its code, stdout and stderr are flushed and `os._exit`
@@ -97,7 +94,7 @@ def _partition_block(p: Partition) -> dict:
 
 class WrongBasis(Exception):
     """A reduced basis whose staircase size is not the multinomial rank, or
-    a K(v) presentation that `ideals.v_certificate` refuses."""
+    a K presentation that `ideals.k_certificate` refuses."""
 
 
 class _Context:
@@ -110,7 +107,7 @@ class _Context:
         self.cfg = cfg
         self.presentations = {}
         self.bases = {}
-        self.staircases = {}  # (order, leading exponents) -> standard monomials
+        self.certified = set()  # K conventions whose presentation k_certificate passed
 
     def presentation(self, flavor: str, convention: str = "v"):
         """The flavor's generators (K: in the convention, which cohomology
@@ -123,17 +120,17 @@ class _Context:
 
     def basis(self, flavor: str, order: MonomialOrder, convention: str = "v"):
         """The reduced basis of the flavor's presentation under the order
-        (presentation: .source), completed once per context, and its
-        staircase, walked once per context for each order and set of leading
-        monomials: the staircase depends on nothing else, and the flavors
-        and conventions share their leading monomials under every order.
+        (presentation: .source) and its staircase, once per context.
 
-        The K(v) basis is not completed.  Once `ideals.v_certificate` shows
-        that the K(v) presentation is the cohomology one written in v, it is
-        the cohomology basis under the same order, with the K presentation
-        as source: the same polynomials, engine (so the same normal-form
-        memos), primes and staircase.  A refused presentation raises
-        WrongBasis naming the subset and d.
+        Only the cohomology presentation is completed and walked, once per
+        order.  A K basis is that basis in the K variables, once
+        `ideals.k_certificate` (run once per convention) ties the K
+        presentation to the cohomology one.  In v it is the same polynomials
+        and engine (so the same normal-form memos); in u, the polynomials
+        with v_i = u_i - 1 substituted, on an engine built from them.  The
+        substitution moves no leading monomial, so the primes and the
+        staircase carry over.  A refused presentation raises WrongBasis
+        naming the subset and d.
 
         The staircase must have the multinomial rank's size; otherwise
         WrongBasis is raised.  A basis of a larger ideal reduces every
@@ -142,45 +139,42 @@ class _Context:
         pres = self.presentation(flavor, convention)
         key = (pres.flavor, pres.convention, order)
         if key not in self.bases:
-            self.bases[key] = (self._shared_v_basis(order)
-                               if key[:2] == (ideals.KTHEORY, "v") else self._completed(pres, order))
+            self.bases[key] = (self._completed(order) if flavor == ideals.COHOMOLOGY
+                               else self._represented(pres, order))
         return self.bases[key]
 
-    def _completed(self, pres, order: MonomialOrder):
-        """pres completed under the order, and its staircase."""
-        gb = groebner.cached_buchberger(pres, order, self.cfg.cache_dir)
-        lead = (gb.order, tuple(gb.engine.exponents))
-        if lead not in self.staircases:
-            self.staircases[lead] = groebner.standard_monomials(gb)
-        monos = self.staircases[lead]
+    def _completed(self, order: MonomialOrder):
+        """The cohomology presentation completed under the order, and its staircase."""
+        gb = groebner.cached_buchberger(self.presentation(ideals.COHOMOLOGY), order,
+                                        self.cfg.cache_dir)
+        monos = groebner.standard_monomials(gb)
         rank = self.p.multinomial_rank()
         if len(monos) != rank:
-            name = "K-basis" if pres.flavor == ideals.KTHEORY else "cohomology basis"
-            raise WrongBasis(f"wrong {name}: partition {self.p}: "
+            raise WrongBasis(f"wrong cohomology basis: partition {self.p}: "
                              f"staircase size {len(monos)}, multinomial rank {rank}")
         return gb, monos
 
-    @cached_property
-    def _certified_v(self):
-        """The K(v) presentation, once `ideals.v_certificate` has tied it to
-        the cohomology one: checked once per context, whatever the orders."""
-        pres = self.presentation(ideals.KTHEORY, "v")
-        bad = ideals.v_certificate(self.presentation(ideals.COHOMOLOGY), pres)
-        if bad is not None:
-            subset, d = bad
-            raise WrongBasis(f"K(v) presentation is not the Tanisaki ideal in v: "
-                             f"partition {self.p}: subset {','.join(map(str, subset))}, d {d}")
-        return pres
-
-    def _shared_v_basis(self, order: MonomialOrder):
-        """The cohomology basis and staircase under the order, with the
-        certified K(v) presentation as source; written to its own basis file."""
-        pres = self._certified_v
+    def _represented(self, pres, order: MonomialOrder):
+        """The cohomology basis and staircase under the order, in the
+        variables of the certified K presentation pres; written to its own
+        basis file."""
+        conv = pres.convention
+        if conv not in self.certified:
+            bad = ideals.k_certificate(self.presentation(ideals.COHOMOLOGY), pres)
+            if bad is not None:
+                subset, d = bad
+                raise WrongBasis(f"K({conv}) presentation is not the Tanisaki ideal in {conv}: "
+                                 f"partition {self.p}: subset {','.join(map(str, subset))}, d {d}")
+            self.certified.add(conv)
         gb, monos = self.basis(ideals.COHOMOLOGY, order)
-        shared = groebner.GroebnerBasis(gb.polys, order, gb.engine, pres, gb.primes)
+        if conv == "v":
+            k = groebner.GroebnerBasis(gb.polys, order, gb.engine, pres, gb.primes)
+        else:
+            k = groebner.reduced_basis([q.shift_variables(-1) for q in gb.polys], order, pres,
+                                       gb.primes)
         if self.cfg.cache_dir is not None:
-            groebner.write_basis(shared, self.cfg.cache_dir)
-        return shared, monos
+            groebner.write_basis(k, self.cfg.cache_dir)
+        return k, monos
 
     @property
     def kbasis(self):

@@ -81,12 +81,12 @@ LEX = MonomialOrder("lex")
 class GroebnerBasis:
     """A reduced basis, equal to another exactly when polys and order are.
 
-    `primes` are those of the completion that built polys and engine.  A
-    basis shared by a second presentation of the same ideal (the K(v)
-    basis, which `cli` takes from the cohomology completion once
-    `ideals.v_certificate` holds) carries the primes of that completion:
-    its source differs from the completed one by a unitriangular integer
-    matrix, so both present one ideal over Z_(p) for every prime p.
+    `primes` are those of the completion that built polys.  A K basis,
+    which `cli` takes from the cohomology completion once
+    `ideals.k_certificate` holds, keeps those primes: the sources differ
+    by a unitriangular integer matrix and, in u, by v_i = u_i - 1, a
+    Z-automorphism of Z[u], so both present one ideal over Z_(p) for
+    every prime p, up to that automorphism.
     """
 
     __slots__ = ("polys", "order", "engine", "source", "primes", "__weakref__")
@@ -450,6 +450,15 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX, modulus: int = 0) -> Gr
         divided = eng.divisors | final.divisors | set(final.lcs)
         primes = frozenset(q for m in divided for q in _prime_factors(m))
     return GroebnerBasis(tuple(monic), order, final, pres, primes)
+
+
+def reduced_basis(polys, order: MonomialOrder, source, primes) -> GroebnerBasis:
+    """polys, already a reduced basis under the order, on an engine built as
+    `buchberger` leaves one: no completion and no tail reduction."""
+    eng = _Engine(order, source.n)
+    for p in polys:
+        eng.add(_integral(p, eng.packing)[0])
+    return GroebnerBasis(tuple(polys), order, eng, source, primes)
 
 
 # -- normal forms and the staircase -----------------------------------

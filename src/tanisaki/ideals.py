@@ -17,8 +17,8 @@ q = p_dual(s) and d in the kept window s+1-q..s,
 since the weight of e_k(v_S) vanishes for k <= s-q < d.  The k = d weight
 is 1, so over each subset's kept window the K(v) generators are a
 unitriangular integer matrix times the cohomology generators: the K(v)
-ideal is the Tanisaki ideal written in v, over Z and modulo every prime.
-`v_certificate` checks this identity on the built polynomials.
+ideal is the Tanisaki ideal written in v, over Z and modulo every prime,
+and K(u) is its image under v_i = u_i - 1; `k_certificate` checks both.
 """
 
 from __future__ import annotations
@@ -149,20 +149,20 @@ def k_tanisaki_generators(partition: Partition, convention: str = "u") -> IdealP
                          lambda subset, d, q: lambda_coefficient(n, subset, -q, d, convention))
 
 
-def v_certificate(cohomology: IdealPresentation, kv: IdealPresentation):
-    """The first (subset, d) at which kv is not the unitriangular image of
-    the cohomology presentation, or None when the two present one ideal.
+def k_certificate(cohomology: IdealPresentation, ktheory: IdealPresentation):
+    """The first (subset, d) at which ktheory (in u: after u_i = v_i + 1) is
+    not the unitriangular image of the cohomology presentation, or None.
 
-    Each record (S, d, q) of kv must have d in its kept window and a
-    polynomial whose terms are those of sum_k C(s-q-k, d-k) e_k over the
-    built cohomology records (S, k), k = s+1-q..d; a missing (S, k) fails
-    at (S, d).  A cohomology record with no kv record of its (S, d) fails
-    at that (S, d).  Every subset is checked: nothing is assumed of kv's
-    builder or convention label.
+    Each record (S, d, q) of ktheory must have d in its kept window and a
+    polynomial whose terms in v are those of sum_k C(s-q-k, d-k) e_k over
+    the built cohomology records (S, k), k = s+1-q..d; a missing (S, k)
+    fails at (S, d).  A cohomology record with no K record of its (S, d)
+    fails at that (S, d).  Every subset is checked: nothing is assumed of
+    the K builder, and its convention label only names the variables.
     """
     e = {(g.subset, g.d): g.poly for g in cohomology.generators}
     unmatched = dict.fromkeys(e)
-    for g in kv.generators:
+    for g in ktheory.generators:
         s = len(g.subset)
         window = kept_degrees(s, g.q)
         if g.d not in window:
@@ -176,7 +176,8 @@ def v_certificate(cohomology: IdealPresentation, kv: IdealPresentation):
             w = binomial(s - g.q - k, g.d - k)
             for m, c in ek.terms.items():
                 terms[m] = terms.get(m, 0) + w * c
-        if {m: c for m, c in terms.items() if c} != g.poly.terms:
+        in_v = g.poly.shift_variables(1) if ktheory.convention == "u" else g.poly
+        if {m: c for m, c in terms.items() if c} != in_v.terms:
             return g.subset, g.d
     return next(iter(unmatched), None)
 

@@ -203,6 +203,20 @@ class Polynomial:
             res[tuple(new)] = c
         return Polynomial._of(self.n, res)
 
+    def shift_variables(self, delta) -> "Polynomial":
+        """Substitute x_j -> x_j + delta for every variable, delta exact, one
+        variable per pass: x_j^e -> sum_a C(e, a) delta^(e - a) x_j^a."""
+        delta = _norm_coeff(delta)
+        terms = self.terms
+        for j in range(self.n):
+            res = {}
+            for m, c in terms.items():
+                for a in range(m[j] + 1):
+                    key = m[:j] + (a,) + m[j + 1:]
+                    res[key] = res.get(key, 0) + c * math.comb(m[j], a) * delta ** (m[j] - a)
+            terms = res
+        return Polynomial._of(self.n, {m: _collapse(c) for m, c in terms.items() if c})
+
     # -- identity -----------------------------------------------------
 
     def __eq__(self, other):

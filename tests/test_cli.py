@@ -498,11 +498,11 @@ class TestSharedPartitionWork:
         capsys.readouterr()
         assert keys and len(set(keys)) == len(keys)
 
-    @pytest.mark.parametrize("convention,per_call", [("v", 1), ("u", 2)])
-    def test_presentation_completes_once_per_partition_in_v(self, capsys, monkeypatch,
-                                                            convention, per_call):
-        # in v the K-basis is the certified cohomology completion; in u the
-        # K presentation is completed on its own
+    @pytest.mark.parametrize("convention,per_call", [("v", 1), ("u", 1)])
+    def test_presentation_completes_once_per_partition(self, capsys, monkeypatch,
+                                                       convention, per_call):
+        # in either convention the K-basis is the certified cohomology
+        # completion, re-presented in the K variables
         calls = []
         buchberger = groebner.buchberger
 
@@ -518,6 +518,31 @@ class TestSharedPartitionWork:
             assert len(calls) == per_call
         capsys.readouterr()
 
+    @pytest.mark.parametrize("order", ["degrevlex", "deglex", "lex"])
+    @pytest.mark.parametrize("convention", ["u", "v"])
+    def test_only_cohomology_is_completed_over_q(self, capsys, monkeypatch, convention, order):
+        # every K basis is the cohomology completion re-presented, so each
+        # command completes the cohomology presentation over Q at most once
+        # per partition and order, and over F_p only in the freeness suite
+        calls = []
+        buchberger = groebner.buchberger
+
+        def recording(pres, order=groebner.DEGREVLEX, modulus=0):
+            calls.append((pres.flavor, pres.partition.parts, order.kind, modulus))
+            return buchberger(pres, order, modulus)
+
+        monkeypatch.setattr(groebner, "buchberger", recording)
+        for argv in (("presentation", "--partition", "2,2", "--flavor", "both"),
+                     ("gamma", "--partition", "2,1", "--subset", "1,2", "--d", "2"),
+                     ("verify", "--n", "4"),
+                     ("sweep", "--n", "4")):
+            calls.clear()
+            assert cli.main([*argv, "--convention", convention, "--order", order]) == 0
+            assert calls and {flavor for flavor, *_ in calls} == {ideals.COHOMOLOGY}, argv
+            rational = [(parts, kind) for _, parts, kind, modulus in calls if not modulus]
+            assert len(rational) == len(set(rational)), argv
+        capsys.readouterr()
+
     @pytest.mark.parametrize("orders", [(), ("--order", "lex")])
     def test_verify_completes_one_basis_per_partition_and_order(self, capsys, monkeypatch,
                                                                 orders):
@@ -527,7 +552,7 @@ class TestSharedPartitionWork:
         keys = []
         certified = []
         buchberger = groebner.buchberger
-        v_certificate = ideals.v_certificate
+        k_certificate = ideals.k_certificate
 
         def recording(pres, order=groebner.DEGREVLEX, modulus=0):
             if not modulus:
@@ -536,10 +561,10 @@ class TestSharedPartitionWork:
 
         def certifying(cohomology, kv):
             certified.append(kv.partition.parts)
-            return v_certificate(cohomology, kv)
+            return k_certificate(cohomology, kv)
 
         monkeypatch.setattr(groebner, "buchberger", recording)
-        monkeypatch.setattr(ideals, "v_certificate", certifying)
+        monkeypatch.setattr(ideals, "k_certificate", certifying)
         assert cli.main(["verify", "--n", "3", *orders]) == 0
         capsys.readouterr()
         kinds = {"degrevlex", *orders[1:]}
@@ -555,9 +580,9 @@ class TestSharedPartitionWork:
         (("verify", "--n", "3", "--order", "lex"), 6),
     ])
     def test_each_staircase_walked_once(self, capsys, monkeypatch, argv, walks):
-        # the cohomology, K(u) and K(v) degrevlex bases of each partition of 3
-        # share their leading monomials, so they share one walk; a lex basis
-        # has its own
+        # the K(u) and K(v) bases take the staircase of the cohomology basis
+        # of their order, so each partition of 3 walks one staircase per
+        # order
         keys = []
         standard_monomials = groebner.standard_monomials
 
@@ -612,12 +637,64 @@ class TestSharedVBasis:
         assert captured.err == ("error: K(v) presentation is not the Tanisaki ideal in v: "
                                 "partition 2,1: subset 1,2, d 2\n")
 
-    def test_u_convention_is_completed_not_certified(self, capsys, monkeypatch):
-        # the K(u) ideal is the translate, so the plant changes nothing in u
+    def test_u_convention_certifies_its_own_presentation(self, capsys, monkeypatch):
+        # the plant's u presentation is the true one, and a u run certifies
+        # the u presentation, not the v one, so the plant changes nothing in u
         args = ("verify", "--partition", "2,1", "--suite", "gamma", "--convention", "u")
         _, plain = run_cli(capsys, *args)
         monkeypatch.setattr(cli, "k_tanisaki_generators", translated_kv)
         assert run_cli(capsys, *args) == (0, plain)
+
+
+class TestSharedUBasis:
+    """The K(u) basis is the certified cohomology completion with
+    v_i = u_i - 1 substituted; `TestSharedLeadingMonomials` compares it with
+    the direct K(u) completion, which no command runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ("presentation", "--partition", "2,1"),
+        ("presentation", "--partition", "2,1", "--flavor", "ktheory", "--format", "text"),
+        ("gamma", "--partition", "2,1", "--subset", "1,2", "--d", "2"),
+        ("sweep", "--partition", "2,1"),
+        ("verify", "--partition", "2,1", "--order", "lex"),
+        *[("verify", "--partition", "2,1", "--suite", suite)
+          for suite in ("gamma", "lambda", "truncation", "stability")],
+    ])
+    def test_translated_presentation_exits_one(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "k_tanisaki_generators", translated_ku)
+        assert cli.main([*argv, "--convention", "u"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: K(u) presentation is not the Tanisaki ideal in u: "
+                                "partition 2,1: subset 1,2, d 2\n")
+
+    @pytest.mark.parametrize("suite", ["rank-lemma", "filtration", "freeness"])
+    def test_suites_reading_no_u_basis_pass_the_plant(self, capsys, monkeypatch, suite):
+        # the rank lemma reads no basis, the filtration the K(v) one and the
+        # freeness suite the cohomology one, whatever --convention says
+        args = ("verify", "--partition", "2,1", "--suite", suite, "--convention", "u")
+        _, plain = run_cli(capsys, *args)
+        monkeypatch.setattr(cli, "k_tanisaki_generators", translated_ku)
+        assert run_cli(capsys, *args) == (0, plain)
+
+    def test_certified_once_per_convention(self, monkeypatch):
+        certified = []
+        k_certificate = ideals.k_certificate
+
+        def certifying(cohomology, ktheory):
+            certified.append(ktheory.convention)
+            return k_certificate(cohomology, ktheory)
+
+        monkeypatch.setattr(ideals, "k_certificate", certifying)
+        lam = Partition((3, 2, 1))
+        ctx = cli._Context(lam, cli.RunConfig([lam], convention="u"))
+        for order in (groebner.DEGREVLEX, groebner.LEX, groebner.DEGREVLEX):
+            for convention in ("u", "v"):
+                gb, monos = ctx.basis(ideals.KTHEORY, order, convention)
+                coh, coh_monos = ctx.basis(ideals.COHOMOLOGY, order)
+                assert monos is coh_monos and gb.primes == coh.primes
+                assert (gb.engine is coh.engine) == (convention == "v")
+        assert certified == ["u", "v"]
 
 
 class TestFiltrationFlags:
@@ -648,6 +725,12 @@ def translated_kv(lam, convention="u"):
     return k_tanisaki_generators(lam, "u")._replace(convention=convention)
 
 
+def translated_ku(lam, convention="v"):
+    """The K(v) presentation of lam, labelled with the convention: in u, the
+    K-ideal translated by u_i -> u_i + 1."""
+    return k_tanisaki_generators(lam, "v")._replace(convention=convention)
+
+
 def planted_torsion(lam):
     """The cohomology presentation of lam with its degree-1 generator e_1 of
     all n variables scaled by 2, which no other generator recovers over Z:
@@ -663,18 +746,15 @@ MEMBERSHIP_SUITES = ("--suite", "gamma", "--suite", "lambda", "--suite", "trunca
                      "--suite", "stability")
 
 
-def planted_basis(parts, flavor=ideals.KTHEORY):
-    """A cached_buchberger that completes the flavor's presentation of the
-    partition parts (K: in the asked convention), in the asked order, for
-    every presentation of that flavor."""
+def planted_basis(parts):
+    """A cached_buchberger that completes the cohomology presentation of the
+    partition parts, in the asked order, for every presentation: the only
+    one a command completes is the cohomology one."""
     cached_buchberger = groebner.cached_buchberger
 
     def planted(pres, *args):
-        if pres.flavor == flavor:
-            lam = Partition(parts)
-            pres = (k_tanisaki_generators(lam, pres.convention) if flavor == ideals.KTHEORY
-                    else tanisaki_generators(lam))
-        return cached_buchberger(pres, *args)
+        assert pres.flavor == ideals.COHOMOLOGY
+        return cached_buchberger(tanisaki_generators(Partition(parts)), *args)
 
     return planted
 
@@ -746,8 +826,7 @@ class TestPlantedFailures:
         argv = ("verify", "--partition", "2,1", "--suite", "gamma", "--suite", "truncation",
                 "--suite", "stability")
         assert run_cli(capsys, *argv)[0] == 0
-        monkeypatch.setattr(groebner, "cached_buchberger",
-                            planted_basis((1, 1, 1), ideals.COHOMOLOGY))
+        monkeypatch.setattr(groebner, "cached_buchberger", planted_basis((1, 1, 1)))
         assert cli.main(list(argv)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -782,16 +861,15 @@ class TestPlantedFailures:
     ])
     def test_point_ideal_basis_exits_one(self, capsys, monkeypatch, argv):
         # the point ideal of (n) holds the true one, so every relation
-        # reduces to 0 on its basis: only the staircase size tells.  In v
-        # the K-basis is the cohomology completion, so the plant goes there
+        # reduces to 0 on its basis: only the staircase size tells.  In u
+        # and in v the K-basis is the cohomology completion, so the plant
+        # goes there
         lam = Partition(tuple(int(t) for t in argv[2].split(",")))
-        flavor, name = ((ideals.KTHEORY, "K-basis") if "--convention" in argv
-                        else (ideals.COHOMOLOGY, "cohomology basis"))
-        monkeypatch.setattr(groebner, "cached_buchberger", planted_basis((lam.n,), flavor))
+        monkeypatch.setattr(groebner, "cached_buchberger", planted_basis((lam.n,)))
         assert cli.main(list(argv)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert (f"error: wrong {name}: partition {lam}: staircase size 1, "
+        assert (f"error: wrong cohomology basis: partition {lam}: staircase size 1, "
                 f"multinomial rank {lam.multinomial_rank()}\n") == captured.err
 
     @pytest.mark.parametrize("argv", [
@@ -804,8 +882,7 @@ class TestPlantedFailures:
     def test_point_ideal_cohomology_basis_exits_one(self, capsys, monkeypatch, argv):
         # only the filtration suite compares the cohomology staircase with
         # Garsia-Procesi; every other reader is held to the multinomial rank
-        monkeypatch.setattr(groebner, "cached_buchberger",
-                            planted_basis((3,), ideals.COHOMOLOGY))
+        monkeypatch.setattr(groebner, "cached_buchberger", planted_basis((3,)))
         assert cli.main(list(argv)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tanisaki import groebner
+from tanisaki import cli, groebner
 from tanisaki.groebner import (
     DEGLEX,
     DEGREVLEX,
@@ -30,7 +31,16 @@ from tanisaki.groebner import (
     _Packing,
     _integral,
 )
-from tanisaki.ideals import GeneratorRecord, k_tanisaki_generators, tanisaki_generators
+from tanisaki.ideals import (
+    KTHEORY,
+    GeneratorRecord,
+    extra_degrees,
+    k_tanisaki_generators,
+    kept_degrees,
+    relation_grid,
+    tanisaki_generators,
+)
+from tanisaki.lambda_ring import gamma_op
 from tanisaki.linalg import dim_graded_piece, ideal_degree_rank
 from tanisaki.partitions import Partition, enumerate_partitions
 from tanisaki.polynomial import Polynomial
@@ -168,15 +178,16 @@ def golden_lines():
             yield f"{lam.parts} {pres.flavor} {pres.convention} {order.kind}: {basis} | {stairs}"
 
 
+@functools.cache
 def primes_cases():
     """(presentation, order, rational basis): every partition of n <= 6 under
-    lex, deglex and degrevlex, in cohomology and in both K conventions."""
-    for n in range(1, 7):
-        for lam in enumerate_partitions(n):
-            for order in (LEX, DEGLEX, DEGREVLEX):
-                for pres in (tanisaki_generators(lam), k_tanisaki_generators(lam, "u"),
-                             k_tanisaki_generators(lam, "v")):
-                    yield pres, order, buchberger(pres, order)
+    lex, deglex and degrevlex, in cohomology and in both K conventions;
+    completed once per session, for the two tests that read them."""
+    return tuple((pres, order, buchberger(pres, order))
+                 for n in range(1, 7) for lam in enumerate_partitions(n)
+                 for order in (LEX, DEGLEX, DEGREVLEX)
+                 for pres in (tanisaki_generators(lam), k_tanisaki_generators(lam, "u"),
+                              k_tanisaki_generators(lam, "v")))
 
 
 def primes_lines():
@@ -539,9 +550,10 @@ class TestSharedLeadingMonomials:
     basis, and the K(u) basis is the cohomology basis with v_i = u_i - 1
     substituted, term for term.  The proper divisors of a leading monomial
     of a minimal basis are standard, and so is every divisor of a standard
-    monomial, so the substituted reduced basis is already reduced.  This
-    gives ROADMAP item 14 a K(u) basis with no completion and no tail
-    reduction."""
+    monomial, so the substituted reduced basis is already reduced.  The CLI
+    builds its K(u) basis this way, with no completion and no tail
+    reduction; the direct K(u) completion, which no command runs, is the
+    oracle."""
 
     @pytest.mark.parametrize("order,max_n,convention", [
         pytest.param(DEGREVLEX, 6, "u", id="u"),
@@ -562,6 +574,34 @@ class TestSharedLeadingMonomials:
                     assert k.polys == coh.polys, lam
                 else:
                     assert k.polys == tuple(shift_variables(p, -1) for p in coh.polys), lam
+
+    @pytest.mark.parametrize("order,max_n", [
+        pytest.param(DEGREVLEX, 6, id="degrevlex"),
+        pytest.param(DEGLEX, 5, id="deglex"),
+        pytest.param(LEX, 5, id="lex"),
+    ])
+    def test_cli_k_u_basis_is_the_u_completion(self, order, max_n):
+        # the same polynomials and the same engine, so every normal form
+        # agrees: checked on each gamma-sweep row and, for remainders other
+        # than 0, on gamma^d of the unshifted class of its subset.  The
+        # oracles are the direct K(u) completions of `primes_cases`
+        oracles = [(pres.partition, gb) for pres, kind, gb in primes_cases()
+                   if pres.convention == "u" and kind == order and pres.n <= max_n]
+        assert len(oracles) == sum(len(enumerate_partitions(n)) for n in range(1, max_n + 1))
+        for lam, oracle in oracles:
+            ctx = cli._Context(lam, cli.RunConfig([lam], convention="u", order=order))
+            gb, monos = ctx.basis(KTHEORY, order, "u")
+            assert gb.polys == oracle.polys, lam
+            assert gb.engine.terms == oracle.engine.terms, lam
+            assert gb.engine.scan == oracle.engine.scan, lam
+            assert monos == standard_monomials(oracle), lam
+            for subset, q in relation_grid(lam):
+                s = len(subset)
+                for d in (*kept_degrees(s, q), *extra_degrees(s)):
+                    for shift in (-s, 0):
+                        poly = gamma_op(lam.n, subset, shift, d)
+                        assert normal_form(poly, gb) == normal_form(poly, oracle), (
+                            lam, subset, shift, d)
 
 
 def brute_force_staircase(gb, max_degree=None):

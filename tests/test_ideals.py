@@ -4,11 +4,11 @@ from math import comb
 import pytest
 
 from tanisaki.ideals import (
+    k_certificate,
     k_tanisaki_generators,
     lambda_coefficient,
     tanisaki_generators,
     truncation_certificate,
-    v_certificate,
 )
 from tanisaki.partitions import Partition, PartitionError, enumerate_partitions, enumerate_subsets
 from tanisaki.polynomial import Polynomial
@@ -203,7 +203,24 @@ class TestVCertificate:
     def test_holds_for_every_partition_up_to_seven(self):
         for n in range(1, 8):
             for lam in enumerate_partitions(n):
-                assert v_certificate(tanisaki_generators(lam), k_tanisaki_generators(lam, "v")) is None
+                assert k_certificate(tanisaki_generators(lam), k_tanisaki_generators(lam, "v")) is None
+
+    def test_holds_in_u_for_every_partition_up_to_six(self):
+        # a u record is compared once u_i = v_i + 1 is substituted
+        for n in range(1, 7):
+            for lam in enumerate_partitions(n):
+                assert k_certificate(tanisaki_generators(lam), k_tanisaki_generators(lam, "u")) is None
+
+    def test_translated_u_presentation_is_refused(self):
+        # the v-generators read as u-polynomials: the ideal translated by
+        # u_i -> u_i + 1.  For (2,1) the first record, e_2(u_1, u_2) = u1*u2,
+        # is (v1 + 1)*(v2 + 1) in v, not v1*v2
+        lam = Partition((2, 1))
+        translated = k_tanisaki_generators(lam, "v")._replace(convention="u")
+        assert k_certificate(tanisaki_generators(lam), translated) == ((1, 2), 2)
+        # relabelled v, the same polynomials pass: the label alone decides the variables
+        assert k_certificate(tanisaki_generators(lam),
+                             translated._replace(convention="v")) is None
 
     def test_translated_presentation_is_refused(self):
         # the u-generators read as v-polynomials: the ideal translated by
@@ -211,7 +228,7 @@ class TestVCertificate:
         # v1*v2 - v1 - v2 + 1, not e_2(v_1, v_2) = v1*v2
         lam = Partition((2, 1))
         translated = k_tanisaki_generators(lam, "u")._replace(convention="v")
-        assert v_certificate(tanisaki_generators(lam), translated) == ((1, 2), 2)
+        assert k_certificate(tanisaki_generators(lam), translated) == ((1, 2), 2)
 
     def test_every_subset_is_checked(self):
         # one wrong polynomial on the last subset of each size is found there
@@ -222,7 +239,7 @@ class TestVCertificate:
             gens = list(kv.generators)
             gens[last] = gens[last]._replace(poly=gens[last].poly * 2)
             g = gens[last]
-            assert v_certificate(coh, kv._replace(generators=tuple(gens))) == (g.subset, g.d)
+            assert k_certificate(coh, kv._replace(generators=tuple(gens))) == (g.subset, g.d)
 
     def test_missing_records_fail_at_their_subset_and_degree(self):
         lam = Partition((2, 1))
@@ -230,12 +247,12 @@ class TestVCertificate:
         # a K record whose cohomology record (S, k) is missing
         g = kv.generators[-1]
         dropped = tuple(c for c in coh.generators if (c.subset, c.d) != (g.subset, g.d))
-        assert v_certificate(coh._replace(generators=dropped), kv) == (g.subset, g.d)
+        assert k_certificate(coh._replace(generators=dropped), kv) == (g.subset, g.d)
         # a cohomology record with no K record: the K ideal could be smaller
-        assert v_certificate(coh, kv._replace(generators=kv.generators[:-1])) == (g.subset, g.d)
+        assert k_certificate(coh, kv._replace(generators=kv.generators[:-1])) == (g.subset, g.d)
         # a K record outside its kept window
         low = g._replace(d=g.d - g.q)
-        assert v_certificate(coh, kv._replace(generators=kv.generators + (low,))) == (
+        assert k_certificate(coh, kv._replace(generators=kv.generators + (low,))) == (
             low.subset, low.d)
 
 

@@ -58,6 +58,7 @@ class TestArithmetic:
         p = V(2, 1) + 1
         for op in (lambda: p + 0.5, lambda: p - 0.5, lambda: 0.5 + p, lambda: 0.5 - p,
                    lambda: p * 0.5, lambda: 0.5 * p, lambda: shift_variables(p, 0.5),
+                   lambda: p.shift_variables(0.5),
                    lambda: Polynomial(2, {(1, 0): 0.5}), lambda: Polynomial.constant(2, 0.5)):
             with pytest.raises(PolynomialError):
                 op()
@@ -123,6 +124,19 @@ class TestShiftVariables:
         for _ in range(50):
             p = random_polynomial(rng, 3)
             assert shift_variables(shift_variables(p, 1), -1) == p
+
+    def test_method_matches_the_oracle(self, rng):
+        # the conftest oracle, the value at a point, and the inverse shift
+        for _ in range(40):
+            p = random_polynomial(rng, 3, rational=True)
+            x = random_point(rng, 3)
+            for delta in (-2, -1, 1, 2):
+                shifted = p.shift_variables(delta)
+                assert shifted == shift_variables(p, delta)
+                assert all(type(c) is int or c.denominator != 1 for c in shifted.terms.values())
+                assert evaluate(shifted, x) == evaluate(p, [xi + delta for xi in x])
+                assert shifted.shift_variables(-delta) == p
+        assert p.shift_variables(Fraction(1, 2)) == shift_variables(p, Fraction(1, 2))
 
     def test_shift_is_ring_homomorphism(self, rng):
         for _ in range(30):
