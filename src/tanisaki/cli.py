@@ -32,7 +32,6 @@ import json
 import os
 import sys
 import time
-from functools import cached_property
 from typing import NamedTuple
 
 from . import groebner, ideals, lambda_ring, linalg
@@ -48,7 +47,7 @@ from .partitions import (
 )
 from .polynomial import monomial_text
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 SWEEP_MAX_N = 7
 SWEEP_GROEBNER_MAX_N = 6
 VERIFY_MAX_N = 5
@@ -98,9 +97,9 @@ class WrongBasis(Exception):
 
 
 class _Context:
-    """One partition's shared work: each presentation, each basis, each
-    staircase and the gamma sweep are computed on first use, at most once,
-    by whichever command or suite needs them."""
+    """One partition's shared work: each presentation, each basis and each
+    staircase are computed on first use, at most once, by whichever command
+    or suite needs them."""
 
     def __init__(self, p: Partition, cfg: RunConfig):
         self.p = p
@@ -180,10 +179,6 @@ class _Context:
     def kbasis(self):
         return self.basis(ideals.KTHEORY, self.cfg.order, self.cfg.convention)
 
-    @cached_property
-    def gamma(self):
-        return lambda_ring.verify_gamma_relations(self.p, self.kbasis[0])
-
 
 # -- presentation --------------------------------------------------------
 
@@ -225,16 +220,11 @@ def _suite_rank_lemma(ctx: _Context) -> dict:
 
 
 def _suite_gamma(ctx: _Context) -> dict:
-    return ctx.gamma.to_dict()
+    return lambda_ring.verify_gamma_relations(ctx.p, ctx.kbasis[0]).to_dict()
 
 
 def _suite_lambda(ctx: _Context) -> dict:
-    gb, _ = ctx.kbasis
-    lam = lambda_ring.equivalent_lambda_relations(ctx.p, gb)
-    doc = lam.to_dict()
-    doc["agrees_with_gamma"] = ctx.gamma.ok == lam.ok
-    doc["ok"] = doc["ok"] and doc["agrees_with_gamma"]
-    return doc
+    return lambda_ring.equivalent_lambda_relations(ctx.p, ctx.kbasis[0]).to_dict()
 
 
 def _suite_truncation(ctx: _Context) -> dict:
@@ -269,39 +259,25 @@ def _suite_freeness(ctx: _Context) -> dict:
 
 
 def _suite_stability(ctx: _Context) -> dict:
-    """Adjacent transpositions permute each generating set into itself and
-    land in the ideal (checked by normal form on the K side).  Each K image
-    is permuted once and serves both checks; the normal-form failures follow
-    the pool failures in the report."""
-    p = ctx.p
-    n = p.n
-    failures = []
-    nf_failures = []
-    checks = 0
-    transpositions = []
-    for i in range(1, n):
-        sigma = list(range(1, n + 1))
-        sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
-        transpositions.append(tuple(sigma))
-    gb, _ = ctx.kbasis
-    for flavor, pres in ((ideals.COHOMOLOGY, ctx.presentation(ideals.COHOMOLOGY)),
-                         (ideals.KTHEORY, gb.source)):
-        pool = {g.poly for g in pres.generators}
-        for g in pres.generators:
-            for sigma in transpositions:
-                checks += 1
-                image = g.poly.permute_variables(sigma)
-                if image not in pool:
-                    failures.append(
-                        {"flavor": flavor, "subset": list(g.subset), "d": g.d, "sigma": list(sigma)}
-                    )
-                if flavor == ideals.KTHEORY:
-                    checks += 1
-                    if not groebner.normal_form(image, gb).is_zero():
-                        nf_failures.append({"flavor": "ktheory-nf", "subset": list(g.subset),
-                                            "d": g.d, "sigma": list(sigma)})
-    failures += nf_failures
-    return {"partition": list(p.parts), "checks": checks, "failures": failures, "ok": not failures}
+    """(1 2) and (1 2 ... n), which generate S_n, permute the cohomology
+    generating set into itself: one check per generator and distinct
+    permutation, none at n = 1.  The K side is left to the certificate,
+    which asking for the K basis runs first: it ties each K record (S, d)
+    to the cohomology records of S by weights that depend on (s, q, d)
+    only, so a permutation that keeps the cohomology pool keeps the K pool,
+    and a K-only asymmetry is refused before this suite reports."""
+    ctx.kbasis  # the certificate, and the --cache-dir files
+    n = ctx.p.n
+    sigmas = [] if n == 1 else list(dict.fromkeys(
+        [(2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)]))
+    pres = ctx.presentation(ideals.COHOMOLOGY)
+    pool = set(pres.polynomials())
+    failures = [{"flavor": ideals.COHOMOLOGY, "subset": list(g.subset), "d": g.d,
+                 "sigma": list(sigma)}
+                for g in pres.generators for sigma in sigmas
+                if g.poly.permute_variables(sigma) not in pool]
+    return {"partition": list(ctx.p.parts), "checks": len(pres.generators) * len(sigmas),
+            "failures": failures, "ok": not failures}
 
 
 _SUITE_FN = {

@@ -260,7 +260,8 @@ class TestStability:
     def test_adjacent_transpositions_permute_generators(self):
         for n in range(2, 6):
             for lam in enumerate_partitions(n):
-                for flavor_pres in (tanisaki_generators(lam), k_tanisaki_generators(lam, "u")):
+                for flavor_pres in (tanisaki_generators(lam), k_tanisaki_generators(lam, "u"),
+                                    k_tanisaki_generators(lam, "v")):
                     pool = set(flavor_pres.polynomials())
                     for g in flavor_pres.generators:
                         for i in range(1, n):
