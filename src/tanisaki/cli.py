@@ -6,15 +6,15 @@ or a report or basis file that cannot be written.
 All output is deterministic for a fixed configuration; wall-clock timings
 (sweep only) are the single exception.
 
-Every basis a command reads comes from `_Context.basis`.  Only the
-cohomology presentation is completed, once per order and partition, and a
-basis whose staircase size is not the multinomial rank exits 1 before any
-report is written.  No command eliminates: `linalg` judges counts and
-series.  `ideals.k_certificate` checks that a K presentation is the
-Tanisaki one written in v (in u: after u_i = v_i + 1); the K basis is then
-the cohomology completion of the same order in the K variables, with its
-staircase.  A refused presentation exits 1 the same way (stderr names the
-convention, the partition, the subset and d).
+Every basis a command reads comes from `_Context.basis`, in the run's own
+order and convention.  Only the cohomology presentation is completed, once
+per partition, and a basis whose staircase size is not the multinomial
+rank exits 1 before any report is written.  No command eliminates: `linalg`
+judges counts and series.  `ideals.k_certificate` checks, once per
+partition, that the K presentation is the Tanisaki one written in v (in u:
+after u_i = v_i + 1); the K basis is then the cohomology completion in the
+K variables, with its staircase.  A refused presentation exits 1 the same
+way (stderr names the convention, the partition, the subset and d).
 
 Run as `python -m tanisaki.cli`, the process ends with a hard exit: once
 `main` has returned its code, stdout and stderr are flushed and `os._exit`
@@ -97,54 +97,49 @@ class WrongBasis(Exception):
 
 
 class _Context:
-    """One partition's shared work: each presentation, each basis and each
-    staircase are computed on first use, at most once, by whichever command
-    or suite needs them."""
+    """One partition's shared work in the run's order and convention: each
+    presentation, each basis and its staircase are computed on first use,
+    at most once, by whichever command or suite needs them."""
 
     def __init__(self, p: Partition, cfg: RunConfig):
         self.p = p
         self.cfg = cfg
         self.presentations = {}
         self.bases = {}
-        self.certified = set()  # K conventions whose presentation k_certificate passed
 
-    def presentation(self, flavor: str, convention: str = "v"):
-        """The flavor's generators (K: in the convention, which cohomology
-        ignores), built once per context."""
-        key = (flavor, convention if flavor == ideals.KTHEORY else "y")
-        if key not in self.presentations:
-            self.presentations[key] = (k_tanisaki_generators(self.p, convention)
-                                       if flavor == ideals.KTHEORY else tanisaki_generators(self.p))
-        return self.presentations[key]
+    def presentation(self, flavor: str):
+        """The flavor's generators (K: in the run's convention), built once per context."""
+        if flavor not in self.presentations:
+            self.presentations[flavor] = (k_tanisaki_generators(self.p, self.cfg.convention)
+                                          if flavor == ideals.KTHEORY
+                                          else tanisaki_generators(self.p))
+        return self.presentations[flavor]
 
-    def basis(self, flavor: str, order: MonomialOrder, convention: str = "v"):
-        """The reduced basis of the flavor's presentation under the order
-        (presentation: .source) and its staircase, once per context.
+    def basis(self, flavor: str):
+        """The reduced basis of the flavor's presentation under the run's
+        order (presentation: .source) and its staircase, once per context.
 
-        Only the cohomology presentation is completed and walked, once per
-        order.  A K basis is that basis in the K variables, once
-        `ideals.k_certificate` (run once per convention) ties the K
-        presentation to the cohomology one.  In v it is the same polynomials
-        and engine (so the same normal-form memos); in u, the polynomials
-        with v_i = u_i - 1 substituted, on an engine built from them.  The
-        substitution moves no leading monomial, so the primes and the
-        staircase carry over.  A refused presentation raises WrongBasis
+        Only the cohomology presentation is completed and walked.  The K
+        basis is that basis in the K variables, once `ideals.k_certificate`
+        ties the K presentation to the cohomology one.  In v it is the same
+        polynomials and engine (so the same normal-form memos); in u, the
+        polynomials with v_i = u_i - 1 substituted, on an engine built from
+        them.  The substitution moves no leading monomial, so the primes and
+        the staircase carry over.  A refused presentation raises WrongBasis
         naming the subset and d.
 
         The staircase must have the multinomial rank's size; otherwise
         WrongBasis is raised.  A basis of a larger ideal reduces every
         relation to 0, so without this check it would pass every membership
         suite."""
-        pres = self.presentation(flavor, convention)
-        key = (pres.flavor, pres.convention, order)
-        if key not in self.bases:
-            self.bases[key] = (self._completed(order) if flavor == ideals.COHOMOLOGY
-                               else self._represented(pres, order))
-        return self.bases[key]
+        if flavor not in self.bases:
+            self.bases[flavor] = (self._completed() if flavor == ideals.COHOMOLOGY
+                                  else self._represented())
+        return self.bases[flavor]
 
-    def _completed(self, order: MonomialOrder):
-        """The cohomology presentation completed under the order, and its staircase."""
-        gb = groebner.cached_buchberger(self.presentation(ideals.COHOMOLOGY), order,
+    def _completed(self):
+        """The cohomology presentation completed under the run's order, and its staircase."""
+        gb = groebner.cached_buchberger(self.presentation(ideals.COHOMOLOGY), self.cfg.order,
                                         self.cfg.cache_dir)
         monos = groebner.standard_monomials(gb)
         rank = self.p.multinomial_rank()
@@ -153,38 +148,32 @@ class _Context:
                              f"staircase size {len(monos)}, multinomial rank {rank}")
         return gb, monos
 
-    def _represented(self, pres, order: MonomialOrder):
-        """The cohomology basis and staircase under the order, in the
-        variables of the certified K presentation pres; written to its own
-        basis file."""
+    def _represented(self):
+        """The cohomology basis and staircase in the variables of the
+        certified K presentation; written to its own basis file."""
+        pres = self.presentation(ideals.KTHEORY)
         conv = pres.convention
-        if conv not in self.certified:
-            bad = ideals.k_certificate(self.presentation(ideals.COHOMOLOGY), pres)
-            if bad is not None:
-                subset, d = bad
-                raise WrongBasis(f"K({conv}) presentation is not the Tanisaki ideal in {conv}: "
-                                 f"partition {self.p}: subset {','.join(map(str, subset))}, d {d}")
-            self.certified.add(conv)
-        gb, monos = self.basis(ideals.COHOMOLOGY, order)
+        bad = ideals.k_certificate(self.presentation(ideals.COHOMOLOGY), pres)
+        if bad is not None:
+            subset, d = bad
+            raise WrongBasis(f"K({conv}) presentation is not the Tanisaki ideal in {conv}: "
+                             f"partition {self.p}: subset {','.join(map(str, subset))}, d {d}")
+        gb, monos = self.basis(ideals.COHOMOLOGY)
         if conv == "v":
-            k = groebner.GroebnerBasis(gb.polys, order, gb.engine, pres, gb.primes)
+            k = groebner.GroebnerBasis(gb.polys, gb.order, gb.engine, pres, gb.primes)
         else:
-            k = groebner.reduced_basis([q.shift_variables(-1) for q in gb.polys], order, pres,
+            k = groebner.reduced_basis([q.shift_variables(-1) for q in gb.polys], gb.order, pres,
                                        gb.primes)
         if self.cfg.cache_dir is not None:
             groebner.write_basis(k, self.cfg.cache_dir)
         return k, monos
-
-    @property
-    def kbasis(self):
-        return self.basis(ideals.KTHEORY, self.cfg.order, self.cfg.convention)
 
 
 # -- presentation --------------------------------------------------------
 
 
 def _presentation_block(ctx: _Context, flavor: str) -> dict:
-    gb, monos = ctx.basis(flavor, ctx.cfg.order, ctx.cfg.convention)
+    gb, monos = ctx.basis(flavor)
     pres = gb.source
     prefix = pres.convention
     block = {
@@ -220,16 +209,16 @@ def _suite_rank_lemma(ctx: _Context) -> dict:
 
 
 def _suite_gamma(ctx: _Context) -> dict:
-    return lambda_ring.verify_gamma_relations(ctx.p, ctx.kbasis[0]).to_dict()
+    return lambda_ring.verify_gamma_relations(ctx.p, ctx.basis(ideals.KTHEORY)[0]).to_dict()
 
 
 def _suite_lambda(ctx: _Context) -> dict:
-    return lambda_ring.equivalent_lambda_relations(ctx.p, ctx.kbasis[0]).to_dict()
+    return lambda_ring.equivalent_lambda_relations(ctx.p, ctx.basis(ideals.KTHEORY)[0]).to_dict()
 
 
 def _suite_truncation(ctx: _Context) -> dict:
     p = ctx.p
-    gb, _ = ctx.kbasis
+    gb, _ = ctx.basis(ideals.KTHEORY)
     failures = []
     checks = 0
     for subset, _ in ideals.relation_grid(p):
@@ -241,18 +230,18 @@ def _suite_truncation(ctx: _Context) -> dict:
 
 
 def _suite_filtration(ctx: _Context) -> dict:
-    """The staircase of the v-convention degrevlex K-basis, whatever
-    --convention and --order say: the filtration is defined in the
-    v-variables and needs a degree-compatible order.  Asking for that basis
-    runs the certificate, and its staircase is the cohomology one."""
-    monos = ctx.basis(ideals.KTHEORY, groebner.DEGREVLEX, "v")[1]
+    """The staircase of the K basis, which is the cohomology one.  Asking for
+    it runs the certificate, which makes the K(v) ideal the cohomology ideal
+    written in v; that ideal is homogeneous, so under any order the staircase
+    counts the graded pieces of the quotient."""
+    monos = ctx.basis(ideals.KTHEORY)[1]
     return linalg.filtration_check(ctx.p, groebner.staircase_series(monos)).to_dict()
 
 
 def _suite_freeness(ctx: _Context) -> dict:
     """Z-freeness from the prime certificate of the cohomology completion:
     its staircase against those over F_p, counted through degree dim + 1."""
-    gb, monos = ctx.basis(ideals.COHOMOLOGY, groebner.DEGREVLEX)
+    gb, monos = ctx.basis(ideals.COHOMOLOGY)
     modular = groebner.modular_series(gb, ctx.p.springer_dimension() + 1)
     return linalg.integral_freeness_check(
         ctx.p, groebner.staircase_series(monos), modular).to_dict()
@@ -266,7 +255,7 @@ def _suite_stability(ctx: _Context) -> dict:
     to the cohomology records of S by weights that depend on (s, q, d)
     only, so a permutation that keeps the cohomology pool keeps the K pool,
     and a K-only asymmetry is refused before this suite reports."""
-    ctx.kbasis  # the certificate, and the --cache-dir files
+    ctx.basis(ideals.KTHEORY)  # the certificate, and the --cache-dir files
     n = ctx.p.n
     sigmas = [] if n == 1 else list(dict.fromkeys(
         [(2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)]))
@@ -328,10 +317,10 @@ def cmd_sweep(cfg: RunConfig) -> dict:
         t0 = time.perf_counter()
         row = _partition_block(p)
         ctx = _Context(p, cfg)
-        row["generator_count"] = len(ctx.presentation(ideals.KTHEORY, cfg.convention).generators)
+        row["generator_count"] = len(ctx.presentation(ideals.KTHEORY).generators)
         if p.n <= SWEEP_GROEBNER_MAX_N:
-            row["gb_size_cohomology"] = len(ctx.basis(ideals.COHOMOLOGY, cfg.order)[0])
-            row["gb_size_ktheory"] = len(ctx.kbasis[0])
+            row["gb_size_cohomology"] = len(ctx.basis(ideals.COHOMOLOGY)[0])
+            row["gb_size_ktheory"] = len(ctx.basis(ideals.KTHEORY)[0])
         else:
             row["gb_size_cohomology"] = None
             row["gb_size_ktheory"] = None
@@ -345,7 +334,7 @@ def cmd_sweep(cfg: RunConfig) -> dict:
 
 def cmd_gamma(cfg: RunConfig, subset, d: int) -> dict:
     p = cfg.partitions[0]
-    gb, _ = _Context(p, cfg).kbasis
+    gb, _ = _Context(p, cfg).basis(ideals.KTHEORY)
     s = len(subset)
     nf = groebner.normal_form(lambda_ring.gamma_op(p.n, subset, -s, d, gb.source.convention), gb)
     vanished = nf.is_zero()

@@ -168,12 +168,13 @@ class FiltrationReport(NamedTuple):
 def filtration_check(partition: Partition, series) -> FiltrationReport:
     """Judge the degree filtration of the K-ideal from one staircase series.
 
-    series[d] counts the degree-d standard monomials of the degrevlex basis
-    of the K(v) ideal, the cohomology ideal written in v; past its end it
-    counts 0.  The ideal column is dim S_d - series[d], and so is the gr
-    column, since under degrevlex in(I) = in(gr I).  Per degree it must be
-    dim S_d - GP_d, GP the Garsia-Procesi series, and the quotient must
-    have the multinomial rank.
+    series[d] counts the degree-d standard monomials of a reduced basis of
+    the K(v) ideal, the cohomology ideal written in v; past its end it
+    counts 0.  The ideal is homogeneous, so under any order the degree-d
+    standard monomials are a basis of the degree-d piece of the quotient,
+    and the ideal column dim S_d - series[d] is also the gr column.  Per
+    degree it must be dim S_d - GP_d, GP the Garsia-Procesi series, and the
+    quotient must have the multinomial rank.
     """
     n = partition.n
     top = partition.springer_dimension() + 1

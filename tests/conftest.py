@@ -238,8 +238,8 @@ def pytest_sessionfinish():
 
 
 def cohomology_basis(lam):
-    """The degrevlex cohomology basis that verify's filtration and freeness
-    suites read."""
+    """The degrevlex cohomology basis that the filtration and freeness suites
+    of a default verify run read."""
     return buchberger(tanisaki_generators(lam), DEGREVLEX)
 
 
@@ -253,7 +253,7 @@ def series_of(gb):
 
 
 def k_series(lam):
-    """Per-degree K-staircase counts: v-convention, degrevlex, as verify uses."""
+    """Per-degree K-staircase counts: v-convention, degrevlex, as a default verify uses."""
     return series_of(kbasis(lam))
 
 

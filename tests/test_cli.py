@@ -319,18 +319,16 @@ class TestCacheIntegration:
 
 
     def test_verify_writes_every_basis_it_completes(self, capsys, tmp_path):
-        # with --order lex the run completes two bases per partition, the
-        # cohomology basis in the run's order and the degrevlex one that the
-        # filtration and freeness suites read; each K(v) basis shares the
-        # cohomology completion of its order and is written beside it
+        # with --order lex every suite reads the lex bases: the run completes
+        # one cohomology basis per partition, and the K(v) basis shares it
+        # and is written beside it
         code, _ = run_cli(capsys, "verify", "--n", "3", "--order", "lex",
                           "--cache-dir", str(tmp_path))
         assert code == 0
         assert sorted(os.listdir(tmp_path)) == [
             f"gb_{parts}_{kind}.json"
             for parts in ("1-1-1", "2-1", "3")
-            for kind in ("cohomology_y_degrevlex", "cohomology_y_lex",
-                         "ktheory_v_degrevlex", "ktheory_v_lex")
+            for kind in ("cohomology_y_lex", "ktheory_v_lex")
         ]
 
     def test_shared_kv_basis_file_matches_the_direct_completion(self, capsys, tmp_path):
@@ -542,57 +540,44 @@ class TestSharedPartitionWork:
             assert len(rational) == len(set(rational)), argv
         capsys.readouterr()
 
-    @pytest.mark.parametrize("orders", [(), ("--order", "lex")])
-    def test_verify_completes_one_basis_per_partition_and_order(self, capsys, monkeypatch,
-                                                                orders):
-        # every rational completion is a cohomology one (the F_p completions
-        # of the freeness suite are not counted), and each partition's K(v)
-        # presentation is certified once, whatever the orders
-        keys = []
-        certified = []
+    @pytest.mark.parametrize("order", ["degrevlex", "lex"])
+    @pytest.mark.parametrize("convention", ["u", "v"])
+    @pytest.mark.parametrize("argv,partitions", [
+        (("presentation", "--partition", "2,1", "--flavor", "both"), [(2, 1)]),
+        (("verify", "--n", "3"), [(3,), (2, 1), (1, 1, 1)]),
+        (("gamma", "--partition", "2,1", "--subset", "1,2", "--d", "2"), [(2, 1)]),
+        (("sweep", "--n", "3"), [(3,), (2, 1), (1, 1, 1)]),
+    ], ids=["presentation", "verify", "gamma", "sweep"])
+    def test_one_completion_walk_and_certificate_per_partition(
+            self, capsys, monkeypatch, argv, partitions, convention, order):
+        # every basis a run reads is in its own order and convention, so
+        # each partition is completed over Q once, its staircase walked
+        # once and its K presentation certified once, whatever the flags;
+        # the F_p completions of the freeness suite are not counted
+        seen = {"rational": [], "walks": [], "certified": []}
         buchberger = groebner.buchberger
+        standard_monomials = groebner.standard_monomials
         k_certificate = ideals.k_certificate
 
-        def recording(pres, order=groebner.DEGREVLEX, modulus=0):
+        def completing(pres, order=groebner.DEGREVLEX, modulus=0):
             if not modulus:
-                keys.append((pres.partition.parts, pres.flavor, order.kind))
+                seen["rational"].append(pres.partition.parts)
             return buchberger(pres, order, modulus)
 
-        def certifying(cohomology, kv):
-            certified.append(kv.partition.parts)
-            return k_certificate(cohomology, kv)
-
-        monkeypatch.setattr(groebner, "buchberger", recording)
-        monkeypatch.setattr(ideals, "k_certificate", certifying)
-        assert cli.main(["verify", "--n", "3", *orders]) == 0
-        capsys.readouterr()
-        kinds = {"degrevlex", *orders[1:]}
-        partitions = [(3,), (2, 1), (1, 1, 1)]
-        assert sorted(keys) == sorted((parts, ideals.COHOMOLOGY, kind)
-                                      for parts in partitions for kind in kinds)
-        assert certified == partitions
-
-    @pytest.mark.parametrize("argv,walks", [
-        (("presentation", "--partition", "2,1", "--flavor", "both"), 1),
-        (("verify", "--n", "3"), 3),
-        (("verify", "--n", "3", "--convention", "u"), 3),
-        (("verify", "--n", "3", "--order", "lex"), 6),
-    ])
-    def test_each_staircase_walked_once(self, capsys, monkeypatch, argv, walks):
-        # the K(u) and K(v) bases take the staircase of the cohomology basis
-        # of their order, so each partition of 3 walks one staircase per
-        # order
-        keys = []
-        standard_monomials = groebner.standard_monomials
-
-        def recording(gb, *args):
-            keys.append((gb.order, tuple(gb.engine.exponents)))
+        def walking(gb, *args):
+            seen["walks"].append(gb.source.partition.parts)
             return standard_monomials(gb, *args)
 
-        monkeypatch.setattr(groebner, "standard_monomials", recording)
-        assert cli.main(list(argv)) == 0
+        def certifying(cohomology, ktheory):
+            seen["certified"].append(ktheory.partition.parts)
+            return k_certificate(cohomology, ktheory)
+
+        monkeypatch.setattr(groebner, "buchberger", completing)
+        monkeypatch.setattr(groebner, "standard_monomials", walking)
+        monkeypatch.setattr(ideals, "k_certificate", certifying)
+        assert cli.main([*argv, "--convention", convention, "--order", order]) == 0
         capsys.readouterr()
-        assert len(keys) == walks and len(set(keys)) == walks
+        assert seen == {"rational": partitions, "walks": partitions, "certified": partitions}
 
 
 class TestSharedVBasis:
@@ -604,10 +589,10 @@ class TestSharedVBasis:
         for n in range(1, 7):
             for lam in enumerate_partitions(n):
                 ctx = cli._Context(lam, cli.RunConfig([lam], order=order))
-                gb, monos = ctx.basis(ideals.KTHEORY, order, "v")
-                coh, coh_monos = ctx.basis(ideals.COHOMOLOGY, order)
+                gb, monos = ctx.basis(ideals.KTHEORY)
+                coh, coh_monos = ctx.basis(ideals.COHOMOLOGY)
                 assert gb.polys == groebner.buchberger(k_tanisaki_generators(lam, "v"), order).polys
-                assert gb.source is ctx.presentation(ideals.KTHEORY, "v")
+                assert gb.source is ctx.presentation(ideals.KTHEORY)
                 assert gb.engine is coh.engine and gb.primes == coh.primes
                 assert monos is coh_monos
 
@@ -623,10 +608,7 @@ class TestSharedVBasis:
         ("presentation", "--partition", "2,1", "--flavor", "ktheory", "--format", "text"),
         ("verify", "--partition", "2,1", "--suite", "gamma"),
         ("gamma", "--partition", "2,1", "--subset", "1,2", "--d", "2"),
-        # the filtration reads the K(v) degrevlex staircase under any flags
         ("verify", "--partition", "2,1", "--suite", "filtration"),
-        ("verify", "--partition", "2,1", "--suite", "filtration", "--convention", "u",
-         "--order", "lex"),
     ])
     def test_translated_presentation_exits_one(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(cli, "k_tanisaki_generators", translated_kv)
@@ -636,10 +618,14 @@ class TestSharedVBasis:
         assert captured.err == ("error: K(v) presentation is not the Tanisaki ideal in v: "
                                 "partition 2,1: subset 1,2, d 2\n")
 
-    def test_u_convention_certifies_its_own_presentation(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("args", [
+        ("verify", "--partition", "2,1", "--suite", "gamma", "--convention", "u"),
+        ("verify", "--partition", "2,1", "--suite", "filtration", "--convention", "u",
+         "--order", "lex"),
+    ])
+    def test_u_convention_certifies_its_own_presentation(self, capsys, monkeypatch, args):
         # the plant's u presentation is the true one, and a u run certifies
         # the u presentation, not the v one, so the plant changes nothing in u
-        args = ("verify", "--partition", "2,1", "--suite", "gamma", "--convention", "u")
         _, plain = run_cli(capsys, *args)
         monkeypatch.setattr(cli, "k_tanisaki_generators", translated_kv)
         assert run_cli(capsys, *args) == (0, plain)
@@ -657,7 +643,7 @@ class TestSharedUBasis:
         ("sweep", "--partition", "2,1"),
         ("verify", "--partition", "2,1", "--order", "lex"),
         *[("verify", "--partition", "2,1", "--suite", suite)
-          for suite in ("gamma", "lambda", "truncation", "stability")],
+          for suite in ("gamma", "lambda", "truncation", "stability", "filtration")],
     ])
     def test_translated_presentation_exits_one(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(cli, "k_tanisaki_generators", translated_ku)
@@ -667,10 +653,9 @@ class TestSharedUBasis:
         assert captured.err == ("error: K(u) presentation is not the Tanisaki ideal in u: "
                                 "partition 2,1: subset 1,2, d 2\n")
 
-    @pytest.mark.parametrize("suite", ["rank-lemma", "filtration", "freeness"])
+    @pytest.mark.parametrize("suite", ["rank-lemma", "freeness"])
     def test_suites_reading_no_u_basis_pass_the_plant(self, capsys, monkeypatch, suite):
-        # the rank lemma reads no basis, the filtration the K(v) one and the
-        # freeness suite the cohomology one, whatever --convention says
+        # the rank lemma reads no basis, the freeness suite the cohomology one
         args = ("verify", "--partition", "2,1", "--suite", suite, "--convention", "u")
         _, plain = run_cli(capsys, *args)
         monkeypatch.setattr(cli, "k_tanisaki_generators", translated_ku)
@@ -686,21 +671,23 @@ class TestSharedUBasis:
 
         monkeypatch.setattr(ideals, "k_certificate", certifying)
         lam = Partition((3, 2, 1))
-        ctx = cli._Context(lam, cli.RunConfig([lam], convention="u"))
-        for order in (groebner.DEGREVLEX, groebner.LEX, groebner.DEGREVLEX):
+        for order in (groebner.DEGREVLEX, groebner.LEX):
             for convention in ("u", "v"):
-                gb, monos = ctx.basis(ideals.KTHEORY, order, convention)
-                coh, coh_monos = ctx.basis(ideals.COHOMOLOGY, order)
-                assert monos is coh_monos and gb.primes == coh.primes
-                assert (gb.engine is coh.engine) == (convention == "v")
-        assert certified == ["u", "v"]
+                certified.clear()
+                ctx = cli._Context(lam, cli.RunConfig([lam], convention=convention, order=order))
+                for _ in range(2):
+                    gb, monos = ctx.basis(ideals.KTHEORY)
+                    coh, coh_monos = ctx.basis(ideals.COHOMOLOGY)
+                    assert monos is coh_monos and gb.primes == coh.primes
+                    assert (gb.engine is coh.engine) == (convention == "v")
+                assert certified == [convention]
 
 
 class TestFiltrationFlags:
-    def test_filtration_ignores_convention_and_order(self, capsys, monkeypatch):
+    def test_filtration_reads_the_runs_order_with_the_same_report(self, capsys, monkeypatch):
         _, default = run_json(capsys, "verify", "--n", "4", "--suite", "filtration")
-        # the staircase series happens to agree under every convention and
-        # order here, so also check which basis the suite asks for
+        # the ideal is homogeneous, so its staircase series is the same under
+        # every order; also check which basis the suite asks for
         asked = []
         buchberger = groebner.buchberger
 
@@ -714,8 +701,8 @@ class TestFiltrationFlags:
         blocks = [r["suites"]["filtration"] for r in default["results"]]
         assert blocks == [r["suites"]["filtration"] for r in other["results"]]
         assert all(b["ok"] for b in blocks)
-        # only the degrevlex cohomology basis: the K(v) side shares it
-        assert asked == [("y", (groebner.DEGREVLEX,))] * len(blocks)
+        # only the cohomology basis in the run's order: the K(u) side shares it
+        assert asked == [("y", (groebner.LEX,))] * len(blocks)
 
 
 def translated_kv(lam, convention="u"):
@@ -770,11 +757,17 @@ def planted_basis(parts):
 
 
 class TestPlantedFailures:
-    def test_torsion_prime_exits_one_naming_prime_and_degree(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("order", ["degrevlex", "deglex", "lex"])
+    @pytest.mark.parametrize("convention", ["u", "v"])
+    def test_torsion_prime_exits_one_naming_prime_and_degree(self, capsys, monkeypatch,
+                                                             convention, order):
+        # the freeness suite reads the run's own completion: the torsion is
+        # named the same under every order and convention
         lam = Partition((2, 1))
         planted = planted_torsion(lam)
         monkeypatch.setattr(cli, "tanisaki_generators", lambda p: planted)
-        code, doc = run_json(capsys, "verify", "--partition", "2,1", "--suite", "freeness")
+        code, doc = run_json(capsys, "verify", "--partition", "2,1", "--suite", "freeness",
+                             "--convention", convention, "--order", order)
         assert code == 1
         rep = doc["results"][0]["suites"]["freeness"]
         assert rep["degrees"] == [

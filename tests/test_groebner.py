@@ -590,7 +590,7 @@ class TestSharedLeadingMonomials:
         assert len(oracles) == sum(len(enumerate_partitions(n)) for n in range(1, max_n + 1))
         for lam, oracle in oracles:
             ctx = cli._Context(lam, cli.RunConfig([lam], convention="u", order=order))
-            gb, monos = ctx.basis(KTHEORY, order, "u")
+            gb, monos = ctx.basis(KTHEORY)
             assert gb.polys == oracle.polys, lam
             assert gb.engine.terms == oracle.engine.terms, lam
             assert gb.engine.scan == oracle.engine.scan, lam
