@@ -72,15 +72,8 @@ def verify_rank_lemma(partition: Partition) -> RankLemmaReport:
         if len(units) < len(nonzero):
             raise ValueError(f"the nonzero rows of J^{k} are not distinct unit vectors")
         ranks[k] = len(nonzero)
-        if k < n:
-            nxt = []
-            for row in power:
-                acc = {}
-                for c, v in row.items():
-                    for j, w in jrows[c].items():
-                        acc[j] = acc.get(j, 0) + v * w
-                nxt.append({j: v for j, v in acc.items() if v})
-            power = nxt
+        # each nonzero row is now a unit row e_c, and e_c J is row c of J
+        power = [jrows[next(iter(row))] if row else row for row in power]
     rows = []
     ok = True
     for s in range(1, n + 1):

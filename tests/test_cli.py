@@ -287,36 +287,50 @@ class TestDeterminism:
 
 
 class TestCacheIntegration:
-    def test_corrupted_cache_recomputed(self, capsys, tmp_path):
-        cache = str(tmp_path)
-        args = ("presentation", "--partition", "2,1", "--flavor", "ktheory",
-                "--cache-dir", cache)
-        _, a = run_cli(capsys, *args)
-        files = [f for f in os.listdir(cache) if f.endswith(".json")]
-        assert files
-        victim = os.path.join(cache, files[0])
-        with open(victim, "w") as fh:
-            fh.write("{not json")
-        _, b = run_cli(capsys, *args)
-        assert a == b
-        with open(victim) as fh:
-            assert json.load(fh)  # rewritten as valid JSON
-
-    def test_redundant_cached_basis_is_not_reported(self, capsys, tmp_path):
-        # a cached basis with a repeated element still presents the ideal,
-        # but it is not the reduced basis the report must show
-        args = ("presentation", "--partition", "2,1", "--flavor", "ktheory",
-                "--cache-dir", str(tmp_path))
+    @pytest.mark.parametrize("command", [
+        ("presentation", "--flavor", "ktheory"),
+        ("verify", "--suite", "gamma", "--suite", "stability", "--suite", "truncation"),
+        ("gamma", "--subset", "1,2", "--d", "2"),
+    ], ids=["presentation", "verify", "gamma"])
+    @pytest.mark.parametrize("parts,plant", [
+        pytest.param("2,1", None, id="not-json"),
+        pytest.param("2,1", lambda basis: basis + basis[:1], id="repeated-element"),
+        pytest.param("2,1", lambda basis: ["1"], id="unit-ideal-2,1"),
+        pytest.param("3", lambda basis: ["1"], id="unit-ideal-3"),
+        # staircase 1, v1, v1^2 has the multinomial rank 3, but v1 + v2 + v3
+        # does not reduce to zero
+        pytest.param("2,1", lambda basis: ["v1^3", "v2", "v3"], id="missing-generator"),
+        # staircase 1, v2 has the rank 2 and every generator reduces to zero,
+        # but the S-pair of v1 + v2 and v1 - 1 leaves v2 + 1: the unit ideal
+        pytest.param("1,1", lambda basis: ["v1 + v2", "v2^2", "v1 - 1"], id="larger-ideal"),
+    ])
+    def test_planted_basis_files_are_never_read(self, capsys, monkeypatch, tmp_path,
+                                                command, parts, plant):
+        # a stale, corrupted or planted file cannot change a report: the run
+        # completes once over Q and writes every file as the cold run did
+        args = (command[0], "--partition", parts, *command[1:], "--cache-dir", str(tmp_path))
         code, cold = run_cli(capsys, *args)
         assert code == 0
-        path = tmp_path / "gb_2-1_ktheory_v_degrevlex.json"
-        doc = json.loads(path.read_text())
-        doc["basis"] = doc["basis"] + doc["basis"][:1]
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        code, warm = run_cli(capsys, *args)
-        assert code == 0
-        assert warm == cold
+        written = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        for path, blob in written.items():
+            if plant is None:
+                path.write_text("{not json")
+                continue
+            doc = json.loads(blob)
+            doc["basis"] = plant(doc["basis"])  # order and schema_version untouched
+            path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
+        calls = []
+        buchberger = groebner.buchberger
+
+        def counting(pres, order=groebner.DEGREVLEX, modulus=0):
+            calls.append(modulus)
+            return buchberger(pres, order, modulus)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        assert run_cli(capsys, *args) == (0, cold)
+        assert calls == [0]
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == written
 
     def test_verify_writes_every_basis_it_completes(self, capsys, tmp_path):
         # with --order lex every suite reads the lex bases: the run completes
@@ -349,72 +363,7 @@ class TestCacheIntegration:
             assert (run / f).read_bytes() == (direct / f).read_bytes()
 
 
-class TestCacheCertification:
-    """A cached basis that does not present the ideal is recomputed."""
-
-    def _rewrite_with(self, capsys, monkeypatch, tmp_path, parts, basis):
-        args = ("verify", "--partition", parts, "--suite", "gamma", "--suite", "stability",
-                "--suite", "truncation", "--cache-dir", str(tmp_path))
-        code, cold = run_cli(capsys, *args)
-        assert code == 0
-        path = tmp_path / f"gb_{parts.replace(',', '-')}_ktheory_v_degrevlex.json"
-        good = path.read_text()
-        doc = json.loads(good)
-        doc["basis"] = basis  # order and schema_version untouched
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-        calls = []
-        buchberger = groebner.buchberger
-
-        def counting(*a, **kw):
-            calls.append(a)
-            return buchberger(*a, **kw)
-
-        monkeypatch.setattr(groebner, "buchberger", counting)
-        code, warm = run_cli(capsys, *args)
-        assert code == 0
-        assert warm == cold
-        assert len(calls) == 1
-        assert path.read_text() == good
-
-    def test_unit_ideal_basis_is_recomputed(self, capsys, monkeypatch, tmp_path):
-        self._rewrite_with(capsys, monkeypatch, tmp_path, "3", ["1"])
-
-    def test_basis_missing_a_generator_is_recomputed(self, capsys, monkeypatch, tmp_path):
-        # staircase 1, v1, v1^2 has the multinomial rank 3, but v1 + v2 + v3
-        # does not reduce to zero
-        self._rewrite_with(capsys, monkeypatch, tmp_path, "2,1", ["v1^3", "v2", "v3"])
-
-    def test_basis_of_a_larger_ideal_is_recomputed(self, capsys, monkeypatch, tmp_path):
-        # staircase 1, v2 has the rank 2 and every generator reduces to zero,
-        # but the S-pair of v1 + v2 and v1 - 1 leaves v2 + 1: the unit ideal
-        self._rewrite_with(capsys, monkeypatch, tmp_path, "1,1", ["v1 + v2", "v2^2", "v1 - 1"])
-
-
 class TestSharedPartitionWork:
-    def test_basis_and_gamma_sweep_once_per_partition(self, capsys, monkeypatch, tmp_path):
-        seen = {"basis": [], "gamma": []}
-        cached_buchberger = groebner.cached_buchberger
-        verify_gamma_relations = lambda_ring.verify_gamma_relations
-
-        def basis(pres, *args):
-            seen["basis"].append(pres.partition.parts)
-            return cached_buchberger(pres, *args)
-
-        def gamma(p, gb):
-            seen["gamma"].append(p.parts)
-            return verify_gamma_relations(p, gb)
-
-        monkeypatch.setattr(groebner, "cached_buchberger", basis)
-        monkeypatch.setattr(lambda_ring, "verify_gamma_relations", gamma)
-        code, doc = run_json(
-            capsys, "verify", "--n", "3", "--suite", "gamma", "--suite", "lambda",
-            "--suite", "truncation", "--suite", "stability", "--cache-dir", str(tmp_path),
-        )
-        assert code == 0
-        parts = [tuple(r["partition"]) for r in doc["results"]]
-        assert seen == {"basis": parts, "gamma": parts}
-
     def test_no_basis_outlives_its_call(self, capsys, monkeypatch):
         # each call's _Context owns its bases; nothing memoises them past it
         refs = []
@@ -476,108 +425,58 @@ class TestSharedPartitionWork:
                      ("rank-lemma", "--n", "8")):
             assert run_cli(capsys, *argv)[0] == 0, argv
 
-    @pytest.mark.parametrize("argv", [
-        ("verify", "--n", "3"),
-        ("verify", "--n", "3", "--order", "lex"),
-        ("presentation", "--partition", "2,1", "--flavor", "both"),
-        ("sweep", "--n", "3"),
-    ])
-    def test_each_basis_completed_once(self, capsys, monkeypatch, argv):
-        keys = []
-        cached_buchberger = groebner.cached_buchberger
-
-        def recording(pres, order, *args):
-            keys.append((pres.partition.parts, pres.flavor, pres.convention, order))
-            return cached_buchberger(pres, order, *args)
-
-        monkeypatch.setattr(groebner, "cached_buchberger", recording)
-        assert cli.main(list(argv)) == 0
-        capsys.readouterr()
-        assert keys and len(set(keys)) == len(keys)
-
-    @pytest.mark.parametrize("convention,per_call", [("v", 1), ("u", 1)])
-    def test_presentation_completes_once_per_partition(self, capsys, monkeypatch,
-                                                       convention, per_call):
-        # in either convention the K-basis is the certified cohomology
-        # completion, re-presented in the K variables
-        calls = []
-        buchberger = groebner.buchberger
-
-        def counting(pres, *args):
-            calls.append((pres.flavor, pres.convention))
-            return buchberger(pres, *args)
-
-        monkeypatch.setattr(groebner, "buchberger", counting)
-        for lam in enumerate_partitions(4):
-            calls.clear()
-            assert cli.main(["presentation", "--partition", str(lam), "--flavor", "both",
-                             "--convention", convention]) == 0
-            assert len(calls) == per_call
-        capsys.readouterr()
-
     @pytest.mark.parametrize("order", ["degrevlex", "deglex", "lex"])
     @pytest.mark.parametrize("convention", ["u", "v"])
-    def test_only_cohomology_is_completed_over_q(self, capsys, monkeypatch, convention, order):
-        # every K basis is the cohomology completion re-presented, so each
-        # command completes the cohomology presentation over Q at most once
-        # per partition and order, and over F_p only in the freeness suite
-        calls = []
-        buchberger = groebner.buchberger
-
-        def recording(pres, order=groebner.DEGREVLEX, modulus=0):
-            calls.append((pres.flavor, pres.partition.parts, order.kind, modulus))
-            return buchberger(pres, order, modulus)
-
-        monkeypatch.setattr(groebner, "buchberger", recording)
-        for argv in (("presentation", "--partition", "2,2", "--flavor", "both"),
-                     ("gamma", "--partition", "2,1", "--subset", "1,2", "--d", "2"),
-                     ("verify", "--n", "4"),
-                     ("sweep", "--n", "4")):
-            calls.clear()
-            assert cli.main([*argv, "--convention", convention, "--order", order]) == 0
-            assert calls and {flavor for flavor, *_ in calls} == {ideals.COHOMOLOGY}, argv
-            rational = [(parts, kind) for _, parts, kind, modulus in calls if not modulus]
-            assert len(rational) == len(set(rational)), argv
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("order", ["degrevlex", "lex"])
-    @pytest.mark.parametrize("convention", ["u", "v"])
     @pytest.mark.parametrize("argv,partitions", [
-        (("presentation", "--partition", "2,1", "--flavor", "both"), [(2, 1)]),
-        (("verify", "--n", "3"), [(3,), (2, 1), (1, 1, 1)]),
+        (("presentation", "--partition", "2,2", "--flavor", "both"), [(2, 2)]),
+        (("verify", "--partition", "2,2", "--n", "3"), [(2, 2), (3,), (2, 1), (1, 1, 1)]),
         (("gamma", "--partition", "2,1", "--subset", "1,2", "--d", "2"), [(2, 1)]),
-        (("sweep", "--n", "3"), [(3,), (2, 1), (1, 1, 1)]),
+        (("sweep", "--n", "4"), [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]),
     ], ids=["presentation", "verify", "gamma", "sweep"])
     def test_one_completion_walk_and_certificate_per_partition(
             self, capsys, monkeypatch, argv, partitions, convention, order):
         # every basis a run reads is in its own order and convention, so
         # each partition is completed over Q once, its staircase walked
-        # once and its K presentation certified once, whatever the flags;
-        # the F_p completions of the freeness suite are not counted
-        seen = {"rational": [], "walks": [], "certified": []}
+        # once, its K presentation certified once and, in verify, its gamma
+        # relations swept once, whatever the flags.  Every completion is of
+        # the cohomology presentation, since the K bases re-present it.
+        # (2,2) alone records a prime, 2, under every order: verify's
+        # freeness suite completes it once over F_2 (that walk is not counted)
+        seen = {"flavors": set(), "rational": [], "modular": [], "walks": [], "certified": [],
+                "gamma": []}
         buchberger = groebner.buchberger
         standard_monomials = groebner.standard_monomials
         k_certificate = ideals.k_certificate
+        verify_gamma_relations = lambda_ring.verify_gamma_relations
 
         def completing(pres, order=groebner.DEGREVLEX, modulus=0):
-            if not modulus:
-                seen["rational"].append(pres.partition.parts)
+            seen["flavors"].add(pres.flavor)
+            seen["modular" if modulus else "rational"].append(pres.partition.parts)
             return buchberger(pres, order, modulus)
 
         def walking(gb, *args):
-            seen["walks"].append(gb.source.partition.parts)
+            if not gb.engine.modulus:
+                seen["walks"].append(gb.source.partition.parts)
             return standard_monomials(gb, *args)
 
         def certifying(cohomology, ktheory):
             seen["certified"].append(ktheory.partition.parts)
             return k_certificate(cohomology, ktheory)
 
+        def sweeping(p, gb):
+            seen["gamma"].append(p.parts)
+            return verify_gamma_relations(p, gb)
+
         monkeypatch.setattr(groebner, "buchberger", completing)
         monkeypatch.setattr(groebner, "standard_monomials", walking)
         monkeypatch.setattr(ideals, "k_certificate", certifying)
+        monkeypatch.setattr(lambda_ring, "verify_gamma_relations", sweeping)
         assert cli.main([*argv, "--convention", convention, "--order", order]) == 0
         capsys.readouterr()
-        assert seen == {"rational": partitions, "walks": partitions, "certified": partitions}
+        verify = argv[0] == "verify"
+        assert seen == {"flavors": {ideals.COHOMOLOGY}, "rational": partitions,
+                        "modular": [(2, 2)] if verify else [], "walks": partitions,
+                        "certified": partitions, "gamma": partitions if verify else []}
 
 
 class TestSharedVBasis:
@@ -591,7 +490,8 @@ class TestSharedVBasis:
                 ctx = cli._Context(lam, cli.RunConfig([lam], order=order))
                 gb, monos = ctx.basis(ideals.KTHEORY)
                 coh, coh_monos = ctx.basis(ideals.COHOMOLOGY)
-                assert gb.polys == groebner.buchberger(k_tanisaki_generators(lam, "v"), order).polys
+                direct = groebner.buchberger(k_tanisaki_generators(lam, "v"), order)
+                assert gb.polys == coh.polys == direct.polys
                 assert gb.source is ctx.presentation(ideals.KTHEORY)
                 assert gb.engine is coh.engine and gb.primes == coh.primes
                 assert monos is coh_monos

@@ -116,6 +116,7 @@ class TestRankLemma:
     @pytest.mark.parametrize("planted", [
         [[0, 1, 0], [0, 1, 0], [0, 0, 0]],  # J e_2 repeated
         [[0, 2, 0], [0, 0, 0], [0, 0, 0]],  # an entry of 2
+        [[0, 1, 1], [0, 0, 0], [0, 0, 0]],  # a row of two entries
     ])
     def test_non_unit_rows_are_refused(self, monkeypatch, planted):
         monkeypatch.setattr(linalg, "jordan_matrix", lambda partition: planted)
