@@ -7,14 +7,16 @@ All output is deterministic for a fixed configuration; wall-clock timings
 (sweep only) are the single exception.
 
 Every basis a command reads comes from `_Context.basis`, in the run's own
-order and convention.  Only the cohomology presentation is completed, once
-per partition, and a basis whose staircase size is not the multinomial
-rank exits 1 before any report is written.  No command eliminates: `linalg`
-judges counts and series.  `ideals.k_certificate` checks, once per
-partition, that the K presentation is the Tanisaki one written in v (in u:
-after u_i = v_i + 1); the K basis is then the cohomology completion in the
-K variables, with its staircase.  A refused presentation exits 1 the same
-way (stderr names the convention, the partition, the subset and d).
+order.  Only the cohomology presentation is completed, once per partition,
+and a basis whose staircase size is not the multinomial rank exits 1 before
+any report is written.  No command eliminates: `linalg` judges counts and
+series.  `ideals.k_certificate` checks, once per partition, that the K
+presentation is the Tanisaki one written in v (in u: after u_i = v_i + 1);
+the K basis is then the cohomology completion itself, read in v, with its
+staircase.  A refused presentation exits 1 the same way (stderr names the
+convention, the partition, the subset and d).  Every reduction is in v;
+u polynomials appear only where a report or a basis file renders them
+(`_in_convention`).
 
 Run as `python -m tanisaki.cli`, the process ends with a hard exit: once
 `main` has returned its code, stdout and stderr are flushed and `os._exit`
@@ -96,10 +98,15 @@ class WrongBasis(Exception):
     a K presentation that `ideals.k_certificate` refuses."""
 
 
+def _in_convention(q, convention: str):
+    """A v polynomial in the variables of the convention: v_i = u_i - 1 in u."""
+    return q.shift_variables(-1) if convention == "u" else q
+
+
 class _Context:
-    """One partition's shared work in the run's order and convention: each
-    presentation, each basis and its staircase are computed on first use,
-    at most once, by whichever command or suite needs them."""
+    """One partition's shared work in the run's order: each presentation,
+    each basis and its staircase are computed on first use, at most once,
+    by whichever command or suite needs them."""
 
     def __init__(self, p: Partition, cfg: RunConfig):
         self.p = p
@@ -117,16 +124,16 @@ class _Context:
 
     def basis(self, flavor: str):
         """The reduced basis of the flavor's presentation under the run's
-        order (presentation: .source) and its staircase, once per context.
+        order and its staircase, once per context.
 
         Only the cohomology presentation is completed and walked.  The K
-        basis is that basis in the K variables, once `ideals.k_certificate`
-        ties the K presentation to the cohomology one.  In v it is the same
-        polynomials and engine (so the same normal-form memos); in u, the
-        polynomials with v_i = u_i - 1 substituted, on an engine built from
-        them.  The substitution moves no leading monomial, so the primes and
-        the staircase carry over.  A refused presentation raises WrongBasis
-        naming the subset and d.
+        basis is that same basis and staircase, read in v, once
+        `ideals.k_certificate` ties the K presentation, in either
+        convention, to the cohomology one; so every K reduction is in v.
+        In u, v_i = u_i - 1 is a ring automorphism that maps the span of
+        the staircase onto itself, so a u normal form is the rendering of
+        the v one.  A refused presentation raises WrongBasis naming the
+        subset and d.
 
         The staircase must have the multinomial rank's size; otherwise
         WrongBasis is raised.  A basis of a larger ideal reduces every
@@ -134,7 +141,7 @@ class _Context:
         suite."""
         if flavor not in self.bases:
             self.bases[flavor] = (self._completed() if flavor == ideals.COHOMOLOGY
-                                  else self._represented())
+                                  else self._certified())
         return self.bases[flavor]
 
     def _completed(self):
@@ -148,9 +155,9 @@ class _Context:
                              f"staircase size {len(monos)}, multinomial rank {rank}")
         return gb, monos
 
-    def _represented(self):
-        """The cohomology basis and staircase in the variables of the
-        certified K presentation; written to its own basis file."""
+    def _certified(self):
+        """The cohomology basis and staircase, once the K presentation is
+        certified; the K basis file holds them in the K variables."""
         pres = self.presentation(ideals.KTHEORY)
         conv = pres.convention
         bad = ideals.k_certificate(self.presentation(ideals.COHOMOLOGY), pres)
@@ -159,14 +166,10 @@ class _Context:
             raise WrongBasis(f"K({conv}) presentation is not the Tanisaki ideal in {conv}: "
                              f"partition {self.p}: subset {','.join(map(str, subset))}, d {d}")
         gb, monos = self.basis(ideals.COHOMOLOGY)
-        if conv == "v":
-            k = groebner.GroebnerBasis(gb.polys, gb.order, gb.engine, pres, gb.primes)
-        else:
-            k = groebner.reduced_basis([q.shift_variables(-1) for q in gb.polys], gb.order, pres,
-                                       gb.primes)
         if self.cfg.cache_dir is not None:
-            groebner.write_basis(k, self.cfg.cache_dir)
-        return k, monos
+            groebner.write_basis(pres, [_in_convention(q, conv) for q in gb.polys], gb.order,
+                                 self.cfg.cache_dir)
+        return gb, monos
 
 
 # -- presentation --------------------------------------------------------
@@ -174,7 +177,7 @@ class _Context:
 
 def _presentation_block(ctx: _Context, flavor: str) -> dict:
     gb, monos = ctx.basis(flavor)
-    pres = gb.source
+    pres = ctx.presentation(flavor)
     prefix = pres.convention
     block = {
         "flavor": flavor,
@@ -183,7 +186,7 @@ def _presentation_block(ctx: _Context, flavor: str) -> dict:
             {"subset": list(g.subset), "d": g.d, "q": g.q, "poly": g.poly.render(prefix)}
             for g in pres.generators
         ],
-        "groebner_basis": [q.render(prefix) for q in gb.polys],
+        "groebner_basis": [_in_convention(q, prefix).render(prefix) for q in gb.polys],
         "standard_monomials": [monomial_text(m, prefix) or "1" for m in monos],
         "quotient_rank": len(monos),
     }
@@ -222,7 +225,7 @@ def _suite_truncation(ctx: _Context) -> dict:
     failures = []
     checks = 0
     for subset, _ in ideals.relation_grid(p):
-        for cert in ideals.truncation_certificate(p, subset, ctx.cfg.convention):
+        for cert in ideals.truncation_certificate(p, subset):
             checks += 1
             if not groebner.normal_form(cert["h"], gb).is_zero():
                 failures.append({"subset": list(subset), "m": cert["m"]})
@@ -336,7 +339,7 @@ def cmd_gamma(cfg: RunConfig, subset, d: int) -> dict:
     p = cfg.partitions[0]
     gb, _ = _Context(p, cfg).basis(ideals.KTHEORY)
     s = len(subset)
-    nf = groebner.normal_form(lambda_ring.gamma_op(p.n, subset, -s, d, gb.source.convention), gb)
+    nf = groebner.normal_form(lambda_ring.gamma_op(p.n, subset, -s, d, "v"), gb)
     vanished = nf.is_zero()
     claimed = d >= ideals.kept_degrees(s, p.dual().p_function(s)).start
     ok = vanished or not claimed
@@ -345,7 +348,7 @@ def cmd_gamma(cfg: RunConfig, subset, d: int) -> dict:
         "subset": list(subset),
         "d": d,
         "gamma_polynomial": lambda_ring.gamma_op(p.n, subset, -s, d).render("u"),
-        "normal_form": nf.render(cfg.convention),
+        "normal_form": _in_convention(nf, cfg.convention).render(cfg.convention),
         "in_ideal": vanished,
         "claimed": claimed,
         "ok": ok,

@@ -81,12 +81,9 @@ LEX = MonomialOrder("lex")
 class GroebnerBasis:
     """A reduced basis, equal to another exactly when polys and order are.
 
-    `primes` are those of the completion that built polys.  A K basis,
-    which `cli` takes from the cohomology completion once
-    `ideals.k_certificate` holds, keeps those primes: the sources differ
-    by a unitriangular integer matrix and, in u, by v_i = u_i - 1, a
-    Z-automorphism of Z[u], so both present one ideal over Z_(p) for
-    every prime p, up to that automorphism.
+    `primes` are those of the completion that built polys, and `source`
+    the presentation it completed.  `cli` reads a cohomology basis as the
+    K basis too, once `ideals.k_certificate` holds; no basis is in u.
     """
 
     __slots__ = ("polys", "order", "engine", "source", "primes", "__weakref__")
@@ -452,15 +449,6 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX, modulus: int = 0) -> Gr
     return GroebnerBasis(tuple(monic), order, final, pres, primes)
 
 
-def reduced_basis(polys, order: MonomialOrder, source, primes) -> GroebnerBasis:
-    """polys, already a reduced basis under the order, on an engine built as
-    `buchberger` leaves one: no completion and no tail reduction."""
-    eng = _Engine(order, source.n)
-    for p in polys:
-        eng.add(_integral(p, eng.packing)[0])
-    return GroebnerBasis(tuple(polys), order, eng, source, primes)
-
-
 # -- normal forms and the staircase -----------------------------------
 
 
@@ -600,17 +588,9 @@ def cache_path(pres: IdealPresentation, order: MonomialOrder, cache_dir: str) ->
     return os.path.join(cache_dir, name)
 
 
-def basis_to_dict(gb: GroebnerBasis) -> dict:
-    return {
-        "schema_version": 2,
-        "order": gb.order.to_dict(),
-        "basis": [p.render(gb.source.convention) for p in gb.polys],
-    }
-
-
-def write_basis(gb: GroebnerBasis, cache_dir: str) -> None:
-    """Write gb to its file under cache_dir, named for its source and order,
-    atomically."""
+def write_basis(pres: IdealPresentation, polys, order: MonomialOrder, cache_dir: str) -> None:
+    """Write polys, the reduced basis of pres under the order, in pres's
+    variables, to their file under cache_dir, atomically."""
     # imported here: shutil and random would otherwise load at every start
     import tempfile
 
@@ -618,9 +598,11 @@ def write_basis(gb: GroebnerBasis, cache_dir: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(basis_to_dict(gb), fh, sort_keys=True, indent=2)
+            doc = {"schema_version": 2, "order": order.to_dict(),
+                   "basis": [p.render(pres.convention) for p in polys]}
+            json.dump(doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
-        os.replace(tmp, cache_path(gb.source, gb.order, cache_dir))
+        os.replace(tmp, cache_path(pres, order, cache_dir))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -634,5 +616,5 @@ def cached_buchberger(
     (`write_basis`)."""
     gb = buchberger(pres, order)
     if cache_dir is not None:
-        write_basis(gb, cache_dir)
+        write_basis(pres, gb.polys, order, cache_dir)
     return gb

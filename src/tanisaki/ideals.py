@@ -96,11 +96,6 @@ def tanisaki_generators(partition: Partition) -> IdealPresentation:
                          lambda subset, d, q: lambda_coefficient(partition.n, subset, 0, d))
 
 
-def _check_convention(convention: str) -> None:
-    if convention not in ("u", "v"):
-        raise PartitionError(f"convention must be 'u' or 'v', got {convention!r}")
-
-
 @lru_cache(maxsize=None)
 def _line_terms(n: int, lines: tuple[int, ...], k: int) -> dict:
     """e_k of the line multiset as {exponent tuple: coefficient}, kept per
@@ -143,7 +138,8 @@ def lambda_coefficient(n: int, lines, shift: int, d: int, convention: str = "u")
 def k_tanisaki_generators(partition: Partition, convention: str = "u") -> IdealPresentation:
     """K-theory-flavor generators h_d over the same (s, subset, d) grid,
     written in the variables of the convention."""
-    _check_convention(convention)
+    if convention not in ("u", "v"):
+        raise PartitionError(f"convention must be 'u' or 'v', got {convention!r}")
     n = partition.n
     return _presentation(partition, KTHEORY, convention,
                          lambda subset, d, q: lambda_coefficient(n, subset, -q, d, convention))
@@ -182,22 +178,21 @@ def k_certificate(cohomology: IdealPresentation, ktheory: IdealPresentation):
     return next(iter(unmatched), None)
 
 
-def truncation_certificate(partition: Partition, subset, convention: str = "u") -> list[dict]:
+def truncation_certificate(partition: Partition, subset) -> list[dict]:
     """Express h_{s+1} and h_{s+2} as integer combinations of the kept h_d,
-    written in the variables of the convention.
+    written in v.
 
     The coefficient of t^m in prod(1 + u_i t) is e_m(subset), which vanishes
     for m > s; multiplying the defining series by (1+t)^q therefore yields
     sum_{k=0..q} C(q, k) h_{m-k} = 0 for m > s, so the out-of-range relations
     cascade back into the kept window [s+1-q, s].  The recurrence is linear,
-    so the same combination holds in u and in v.
+    so the same combination holds in u, after v_i = u_i - 1.
     """
-    _check_convention(convention)
     n = partition.n
     subset = check_subset(subset, n)
     s = len(subset)
     q = partition.dual().p_function(s)
-    kept = {d: lambda_coefficient(n, subset, -q, d, convention) for d in kept_degrees(s, q)}
+    kept = {d: lambda_coefficient(n, subset, -q, d, "v") for d in kept_degrees(s, q)}
     combos = {d: {d: 1} for d in kept}  # m -> {kept d: integer coefficient}
     out = []
     for m in extra_degrees(s):
@@ -211,7 +206,7 @@ def truncation_certificate(partition: Partition, subset, convention: str = "u") 
         h = Polynomial.zero(n)
         for d, c in combo.items():
             h = h + kept[d] * c
-        if h != lambda_coefficient(n, subset, -q, m, convention):
+        if h != lambda_coefficient(n, subset, -q, m, "v"):
             raise RuntimeError(f"truncation recurrence failed for subset {subset}, m={m}")
         out.append({"m": m, "h": h, "combination": combo})
     return out

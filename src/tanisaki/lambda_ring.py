@@ -3,14 +3,15 @@
 A class is x = sum_{i in lines} [L_i] + shift.  Its exterior powers are the
 coefficients `ideals.lambda_coefficient` builds, in u or directly in v, and
 `gamma_op` is the one place that writes gamma^d as one: the gamma sweep and
-the `gamma` command both call it, in the convention of the basis's source.
+the `gamma` command both call it.  The sweeps build every relation in v and
+reduce it on the cohomology basis, which `cli` reads as the K basis.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .groebner import GroebnerBasis, GroebnerError, normal_form
+from .groebner import GroebnerBasis, normal_form
 from .ideals import extra_degrees, kept_degrees, lambda_coefficient, relation_grid
 from .partitions import Partition, PartitionError
 from .polynomial import Polynomial
@@ -49,16 +50,13 @@ class RelationReport(NamedTuple):
 
 def _sweep(partition: Partition, gb: GroebnerBasis, kind: str) -> RelationReport:
     n = partition.n
-    if gb.source is None:
-        raise GroebnerError("relation sweeps need the basis's source presentation")
-    convention = gb.source.convention
     rows = []
     for subset, q in relation_grid(partition):
         s = len(subset)
         for d in (*kept_degrees(s, q), *extra_degrees(s)):
             # gamma^d(x - s), or its equivalent lambda form lambda^d(x - q)
-            poly = (gamma_op(n, subset, -s, d, convention) if kind == "gamma"
-                    else lambda_coefficient(n, subset, -q, d, convention))
+            poly = (gamma_op(n, subset, -s, d, "v") if kind == "gamma"
+                    else lambda_coefficient(n, subset, -q, d, "v"))
             rows.append((subset, d, normal_form(poly, gb).is_zero()))
     return RelationReport(partition, kind, tuple(rows), all(good for _, _, good in rows))
 

@@ -243,6 +243,11 @@ REPORT_DIGESTS = {
         "736f31e29096009ed41e85a53fa0f68c2d74052230e47740ceee4230914b27ea",
     "verify --n 5 --suite gamma --suite lambda --suite truncation --suite stability":
         "de68084e64f9deaf029cde52934e80ea3ef6e9301cdb956379790eb1a0621096",
+    "presentation --partition 3,2,1 --flavor ktheory --convention u --order lex":
+        "a127486d517e00cd0c5cca0d6870f8e91d92bc261759a62fbbcccbd98f56e807",
+    # normal form -u2 - u3 - u4 - u5 + 4: nonzero and not constant
+    "gamma --partition 3,2 --subset 1 --d 1 --convention u":
+        "7f4729615621647c9f957413056aaff4fe91efb47c23bc6832913a2d93ef82a8",
 }
 
 
@@ -345,22 +350,29 @@ class TestCacheIntegration:
             for kind in ("cohomology_y_lex", "ktheory_v_lex")
         ]
 
-    def test_shared_kv_basis_file_matches_the_direct_completion(self, capsys, tmp_path):
-        # the K(v) file is written from the shared basis, with the name and
-        # bytes a completion of the K(v) presentation itself would give
+    @pytest.mark.parametrize("convention", ["u", "v"])
+    def test_shared_kv_basis_file_matches_the_direct_completion(self, capsys, tmp_path,
+                                                                convention):
+        # the K file is written from the shared basis in the K variables,
+        # with the name and bytes a completion of the K presentation itself
+        # would give: the schema version, the order and the basis
         lam = Partition((3, 2, 1))
         run, direct = tmp_path / "run", tmp_path / "direct"
         for order in ("degrevlex", "lex"):
-            code, _ = run_cli(capsys, "presentation", "--partition", str(lam),
-                              "--order", order, "--cache-dir", str(run))
+            code, _ = run_cli(capsys, "presentation", "--partition", str(lam), "--convention",
+                              convention, "--order", order, "--cache-dir", str(run))
             assert code == 0
-            groebner.cached_buchberger(k_tanisaki_generators(lam, "v"),
+            groebner.cached_buchberger(k_tanisaki_generators(lam, convention),
                                        groebner.MonomialOrder(order), str(direct))
         [name, name_lex] = sorted(os.listdir(direct))
-        assert name == "gb_3-2-1_ktheory_v_degrevlex.json"
-        assert name_lex == "gb_3-2-1_ktheory_v_lex.json"
-        for f in (name, name_lex):
-            assert (run / f).read_bytes() == (direct / f).read_bytes()
+        assert name == f"gb_3-2-1_ktheory_{convention}_degrevlex.json"
+        assert name_lex == f"gb_3-2-1_ktheory_{convention}_lex.json"
+        for f, order in ((name, "degrevlex"), (name_lex, "lex")):
+            blob = (run / f).read_bytes()
+            assert blob == (direct / f).read_bytes()
+            doc = json.loads(blob)
+            assert set(doc) == {"schema_version", "order", "basis"}
+            assert (doc["schema_version"], doc["order"]["kind"]) == (2, order)
 
 
 class TestSharedPartitionWork:
@@ -480,21 +492,22 @@ class TestSharedPartitionWork:
 
 
 class TestSharedVBasis:
-    """The K(v) basis is the certified cohomology completion; the direct
-    K(v) completion, which no command runs, is the oracle."""
+    """The K basis, in either convention, is the certified cohomology
+    completion; the direct K(v) completion, which no command runs, is the
+    oracle."""
 
     @pytest.mark.parametrize("order", [groebner.DEGREVLEX, groebner.DEGLEX, groebner.LEX])
     def test_equals_the_direct_completion(self, order):
         for n in range(1, 7):
             for lam in enumerate_partitions(n):
-                ctx = cli._Context(lam, cli.RunConfig([lam], order=order))
-                gb, monos = ctx.basis(ideals.KTHEORY)
-                coh, coh_monos = ctx.basis(ideals.COHOMOLOGY)
                 direct = groebner.buchberger(k_tanisaki_generators(lam, "v"), order)
-                assert gb.polys == coh.polys == direct.polys
-                assert gb.source is ctx.presentation(ideals.KTHEORY)
-                assert gb.engine is coh.engine and gb.primes == coh.primes
-                assert monos is coh_monos
+                for convention in ("u", "v"):
+                    ctx = cli._Context(lam, cli.RunConfig([lam], convention=convention,
+                                                          order=order))
+                    gb, monos = ctx.basis(ideals.KTHEORY)
+                    coh, coh_monos = ctx.basis(ideals.COHOMOLOGY)
+                    assert gb is coh and monos is coh_monos
+                    assert gb.polys == direct.polys
 
     def test_translated_plant_has_the_multinomial_rank(self):
         # the staircase check cannot see the plant: the u-generators read as
@@ -532,9 +545,10 @@ class TestSharedVBasis:
 
 
 class TestSharedUBasis:
-    """The K(u) basis is the certified cohomology completion with
-    v_i = u_i - 1 substituted; `TestSharedLeadingMonomials` compares it with
-    the direct K(u) completion, which no command runs."""
+    """A u run reads the certified cohomology completion as its K basis and
+    renders it with v_i = u_i - 1 substituted; `TestSharedLeadingMonomials`
+    compares that rendering with the direct K(u) completion, which no
+    command runs."""
 
     @pytest.mark.parametrize("argv", [
         ("presentation", "--partition", "2,1"),
@@ -578,8 +592,7 @@ class TestSharedUBasis:
                 for _ in range(2):
                     gb, monos = ctx.basis(ideals.KTHEORY)
                     coh, coh_monos = ctx.basis(ideals.COHOMOLOGY)
-                    assert monos is coh_monos and gb.primes == coh.primes
-                    assert (gb.engine is coh.engine) == (convention == "v")
+                    assert gb is coh and monos is coh_monos
                 assert certified == [convention]
 
 
@@ -766,19 +779,25 @@ class TestPlantedFailures:
     @pytest.mark.parametrize("convention", ["u", "v"])
     def test_smaller_ideal_basis_fails_every_membership_check(self, convention):
         # past the staircase check, the relation sweeps and the truncation
-        # certificates each report the relations of (2,1) that the full-flag
-        # ideal of (1,1,1) lacks; so do the K generators permuted by
-        # adjacent transpositions, reduced here directly
+        # certificates, all built in v, each report the relations of (2,1)
+        # that the full-flag ideal of (1,1,1) lacks; so do the K generators
+        # permuted by adjacent transpositions, reduced here directly.  The
+        # K presentation of either convention is read in v (u_i = v_i + 1),
+        # as the CLI reads it once certified
+        def in_v(q):
+            return q.shift_variables(1) if convention == "u" else q
+
         lam = Partition((2, 1))
-        gb = groebner.buchberger(k_tanisaki_generators(Partition((1, 1, 1)), convention))
+        gb = groebner.buchberger([in_v(g.poly) for g in
+                                  k_tanisaki_generators(Partition((1, 1, 1)), convention).generators])
         for report in (lambda_ring.verify_gamma_relations(lam, gb),
                        lambda_ring.equivalent_lambda_relations(lam, gb)):
             assert not report.ok and report.failures(), report.kind
         residues = [groebner.normal_form(cert["h"], gb)
                     for subset in ((1, 2), (1, 3), (2, 3))
-                    for cert in ideals.truncation_certificate(lam, subset, convention)]
+                    for cert in ideals.truncation_certificate(lam, subset)]
         assert any(not r.is_zero() for r in residues)
-        images = [g.poly.permute_variables(sigma)
+        images = [in_v(g.poly.permute_variables(sigma))
                   for g in k_tanisaki_generators(lam, convention).generators
                   for sigma in ((2, 1, 3), (1, 3, 2))]
         assert any(not groebner.normal_form(image, gb).is_zero() for image in images)
@@ -1018,7 +1037,7 @@ def test_unwritable_report_exits_2(target, reason, head):
 def test_unwritable_basis_file_exits_2(capsys, monkeypatch, tmp_path):
     target = str(tmp_path / "gb.json")
 
-    def full(gb, cache_dir):
+    def full(pres, polys, order, cache_dir):
         raise OSError(errno.ENOSPC, "No space left on device", target)
 
     monkeypatch.setattr(groebner, "write_basis", full)

@@ -184,6 +184,9 @@ class TestKGenerators:
                 pres_v = k_tanisaki_generators(lam, "v")
                 assert [shift_variables(p, 1) for p in pres_u.polynomials()] == pres_v.polynomials()
                 assert [shift_variables(p, -1) for p in pres_v.polynomials()] == pres_u.polynomials()
+        # no generator is built before the convention is checked
+        with pytest.raises(PartitionError):
+            k_tanisaki_generators(Partition((1, 1, 1)), "w")
 
     def test_generator_invariants(self):
         for n in range(1, 6):
@@ -273,12 +276,8 @@ class TestStability:
 class TestTruncationCertificate:
     def test_q_zero_collapses(self):
         lam = Partition((1, 1, 1))  # q = 0 for every proper subset
-        for convention in ("u", "v"):
-            certs = truncation_certificate(lam, (1, 2), convention)
-            assert all(c["h"].is_zero() and c["combination"] == {} for c in certs)
-        # no kept h_d is built here, so the convention is checked up front
-        with pytest.raises(PartitionError):
-            truncation_certificate(lam, (1, 2), "w")
+        certs = truncation_certificate(lam, (1, 2))
+        assert all(c["h"].is_zero() and c["combination"] == {} for c in certs)
 
     def test_pair_with_q_one(self):
         lam = Partition((2, 1))
@@ -286,12 +285,12 @@ class TestTruncationCertificate:
         h3 = certs[0]
         assert h3["m"] == 3
         assert h3["combination"] == {2: -1}
-        assert h3["h"] == -lambda_coefficient(3, (1, 2), -1, 2)
+        assert h3["h"] == -lambda_coefficient(3, (1, 2), -1, 2, "v")
 
     def test_full_subset_degenerate(self):
         lam = Partition((2, 1))  # q = s = 3 on the full subset
         for cert in truncation_certificate(lam, (1, 2, 3)):
-            assert cert["h"] == lambda_coefficient(3, (1, 2, 3), -3, cert["m"])
+            assert cert["h"] == lambda_coefficient(3, (1, 2, 3), -3, cert["m"], "v")
             assert set(cert["combination"]) <= {1, 2, 3}
 
     def test_certificates_match_formula_everywhere(self):
