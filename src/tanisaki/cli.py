@@ -16,7 +16,9 @@ the K basis is then the cohomology completion itself, read in v, with its
 staircase.  A refused presentation exits 1 the same way (stderr names the
 convention, the partition, the subset and d).  Every reduction is in v;
 u polynomials appear only where a report or a basis file renders them
-(`_in_convention`).
+(`_in_convention`).  The gamma, lambda and truncation suites report one
+membership check of the cohomology generators, once per partition
+(`_Context.membership`).
 
 Run as `python -m tanisaki.cli`, the process ends with a hard exit: once
 `main` has returned its code, stdout and stderr are flushed and `os._exit`
@@ -49,7 +51,7 @@ from .partitions import (
 )
 from .polynomial import monomial_text
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 SWEEP_MAX_N = 7
 SWEEP_GROEBNER_MAX_N = 6
 VERIFY_MAX_N = 5
@@ -105,14 +107,15 @@ def _in_convention(q, convention: str):
 
 class _Context:
     """One partition's shared work in the run's order: each presentation,
-    each basis and its staircase are computed on first use, at most once,
-    by whichever command or suite needs them."""
+    each basis and its staircase, and the membership check are computed on
+    first use, at most once, by whichever command or suite needs them."""
 
     def __init__(self, p: Partition, cfg: RunConfig):
         self.p = p
         self.cfg = cfg
         self.presentations = {}
         self.bases = {}
+        self.members = None
 
     def presentation(self, flavor: str):
         """The flavor's generators (K: in the run's convention), built once per context."""
@@ -171,6 +174,33 @@ class _Context:
                                  self.cfg.cache_dir)
         return gb, monos
 
+    def membership(self) -> dict:
+        """The one block of the gamma, lambda and truncation suites: the K
+        basis first (so the certificate runs and the --cache-dir files are
+        written), then `_membership` of the cohomology generators on it.
+
+        It stands for the relations those suites name.  On a subset S,
+        with a = q - s + d - 1, lambda^d(x - q) is h_d in the kept window,
+        h_{s+1} and h_{s+2} are integer combinations of those h_d (the
+        truncation recurrence), and gamma^d(x - s) = sum_{j <= a} C(a, j)
+        h_{d-j}; the certificate makes the h_d of S a unitriangular
+        combination of its e_d.  So every relation of S dies on the basis
+        when the generators of S do, and the gamma and lambda relations of
+        S all die only then."""
+        if self.members is None:
+            self.members = _membership(self.presentation(ideals.COHOMOLOGY),
+                                       self.basis(ideals.KTHEORY)[0])
+        return self.members
+
+
+def _membership(pres, gb) -> dict:
+    """One check per generator of the presentation, whose normal form on gb
+    must be 0, and a failure {subset, d} for each one whose form is not."""
+    failures = [{"subset": list(g.subset), "d": g.d} for g in pres.generators
+                if not groebner.normal_form(g.poly, gb).is_zero()]
+    return {"partition": list(pres.partition.parts), "checks": len(pres.generators),
+            "failures": failures, "ok": not failures}
+
 
 # -- presentation --------------------------------------------------------
 
@@ -209,27 +239,6 @@ def cmd_presentation(cfg: RunConfig) -> dict:
 
 def _suite_rank_lemma(ctx: _Context) -> dict:
     return linalg.verify_rank_lemma(ctx.p).to_dict()
-
-
-def _suite_gamma(ctx: _Context) -> dict:
-    return lambda_ring.verify_gamma_relations(ctx.p, ctx.basis(ideals.KTHEORY)[0]).to_dict()
-
-
-def _suite_lambda(ctx: _Context) -> dict:
-    return lambda_ring.equivalent_lambda_relations(ctx.p, ctx.basis(ideals.KTHEORY)[0]).to_dict()
-
-
-def _suite_truncation(ctx: _Context) -> dict:
-    p = ctx.p
-    gb, _ = ctx.basis(ideals.KTHEORY)
-    failures = []
-    checks = 0
-    for subset, _ in ideals.relation_grid(p):
-        for cert in ideals.truncation_certificate(p, subset):
-            checks += 1
-            if not groebner.normal_form(cert["h"], gb).is_zero():
-                failures.append({"subset": list(subset), "m": cert["m"]})
-    return {"partition": list(p.parts), "checks": checks, "failures": failures, "ok": not failures}
 
 
 def _suite_filtration(ctx: _Context) -> dict:
@@ -274,9 +283,9 @@ def _suite_stability(ctx: _Context) -> dict:
 
 _SUITE_FN = {
     "rank-lemma": _suite_rank_lemma,
-    "gamma": _suite_gamma,
-    "lambda": _suite_lambda,
-    "truncation": _suite_truncation,
+    "gamma": _Context.membership,
+    "lambda": _Context.membership,
+    "truncation": _Context.membership,
     "filtration": _suite_filtration,
     "freeness": _suite_freeness,
     "stability": _suite_stability,
@@ -589,7 +598,7 @@ def main(argv=None) -> int:
                                   partitions[0].n)
             if args.d < 0:
                 raise PartitionError("--d must be >= 0")
-            # the verify sweep stops at the last extra degree, and gamma^d(sum [L_i] - s),
+            # the relation grid stops at the last extra degree, and gamma^d(sum [L_i] - s),
             # the t^d coefficient of prod(1 + ([L_i] - 1) t), is zero for d > s
             d_max = ideals.extra_degrees(partitions[0].n)[-1]
             if args.d > d_max:

@@ -19,23 +19,20 @@ the monic conversion divides out.  Given a prime modulus, the same kernel
 and pair criteria complete the generators over F_p instead; comparing those
 staircases with the rational one certifies Z-freeness (`buchberger`).
 
-Memo tables keep per-monomial and per-polynomial work from repeating.
-Each lives and dies with the object that owns it; there is no process-wide
-cache and no switch to turn one off.
+Memo tables keep per-monomial work from repeating.  Each lives and dies
+with the object that owns it; there is no process-wide cache and no switch
+to turn one off.
 - `_Packing.packed`: exponent tuple -> packed int.  Only a monomial that
   passed the width check is stored, so a too-wide one raises on every call.
 - `_Engine.exponents`: each basis element's leading exponent tuple, kept
   beside its packed leading monomial, so pair lcms and the staircase never
   unpack.
-- The memos keyed on the engine's basis, both on `_Engine`:
-  `reducers` (packed monomial -> `find_reducer`'s answer) and
-  `normal_forms` (input Polynomial -> `normal_form`'s result, so a distinct
-  polynomial is reduced at most once per basis).  There is one reduction
-  path and every reduction goes through `reducers`; `add`, the only change
-  to the leading monomials, clears both (tail reduction rewrites tails
-  only, before any normal form is asked for).  So every hit equals a fresh
-  computation, and the engine takes the same steps, and records the same
-  primes, as it would without them.
+- `_Engine.reducers`: packed monomial -> `find_reducer`'s answer on the
+  engine's basis.  There is one reduction path and every reduction goes
+  through it; `add`, the only change to the leading monomials, clears it
+  (tail reduction rewrites tails only).  So every hit equals a fresh scan,
+  and the engine takes the same steps, and records the same primes, as it
+  would without it.
 Basis files (`write_basis`) are written and never read back.
 """
 
@@ -235,7 +232,6 @@ class _Engine:
         self.lcs: list[int] = []
         self.scan: list[tuple[int, int]] = []  # (lm, idx), sorted: reducer choice order
         self.reducers: dict[int, int] = {}  # m -> find_reducer(m) on the current basis
-        self.normal_forms: dict = {}  # Polynomial -> normal_form on the current basis
 
     def add(self, terms):
         lm = max(terms)
@@ -252,7 +248,6 @@ class _Engine:
         self.lcs.append(terms[lm])
         bisect.insort(self.scan, (lm, idx))
         self.reducers.clear()
-        self.normal_forms.clear()
         return idx
 
     def find_reducer(self, m):
@@ -456,23 +451,17 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of p modulo gb: no term divisible by a leading term.
 
     The basis's integer engine reduces p's integral multiple; one division
-    at the end gives the exact rational remainder.  The result is kept in
-    the engine's normal_forms, keyed by p, and a later call with an equal p
-    on the same basis returns it without reducing.
+    at the end gives the exact rational remainder.
     """
     if not gb.polys:
         raise GroebnerError("empty basis")
     if p.n != gb.n:
         raise GroebnerError(f"variable count mismatch: {p.n} vs {gb.n}")
     eng = gb.engine
-    nf = eng.normal_forms.get(p)
-    if nf is None:
-        terms, den = _integral(p, eng.packing)
-        remainder, scale = eng.reduce(terms)
-        unpack = eng.packing.unpack
-        nf = eng.normal_forms[p] = Polynomial(
-            gb.n, {unpack(m): Fraction(c, scale * den) for m, c in remainder.items()})
-    return nf
+    terms, den = _integral(p, eng.packing)
+    remainder, scale = eng.reduce(terms)
+    unpack = eng.packing.unpack
+    return Polynomial(gb.n, {unpack(m): Fraction(c, scale * den) for m, c in remainder.items()})
 
 
 def standard_monomials(gb: GroebnerBasis, max_degree: int | None = None) -> list[tuple[int, ...]]:

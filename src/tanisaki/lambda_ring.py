@@ -4,7 +4,9 @@ A class is x = sum_{i in lines} [L_i] + shift.  Its exterior powers are the
 coefficients `ideals.lambda_coefficient` builds, in u or directly in v, and
 `gamma_op` is the one place that writes gamma^d as one: the gamma sweep and
 the `gamma` command both call it.  The sweeps build every relation in v and
-reduce it on the cohomology basis, which `cli` reads as the K basis.
+reduce it on a given basis.  No command calls them: `cli` checks the
+membership of the cohomology generators instead, which the sweeps'
+relations follow from; the tests hold the two routes equal.
 """
 
 from __future__ import annotations

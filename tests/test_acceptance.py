@@ -18,7 +18,7 @@ from tanisaki.ideals import (
     tanisaki_generators,
     truncation_certificate,
 )
-from tanisaki.lambda_ring import equivalent_lambda_relations, verify_gamma_relations
+from tanisaki.lambda_ring import verify_gamma_relations
 from tanisaki.linalg import _slice, dim_graded_piece, ideal_degree_rank, verify_rank_lemma
 from tanisaki.partitions import (
     Partition,

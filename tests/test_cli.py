@@ -194,7 +194,7 @@ class TestReports:
             "--suite", "gamma",
         )
         assert code == 0
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         assert doc["config"]["suites"] == ["rank-lemma", "gamma"]
         res = doc["results"][0]
         assert set(res["suites"]) == {"rank-lemma", "gamma"}
@@ -234,20 +234,20 @@ class TestReports:
 # a change that means to alter one of them updates its digest here
 REPORT_DIGESTS = {
     "verify --n 4":
-        "a623891569b3144dabe3e7e6b5982ad0dcbd3ef55cfb1a8ae7d10ff21d5e4d3c",
+        "efafc78cd490e82c4dfb122be042ce9abcb7810e1500bfec7de0cf31ad850869",
     "verify --n 4 --convention u --order lex --format csv":
         "554fd357b41836e1a0bbda267876a1a6dffdd0781661db287011e14de8ec600a",
     "presentation --partition 3,2,1 --flavor both":
-        "8e37a120bdc8c301704b3e0cd0622c998c5d348cc33165fb1c55220504434e6f",
+        "283682b61a87788f9abe43f65e1199f9f1053e23b5f098cfafda7528650e0b33",
     "gamma --partition 3,2 --subset 1,2,3 --d 1 --format text":
         "736f31e29096009ed41e85a53fa0f68c2d74052230e47740ceee4230914b27ea",
     "verify --n 5 --suite gamma --suite lambda --suite truncation --suite stability":
-        "de68084e64f9deaf029cde52934e80ea3ef6e9301cdb956379790eb1a0621096",
+        "a5c3abfb5404788dac232fe2a3ec22c79564e10fb43aaba2a398c4207639c095",
     "presentation --partition 3,2,1 --flavor ktheory --convention u --order lex":
-        "a127486d517e00cd0c5cca0d6870f8e91d92bc261759a62fbbcccbd98f56e807",
+        "0d5c0c0ab9dea0eddd7aced0a3e30a5f1ea7a03552b40ebb476c47672555783b",
     # normal form -u2 - u3 - u4 - u5 + 4: nonzero and not constant
     "gamma --partition 3,2 --subset 1 --d 1 --convention u":
-        "7f4729615621647c9f957413056aaff4fe91efb47c23bc6832913a2d93ef82a8",
+        "97616385ddcac4a19deba6cf3a7777540ed26d44ff902a2e380944c2402fc9fb",
 }
 
 
@@ -395,7 +395,10 @@ class TestSharedPartitionWork:
         gc.collect()
         assert refs and [r for r in refs if r() is not None] == []
 
-    def test_each_distinct_polynomial_reduced_once_per_basis(self, capsys, monkeypatch):
+    def test_each_generator_reduced_once_per_basis(self, capsys, monkeypatch):
+        # verify reduces only in the membership pass: each cohomology
+        # generator once, in order, on its partition's basis, though three
+        # suites report the pass; and each normal form is one reduction
         pairs = []  # (polynomial, basis) per normal_form call; keeps each basis alive
         depth = [0]
         reductions = []
@@ -420,8 +423,12 @@ class TestSharedPartitionWork:
         monkeypatch.setattr(groebner._Engine, "reduce", counting)
         code, _ = run_cli(capsys, "verify", "--n", "4")
         assert code == 0
-        distinct = {(p, id(gb)) for p, gb in pairs}
-        assert len(reductions) == len(distinct) < len(pairs)
+        assert len(reductions) == len(pairs)
+        reduced = {}
+        for p, gb in pairs:
+            reduced.setdefault(id(gb), (gb.source.partition.parts, []))[1].append(p)
+        assert list(reduced.values()) == [(lam.parts, tanisaki_generators(lam).polynomials())
+                                          for lam in enumerate_partitions(4)]
 
     def test_no_cohomology_slice_eliminated(self, capsys, monkeypatch):
         # no command eliminates: every suite runs, (2,2) has the prime 2 in
@@ -449,17 +456,18 @@ class TestSharedPartitionWork:
             self, capsys, monkeypatch, argv, partitions, convention, order):
         # every basis a run reads is in its own order and convention, so
         # each partition is completed over Q once, its staircase walked
-        # once, its K presentation certified once and, in verify, its gamma
-        # relations swept once, whatever the flags.  Every completion is of
-        # the cohomology presentation, since the K bases re-present it.
+        # once, its K presentation certified once and, in verify, its
+        # generators checked for membership once, whatever the flags.
+        # Every completion is of the cohomology presentation, since the K
+        # bases re-present it.
         # (2,2) alone records a prime, 2, under every order: verify's
         # freeness suite completes it once over F_2 (that walk is not counted)
         seen = {"flavors": set(), "rational": [], "modular": [], "walks": [], "certified": [],
-                "gamma": []}
+                "membership": []}
         buchberger = groebner.buchberger
         standard_monomials = groebner.standard_monomials
         k_certificate = ideals.k_certificate
-        verify_gamma_relations = lambda_ring.verify_gamma_relations
+        membership = cli._membership
 
         def completing(pres, order=groebner.DEGREVLEX, modulus=0):
             seen["flavors"].add(pres.flavor)
@@ -475,20 +483,20 @@ class TestSharedPartitionWork:
             seen["certified"].append(ktheory.partition.parts)
             return k_certificate(cohomology, ktheory)
 
-        def sweeping(p, gb):
-            seen["gamma"].append(p.parts)
-            return verify_gamma_relations(p, gb)
+        def checking(pres, gb):
+            seen["membership"].append(pres.partition.parts)
+            return membership(pres, gb)
 
         monkeypatch.setattr(groebner, "buchberger", completing)
         monkeypatch.setattr(groebner, "standard_monomials", walking)
         monkeypatch.setattr(ideals, "k_certificate", certifying)
-        monkeypatch.setattr(lambda_ring, "verify_gamma_relations", sweeping)
+        monkeypatch.setattr(cli, "_membership", checking)
         assert cli.main([*argv, "--convention", convention, "--order", order]) == 0
         capsys.readouterr()
         verify = argv[0] == "verify"
         assert seen == {"flavors": {ideals.COHOMOLOGY}, "rational": partitions,
                         "modular": [(2, 2)] if verify else [], "walks": partitions,
-                        "certified": partitions, "gamma": partitions if verify else []}
+                        "certified": partitions, "membership": partitions if verify else []}
 
 
 class TestSharedVBasis:
@@ -778,25 +786,22 @@ class TestPlantedFailures:
 
     @pytest.mark.parametrize("convention", ["u", "v"])
     def test_smaller_ideal_basis_fails_every_membership_check(self, convention):
-        # past the staircase check, the relation sweeps and the truncation
-        # certificates, all built in v, each report the relations of (2,1)
-        # that the full-flag ideal of (1,1,1) lacks; so do the K generators
-        # permuted by adjacent transpositions, reduced here directly.  The
-        # K presentation of either convention is read in v (u_i = v_i + 1),
-        # as the CLI reads it once certified
+        # past the staircase check, the membership pass reports the
+        # generators of (2,1) that the full-flag ideal of (1,1,1) lacks; so
+        # do the K generators permuted by adjacent transpositions, reduced
+        # here directly.  The K presentation of either convention is read
+        # in v (u_i = v_i + 1), as the CLI reads it once certified
         def in_v(q):
             return q.shift_variables(1) if convention == "u" else q
 
         lam = Partition((2, 1))
         gb = groebner.buchberger([in_v(g.poly) for g in
                                   k_tanisaki_generators(Partition((1, 1, 1)), convention).generators])
-        for report in (lambda_ring.verify_gamma_relations(lam, gb),
-                       lambda_ring.equivalent_lambda_relations(lam, gb)):
-            assert not report.ok and report.failures(), report.kind
-        residues = [groebner.normal_form(cert["h"], gb)
-                    for subset in ((1, 2), (1, 3), (2, 3))
-                    for cert in ideals.truncation_certificate(lam, subset)]
-        assert any(not r.is_zero() for r in residues)
+        ctx = cli._Context(lam, cli.RunConfig([lam], convention=convention))
+        ctx.bases[ideals.COHOMOLOGY] = (gb, groebner.standard_monomials(gb))
+        assert ctx.membership() == {
+            "partition": [2, 1], "checks": 6, "ok": False,
+            "failures": [{"subset": subset, "d": 2} for subset in ([1, 2], [1, 3], [2, 3])]}
         images = [in_v(g.poly.permute_variables(sigma))
                   for g in k_tanisaki_generators(lam, convention).generators
                   for sigma in ((2, 1, 3), (1, 3, 2))]
@@ -864,6 +869,35 @@ class TestPlantedFailures:
         assert code == 1
         assert out.splitlines()[2:] == ["  filtration   FAIL", "    counterexample: "
                                         f"{json.dumps(rep['findings'][0])}"]
+
+
+class TestMembershipPass:
+    """The membership pass stands for the relation sweeps and the truncation
+    certificates, which stay in `lambda_ring` and `ideals`: on the same
+    basis it fails on the same subsets as each of them."""
+
+    @pytest.mark.parametrize("convention", ["u", "v"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_fails_on_the_subsets_the_sweeps_fail(self, n, convention):
+        # every lam |- n read against the completion of every mu |- n: the
+        # smaller ideals of the dominated mu lack some generators of lam
+        bases = {mu: groebner.buchberger(tanisaki_generators(mu))
+                 for mu in enumerate_partitions(n)}
+        failing = 0
+        for lam in enumerate_partitions(n):
+            for gb in bases.values():
+                ctx = cli._Context(lam, cli.RunConfig([lam], convention=convention))
+                ctx.bases[ideals.COHOMOLOGY] = (gb, groebner.standard_monomials(gb))
+                members = {tuple(f["subset"]) for f in ctx.membership()["failures"]}
+                gamma, lam_ = ({subset for subset, _ in report.failures()} for report in (
+                    lambda_ring.verify_gamma_relations(lam, gb),
+                    lambda_ring.equivalent_lambda_relations(lam, gb)))
+                truncation = {subset for subset, _ in ideals.relation_grid(lam)
+                              for cert in ideals.truncation_certificate(lam, subset)
+                              if not groebner.normal_form(cert["h"], gb).is_zero()}
+                assert members == gamma == lam_ == truncation, (lam, gb.source.partition)
+                failing += bool(members)
+        assert failing == {1: 0, 2: 1, 3: 3, 4: 10, 5: 21}[n]
 
 
 class TestParallel:

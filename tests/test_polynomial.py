@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
