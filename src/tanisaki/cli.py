@@ -348,7 +348,8 @@ def cmd_gamma(cfg: RunConfig, subset, d: int) -> dict:
     p = cfg.partitions[0]
     gb, _ = _Context(p, cfg).basis(ideals.KTHEORY)
     s = len(subset)
-    nf = groebner.normal_form(lambda_ring.gamma_op(p.n, subset, -s, d, "v"), gb)
+    relation = lambda_ring.gamma_op(p.n, subset, -s, d, "v")
+    nf = groebner.normal_form(relation, gb)
     vanished = nf.is_zero()
     claimed = d >= ideals.kept_degrees(s, p.dual().p_function(s)).start
     ok = vanished or not claimed
@@ -356,7 +357,7 @@ def cmd_gamma(cfg: RunConfig, subset, d: int) -> dict:
         **_partition_block(p),
         "subset": list(subset),
         "d": d,
-        "gamma_polynomial": lambda_ring.gamma_op(p.n, subset, -s, d).render("u"),
+        "gamma_polynomial": _in_convention(relation, "u").render("u"),
         "normal_form": _in_convention(nf, cfg.convention).render(cfg.convention),
         "in_ideal": vanished,
         "claimed": claimed,

@@ -19,11 +19,9 @@ the monic conversion divides out.  Given a prime modulus, the same kernel
 and pair criteria complete the generators over F_p instead; comparing those
 staircases with the rational one certifies Z-freeness (`buchberger`).
 
-Memo tables keep per-monomial work from repeating.  Each lives and dies
-with the object that owns it; there is no process-wide cache and no switch
-to turn one off.
-- `_Packing.packed`: exponent tuple -> packed int.  Only a monomial that
-  passed the width check is stored, so a too-wide one raises on every call.
+Two memo tables keep per-monomial work from repeating.  Both live and die
+with the `_Engine` that owns them; there is no process-wide cache and no
+switch to turn one off.
 - `_Engine.exponents`: each basis element's leading exponent tuple, kept
   beside its packed leading monomial, so pair lcms and the staircase never
   unpack.
@@ -143,16 +141,12 @@ class _Packing:
                 self.shifts[n - pos - 1] = shift
         self.units = tuple(units)
         self.graded = order.kind != "lex"
-        self.packed: dict[tuple[int, ...], int] = {}  # exponent tuple -> pack(exps)
 
     def pack(self, exps: tuple[int, ...]) -> int:
-        m = self.packed.get(exps)
-        if m is None:
-            widest = sum(exps) if self.graded else max(exps, default=0)
-            if widest >= _LIMIT:
-                raise GroebnerError(f"monomial {exps} is too wide to pack below {_LIMIT}")
-            m = self.packed[exps] = sum(map(mul, exps, self.units))
-        return m
+        widest = sum(exps) if self.graded else max(exps, default=0)
+        if widest >= _LIMIT:
+            raise GroebnerError(f"monomial {exps} is too wide to pack below {_LIMIT}")
+        return sum(map(mul, exps, self.units))
 
     def unpack(self, m: int) -> tuple[int, ...]:
         return tuple((m >> s) & (_LIMIT - 1) for s in self.shifts)

@@ -37,7 +37,6 @@ from tanisaki.ideals import (
     tanisaki_generators,
 )
 from tanisaki.lambda_ring import gamma_op
-from tanisaki.linalg import dim_graded_piece, ideal_degree_rank
 from tanisaki.partitions import Partition, enumerate_partitions
 from tanisaki.polynomial import Polynomial
 
@@ -367,21 +366,6 @@ class TestOrderIndependence:
                     counts.add(len(standard_monomials(gb)))
                 assert counts == {lam.multinomial_rank()}
 
-    def test_cohomology_degreewise_across_orders(self):
-        for lam in enumerate_partitions(4):
-            pres = tanisaki_generators(lam)
-            assert hilbert_series(pres, DEGREVLEX) == hilbert_series(pres, LEX)
-
-
-class TestOracleAgreement:
-    def test_degreewise_dimensions_match_linear_algebra(self):
-        for n in range(1, 5):
-            for lam in enumerate_partitions(n):
-                pres = tanisaki_generators(lam)
-                series = hilbert_series(pres)
-                for d in range(len(series)):
-                    assert series[d] == dim_graded_piece(n, d) - ideal_degree_rank(pres, d)
-
 
 class TestPrimeCertificate:
     def test_content_removal_records_its_prime(self):
@@ -478,9 +462,10 @@ class TestEngineMemos:
             for _ in range(2):
                 with pytest.raises(GroebnerError):
                     packing.pack(wide)
-                assert wide not in packing.packed
             m = packing.pack((2, 1))
-            assert packing.packed == {(2, 1): m} and packing.pack((2, 1)) == m
+            assert packing.pack((2, 1)) == m == 2 * packing.units[0] + packing.units[1]
+            # the layout alone: no table fills as monomials are packed
+            assert set(vars(packing)) == {"guard", "exponent_guard", "shifts", "units", "graded"}
 
     def test_leading_exponents_are_the_unpacked_leading_monomials(self):
         for pres in both_flavors(Partition((3, 2, 1))):
