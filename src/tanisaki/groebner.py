@@ -216,8 +216,8 @@ class _Engine:
     leading term that vanishes mod p.
     """
 
-    def __init__(self, order: MonomialOrder, n: int, modulus: int = 0):
-        self.packing = _Packing(order, n)
+    def __init__(self, packing: _Packing, modulus: int = 0):
+        self.packing = packing
         self.modulus = modulus
         self.divisors: set[int] = set()
         self.terms: list[dict] = []
@@ -346,8 +346,8 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX, modulus: int = 0) -> Gr
     if any(g.n != n for g in gens):
         raise GroebnerError("mixed variable counts in generator list")
 
-    eng = _Engine(order, n, modulus)
-    packing = eng.packing
+    packing = _Packing(order, n)
+    eng = _Engine(packing, modulus)
     guard, exponent_guard = packing.guard, packing.exponent_guard
 
     # seed with inter-reduced input, smallest leading monomials first
@@ -414,7 +414,7 @@ def buchberger(source, order: MonomialOrder = DEGREVLEX, modulus: int = 0) -> Gr
     # No monomial below lm is divisible by lm, so an element never reduces
     # its own tail: c*lm + tail becomes c*scale*lm + r, where
     # r == scale * NF(tail)
-    final = _Engine(order, n, modulus)
+    final = _Engine(packing, modulus)
     for i in kept:
         final.add(eng.terms[i])
     for pos, lm in enumerate(final.lms):

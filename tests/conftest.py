@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 import random
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import tanisaki
 from tanisaki.groebner import (
     DEGREVLEX,
     buchberger,
@@ -178,6 +180,15 @@ def random_point(rng: random.Random, n: int):
 @pytest.fixture
 def rng():
     return random.Random(20260809)
+
+
+def child_env():
+    """The environment for a child interpreter: this one's, with the src
+    directory of the imported package first on PYTHONPATH, so the child
+    imports the same package, installed or not."""
+    src = str(Path(tanisaki.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 TESTS = Path(__file__).resolve().parent

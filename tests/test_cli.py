@@ -19,6 +19,8 @@ from tanisaki import cli, groebner, ideals, lambda_ring, linalg
 from tanisaki.ideals import k_tanisaki_generators, tanisaki_generators
 from tanisaki.partitions import Partition, enumerate_partitions
 
+from conftest import child_env
+
 with open(os.path.join(os.path.dirname(cli.__file__), "report_schema.json")) as fh:
     SCHEMA = json.load(fh)
 
@@ -517,71 +519,12 @@ class TestSharedVBasis:
                     assert gb is coh and monos is coh_monos
                     assert gb.polys == direct.polys
 
-    def test_translated_plant_has_the_multinomial_rank(self):
-        # the staircase check cannot see the plant: the u-generators read as
-        # v present a translate of the ideal, of the same rank
-        lam = Partition((2, 1))
-        gb = groebner.buchberger(translated_kv(lam, "v"), groebner.DEGREVLEX)
-        assert len(groebner.standard_monomials(gb)) == lam.multinomial_rank()
-
-    @pytest.mark.parametrize("argv", [
-        ("presentation", "--partition", "2,1"),
-        ("presentation", "--partition", "2,1", "--flavor", "ktheory", "--format", "text"),
-        ("verify", "--partition", "2,1", "--suite", "gamma"),
-        ("gamma", "--partition", "2,1", "--subset", "1,2", "--d", "2"),
-        ("verify", "--partition", "2,1", "--suite", "filtration"),
-    ])
-    def test_translated_presentation_exits_one(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(cli, "k_tanisaki_generators", translated_kv)
-        assert cli.main(list(argv)) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: K(v) presentation is not the Tanisaki ideal in v: "
-                                "partition 2,1: subset 1,2, d 2\n")
-
-    @pytest.mark.parametrize("args", [
-        ("verify", "--partition", "2,1", "--suite", "gamma", "--convention", "u"),
-        ("verify", "--partition", "2,1", "--suite", "filtration", "--convention", "u",
-         "--order", "lex"),
-    ])
-    def test_u_convention_certifies_its_own_presentation(self, capsys, monkeypatch, args):
-        # the plant's u presentation is the true one, and a u run certifies
-        # the u presentation, not the v one, so the plant changes nothing in u
-        _, plain = run_cli(capsys, *args)
-        monkeypatch.setattr(cli, "k_tanisaki_generators", translated_kv)
-        assert run_cli(capsys, *args) == (0, plain)
-
 
 class TestSharedUBasis:
     """A u run reads the certified cohomology completion as its K basis and
     renders it with v_i = u_i - 1 substituted; `TestSharedLeadingMonomials`
     compares that rendering with the direct K(u) completion, which no
     command runs."""
-
-    @pytest.mark.parametrize("argv", [
-        ("presentation", "--partition", "2,1"),
-        ("presentation", "--partition", "2,1", "--flavor", "ktheory", "--format", "text"),
-        ("gamma", "--partition", "2,1", "--subset", "1,2", "--d", "2"),
-        ("sweep", "--partition", "2,1"),
-        ("verify", "--partition", "2,1", "--order", "lex"),
-        *[("verify", "--partition", "2,1", "--suite", suite)
-          for suite in ("gamma", "lambda", "truncation", "stability", "filtration")],
-    ])
-    def test_translated_presentation_exits_one(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(cli, "k_tanisaki_generators", translated_ku)
-        assert cli.main([*argv, "--convention", "u"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: K(u) presentation is not the Tanisaki ideal in u: "
-                                "partition 2,1: subset 1,2, d 2\n")
-
-    @pytest.mark.parametrize("suite", ["rank-lemma", "freeness"])
-    def test_suites_reading_no_u_basis_pass_the_plant(self, capsys, monkeypatch, suite):
-        # the rank lemma reads no basis, the freeness suite the cohomology one
-        args = ("verify", "--partition", "2,1", "--suite", suite, "--convention", "u")
-        _, plain = run_cli(capsys, *args)
-        monkeypatch.setattr(cli, "k_tanisaki_generators", translated_ku)
-        assert run_cli(capsys, *args) == (0, plain)
 
     def test_certified_once_per_convention(self, monkeypatch):
         certified = []
@@ -626,29 +569,6 @@ class TestFiltrationFlags:
         assert asked == [("y", (groebner.LEX,))] * len(blocks)
 
 
-def translated_kv(lam, convention="u"):
-    """The K(u) presentation of lam, labelled with the convention: in v, the
-    K-ideal translated by v_i -> v_i - 1."""
-    return k_tanisaki_generators(lam, "u")._replace(convention=convention)
-
-
-def translated_ku(lam, convention="v"):
-    """The K(v) presentation of lam, labelled with the convention: in u, the
-    K-ideal translated by u_i -> u_i + 1."""
-    return k_tanisaki_generators(lam, "v")._replace(convention=convention)
-
-
-def swapped_record(lam, convention="v"):
-    """The K presentation of lam with record (subset 1,2, d 2) replaced by its
-    image under (2 3), the polynomial of record (1,3): a K-only asymmetry,
-    since the cohomology presentation is left as built."""
-    pres = k_tanisaki_generators(lam, convention)
-    gens = list(pres.generators)
-    k = next(i for i, g in enumerate(gens) if g.subset == (1, 2) and g.d == 2)
-    gens[k] = gens[k]._replace(poly=gens[k].poly.permute_variables((1, 3, 2)))
-    return pres._replace(generators=tuple(gens))
-
-
 def planted_torsion(lam):
     """The cohomology presentation of lam with its degree-1 generator e_1 of
     all n variables scaled by 2, which no other generator recovers over Z:
@@ -658,23 +578,6 @@ def planted_torsion(lam):
     k = next(i for i, g in enumerate(gens) if g.d == 1 and len(g.subset) == lam.n)
     gens[k] = gens[k]._replace(poly=gens[k].poly * 2)
     return pres._replace(generators=tuple(gens))
-
-
-MEMBERSHIP_SUITES = ("--suite", "gamma", "--suite", "lambda", "--suite", "truncation",
-                     "--suite", "stability")
-
-
-def planted_basis(parts):
-    """A cached_buchberger that completes the cohomology presentation of the
-    partition parts, in the asked order, for every presentation: the only
-    one a command completes is the cohomology one."""
-    cached_buchberger = groebner.cached_buchberger
-
-    def planted(pres, *args):
-        assert pres.flavor == ideals.COHOMOLOGY
-        return cached_buchberger(tanisaki_generators(Partition(parts)), *args)
-
-    return planted
 
 
 class TestPlantedFailures:
@@ -742,39 +645,6 @@ class TestPlantedFailures:
         assert out.splitlines()[2:] == ["  rank lemma rows 3  mismatches 1",
                                         f"    counterexample: {line}"]
 
-    def test_wrong_basis_exits_one_after_a_passing_run(self, capsys, monkeypatch):
-        # the same checks pass first on the right basis in this process; the
-        # planted full-flag basis of (1,1,1) for (2,1) is then refused by its
-        # staircase size before any suite runs.  The K(v) basis these suites
-        # read is the cohomology completion, so the plant goes there
-        argv = ("verify", "--partition", "2,1", "--suite", "gamma", "--suite", "truncation",
-                "--suite", "stability")
-        assert run_cli(capsys, *argv)[0] == 0
-        monkeypatch.setattr(groebner, "cached_buchberger", planted_basis((1, 1, 1)))
-        assert cli.main(list(argv)) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "partition 2,1: staircase size 6, multinomial rank 3" in captured.err
-
-    @pytest.mark.parametrize("convention", ["u", "v"])
-    def test_k_only_asymmetry_refused_before_stability_reports(self, capsys, monkeypatch,
-                                                               convention):
-        # stability permutes only the cohomology generators: the K side it
-        # leaves alone is refused by the certificate before any report
-        lam = Partition((2, 1))
-        [image] = [g.poly for g in swapped_record(lam, convention).generators
-                   if (g.subset, g.d) == ((1, 2), 2)]
-        [target] = [g.poly for g in k_tanisaki_generators(lam, convention).generators
-                    if (g.subset, g.d) == ((1, 3), 2)]
-        assert image == target
-        monkeypatch.setattr(cli, "k_tanisaki_generators", swapped_record)
-        code = cli.main(["verify", "--partition", "2,1", "--suite", "stability",
-                         "--convention", convention])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (1, "")
-        assert captured.err == (f"error: K({convention}) presentation is not the Tanisaki "
-                                f"ideal in {convention}: partition 2,1: subset 1,2, d 2\n")
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stability_checks_each_cohomology_generator_per_permutation(self, capsys, n):
         # (1 2) and (1 2 ... n) are one permutation at n = 2 and none at n = 1
@@ -806,44 +676,6 @@ class TestPlantedFailures:
                   for g in k_tanisaki_generators(lam, convention).generators
                   for sigma in ((2, 1, 3), (1, 3, 2))]
         assert any(not groebner.normal_form(image, gb).is_zero() for image in images)
-
-    @pytest.mark.parametrize("argv", [
-        ("verify", "--partition", "2,1", *MEMBERSHIP_SUITES),
-        ("verify", "--partition", "2,2", "--convention", "u", "--order", "lex",
-         *MEMBERSHIP_SUITES),
-        ("verify", "--partition", "2,2", "--jobs", "2", "--partition", "3,1",
-         *MEMBERSHIP_SUITES),
-        ("gamma", "--partition", "2,1", "--subset", "1,2", "--d", "2"),
-    ])
-    def test_point_ideal_basis_exits_one(self, capsys, monkeypatch, argv):
-        # the point ideal of (n) holds the true one, so every relation
-        # reduces to 0 on its basis: only the staircase size tells.  In u
-        # and in v the K-basis is the cohomology completion, so the plant
-        # goes there
-        lam = Partition(tuple(int(t) for t in argv[2].split(",")))
-        monkeypatch.setattr(groebner, "cached_buchberger", planted_basis((lam.n,)))
-        assert cli.main(list(argv)) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert (f"error: wrong cohomology basis: partition {lam}: staircase size 1, "
-                f"multinomial rank {lam.multinomial_rank()}\n") == captured.err
-
-    @pytest.mark.parametrize("argv", [
-        ("verify", "--partition", "2,1", "--suite", "freeness"),
-        ("sweep", "--partition", "2,1"),
-        ("presentation", "--partition", "2,1", "--flavor", "cohomology"),
-        # the K basis is walked first; the planted one gets a walk of its own
-        ("verify", "--partition", "2,1", "--suite", "gamma", "--suite", "freeness"),
-    ])
-    def test_point_ideal_cohomology_basis_exits_one(self, capsys, monkeypatch, argv):
-        # only the filtration suite compares the cohomology staircase with
-        # Garsia-Procesi; every other reader is held to the multinomial rank
-        monkeypatch.setattr(groebner, "cached_buchberger", planted_basis((3,)))
-        assert cli.main(list(argv)) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: wrong cohomology basis: partition 2,1: "
-                                "staircase size 1, multinomial rank 3\n")
 
     def test_wrong_cohomology_series_exits_one_with_a_gp_finding(self, capsys, monkeypatch):
         staircase_series = groebner.staircase_series
@@ -945,8 +777,6 @@ class TestParallel:
 
 def test_presentation_leaves_process_pool_unimported():
     # importing the CLI loads every layer, and neither dataclasses nor inspect
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     layers = ("groebner", "ideals", "lambda_ring", "linalg", "partitions", "polynomial")
     script = (
         "import contextlib, io, sys\n"
@@ -962,7 +792,7 @@ def test_presentation_leaves_process_pool_unimported():
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert proc.stdout == "[] []\n0 []\n", proc.stderr
     # nor tempfile, shutil or random, which only a basis file write needs;
@@ -975,20 +805,17 @@ def test_presentation_leaves_process_pool_unimported():
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert proc.stdout == "[]\n", proc.stderr
 
 
 def test_console_script_end_to_end():
-    # the child must import the same package as this process, installed or not
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tanisaki.cli", "rank-lemma", "--partition",
          "5,4,4,2,2,2,1", "--format", "json"],
         capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
@@ -1024,12 +851,10 @@ runpy.run_module("tanisaki.cli", run_name="__main__", alter_sys=True)
     (("presentation", "--partition", "9"), 2, False),
 ], ids=["pass", "planted-failure", "capped-n"])
 def test_module_entry_point_matches_main(capsys, monkeypatch, argv, code, planted):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     head = ["-c", PLANTED_CHILD] if planted else ["-m", "tanisaki.cli"]
     proc = subprocess.run(
         [sys.executable, *head, *argv], capture_output=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     if planted:
         monkeypatch.setattr(linalg, "verify_rank_lemma", lambda p: _Broken())
@@ -1050,8 +875,6 @@ CONSOLE_SCRIPT = "import sys\nfrom tanisaki.cli import main\nsys.exit(main())\n"
 @pytest.mark.parametrize("head", [["-m", "tanisaki.cli"], ["-c", CONSOLE_SCRIPT]],
                          ids=["module", "console-script"])
 def test_unwritable_report_exits_2(target, reason, head):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     if target == "closed-pipe":
         r, fd = os.pipe()
         os.close(r)  # closed before the child starts: every write is EPIPE
@@ -1061,7 +884,7 @@ def test_unwritable_report_exits_2(target, reason, head):
         proc = subprocess.run(
             [sys.executable, *head, "rank-lemma", "--partition", "2,1", "--format", "text"],
             stdout=fd, stderr=subprocess.PIPE, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
     finally:
         os.close(fd)
