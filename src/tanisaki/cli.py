@@ -51,7 +51,7 @@ from .partitions import (
 )
 from .polynomial import monomial_text
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 SWEEP_MAX_N = 7
 SWEEP_GROEBNER_MAX_N = 6
 VERIFY_MAX_N = 5
@@ -252,11 +252,12 @@ def _suite_filtration(ctx: _Context) -> dict:
 
 def _suite_freeness(ctx: _Context) -> dict:
     """Z-freeness from the prime certificate of the cohomology completion:
-    its staircase against those over F_p, counted through degree dim + 1."""
+    its staircase against those over F_p at each of its recorded primes,
+    counted through degree dim + 1."""
     gb, monos = ctx.basis(ideals.COHOMOLOGY)
     modular = groebner.modular_series(gb, ctx.p.springer_dimension() + 1)
     return linalg.integral_freeness_check(
-        ctx.p, groebner.staircase_series(monos), modular).to_dict()
+        ctx.p, groebner.staircase_series(monos), gb.primes, modular).to_dict()
 
 
 def _suite_stability(ctx: _Context) -> dict:
@@ -399,13 +400,15 @@ _CSV_COLUMNS = {
 
 def _detail(sdoc: dict) -> list:
     """What a suite block names against its verdict, for csv and text: failures,
-    findings, torsion degrees or mismatched rank-lemma rows; empty on a pass."""
+    findings, primes with no F_p series then torsion degrees, or mismatched
+    rank-lemma rows; empty on a pass."""
     if "failures" in sdoc:
         return sdoc["failures"]
     if "findings" in sdoc:
         return sdoc["findings"]
     if "degrees" in sdoc:
-        return [row for row in sdoc["degrees"] if row["nonunit_factors"]]
+        return ([row for row in sdoc["primes"] if row["series"] is None]
+                + [row for row in sdoc["degrees"] if row["nonunit_factors"]])
     return [row for row in sdoc["rows"] if row["p_dual"] != row["jordan_rank"]]
 
 

@@ -91,6 +91,8 @@ class FreenessReport(NamedTuple):
     partition: Partition
     # (d, rank of the ideal slice, torsion primes: p once per p-primary summand)
     degrees: tuple[tuple[int, int, tuple[int, ...]], ...]
+    # (p, its F_p staircase series, or None where there is none)
+    primes: tuple[tuple[int, tuple[int, ...] | None], ...]
     ok: bool
 
     def to_dict(self):
@@ -98,6 +100,9 @@ class FreenessReport(NamedTuple):
             "partition": list(self.partition.parts),
             "degrees": [
                 {"d": d, "rank": r, "nonunit_factors": list(f)} for d, r, f in self.degrees
+            ],
+            "primes": [
+                {"p": p, "series": None if fp is None else list(fp)} for p, fp in self.primes
             ],
             "ok": self.ok,
         }
@@ -108,30 +113,36 @@ def _count(series, d: int) -> int:
     return series[d] if d < len(series) else 0
 
 
-def integral_freeness_check(partition: Partition, series, modular) -> FreenessReport:
+def integral_freeness_check(partition: Partition, series, primes, modular) -> FreenessReport:
     """Check that the cohomology quotient M = Z[y]/I is Z-free, from a prime
     certificate of the integer completion of I.
 
     series[d] counts the degree-d standard monomials of I over Q, so the
-    ideal slice has rank dim S_d - series[d].  modular maps each prime p the
-    integer completion divided by to the staircase series, through degree
-    dim + 1, of the same generators completed over F_p.  At every other prime
-    the completion is valid over Z_(p), so M_(p) is free on the staircase.  At
-    p in modular, dim (M/pM)_d = series[d] + the number of p-primary summands
-    of M_d, so each excess count is a torsion summand, listed as p in degree
-    d for d = 1..dim + 1.
+    ideal slice has rank dim S_d - series[d].  primes are those the integer
+    completion divided by, and modular maps each to the staircase series,
+    through degree dim + 1, of the same generators completed over F_p.  At
+    every other prime the completion is valid over Z_(p), so M_(p) is free
+    on the staircase.  At a prime p of primes, dim (M/pM)_d = series[d] +
+    the number of p-primary summands of M_d, so each excess count is a
+    torsion summand, listed as p in degree d for d = 1..dim + 1.  A prime
+    of primes that modular has no series for fails the check: nothing
+    then rules out p-torsion.  Each prime is listed with its series, so
+    none listed means freeness rests on the completion over Q alone.
     """
     n = partition.n
+    listed = tuple((p, modular.get(p)) for p in sorted(primes))
+    compared = [(p, fp) for p, fp in listed if fp is not None]
     degrees = []
     for d in range(1, partition.springer_dimension() + 2):
         torsion = []
-        for p in sorted(modular):
-            excess = _count(modular[p], d) - _count(series, d)
+        for p, fp in compared:
+            excess = _count(fp, d) - _count(series, d)
             if excess < 0:
                 raise ValueError(f"F_{p} staircase below the rational one in degree {d}")
             torsion += [p] * excess
         degrees.append((d, dim_graded_piece(n, d) - _count(series, d), tuple(torsion)))
-    return FreenessReport(partition, tuple(degrees), not any(t for _, _, t in degrees))
+    ok = len(compared) == len(listed) and not any(t for _, _, t in degrees)
+    return FreenessReport(partition, tuple(degrees), listed, ok)
 
 
 # -- the filtration comparison ---------------------------------------------
@@ -140,7 +151,7 @@ def integral_freeness_check(partition: Partition, series, modular) -> FreenessRe
 class FiltrationReport(NamedTuple):
     partition: Partition
     rows: tuple[tuple[int, int, int, int], ...]  # (d, dim S_d, dim I_d, dim gr_d)
-    verdict: bool
+    ok: bool
     mismatch_degree: int | None = None
     findings: tuple[str, ...] = ()
 
@@ -151,8 +162,7 @@ class FiltrationReport(NamedTuple):
                 {"d": d, "dim_S": s, "dim_ideal": i, "dim_gr": g}
                 for d, s, i, g in self.rows
             ],
-            "verdict": "pass" if self.verdict else "fail",
-            "ok": self.verdict,
+            "ok": self.ok,
             "mismatch_degree": self.mismatch_degree,
             "findings": list(self.findings),
         }
@@ -166,8 +176,11 @@ def filtration_check(partition: Partition, series) -> FiltrationReport:
     counts 0.  The ideal is homogeneous, so under any order the degree-d
     standard monomials are a basis of the degree-d piece of the quotient,
     and the ideal column dim S_d - series[d] is also the gr column.  Per
-    degree it must be dim S_d - GP_d, GP the Garsia-Procesi series, and the
-    quotient must have the multinomial rank.
+    degree d <= dim + 1 it must be dim S_d - GP_d, GP the Garsia-Procesi
+    series.  That is the whole check: GP sums to the multinomial rank and
+    ends at degree dim, so a matching series gives the quotient that rank
+    and a full slice in degree dim + 1, past which the staircase, closed
+    under division, is empty.
     """
     n = partition.n
     top = partition.springer_dimension() + 1
@@ -176,29 +189,13 @@ def filtration_check(partition: Partition, series) -> FiltrationReport:
     ideal_dims = [s_dims[d] - _count(series, d) for d in range(top + 1)]
     gp_dims = [s_dims[d] - _count(gp, d) for d in range(top + 1)]
     mismatch = next((d for d in range(top + 1) if ideal_dims[d] != gp_dims[d]), None)
-
-    findings = []
+    findings = ()
     if mismatch is not None:
         dim = ideal_dims[mismatch]
-        findings.append(
-            f"degree {mismatch}: ideal rank {dim} and gr dimension "
-            f"{dim} vs {gp_dims[mismatch]} from the Garsia-Procesi series"
-        )
-    quotient_total = sum(s_dims[d] - ideal_dims[d] for d in range(top))  # d <= springer dim
-    cumulative_ok = (
-        quotient_total == partition.multinomial_rank() and ideal_dims[top] == s_dims[top]
-    )
-    verdict = mismatch is None and cumulative_ok
-    if not cumulative_ok:
-        findings.append(
-            f"cumulative quotient rank {quotient_total} vs multinomial "
-            f"{partition.multinomial_rank()}; top-slice ideal rank {ideal_dims[top]} "
-            f"vs {s_dims[top]}"
-        )
+        findings = (f"degree {mismatch}: ideal rank {dim} and gr dimension "
+                    f"{dim} vs {gp_dims[mismatch]} from the Garsia-Procesi series",)
     rows = tuple((d, s_dims[d], ideal_dims[d], ideal_dims[d]) for d in range(top + 1))
-    return FiltrationReport(
-        partition, rows, verdict, mismatch_degree=mismatch, findings=tuple(findings)
-    )
+    return FiltrationReport(partition, rows, mismatch is None, mismatch, findings)
 
 
 # -- the tests' slice oracle ------------------------------------------------

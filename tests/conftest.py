@@ -292,4 +292,11 @@ def freeness_of(lam):
     """The prime-certificate freeness report, with verify's inputs."""
     gb = cohomology_basis(lam)
     modular = modular_series(gb, lam.springer_dimension() + 1)
-    return integral_freeness_check(lam, series_of(gb), modular)
+    return integral_freeness_check(lam, series_of(gb), gb.primes, modular)
+
+
+def without_smallest_prime(gb, max_degree):
+    """A `groebner.modular_series` that drops the series of the smallest
+    prime the basis records: a planted fault of the modular layer."""
+    return {p: series for p, series in modular_series(gb, max_degree).items()
+            if p != min(gb.primes)}

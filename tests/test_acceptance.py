@@ -115,7 +115,7 @@ def test_criterion_07_filtration():
     for n in range(1, 6):
         for lam in enumerate_partitions(n):
             rep = filtration_of(lam)
-            assert rep.verdict, (lam, rep.to_dict())
+            assert rep.ok, (lam, rep.to_dict())
             if rep.findings:
                 findings.append((lam, rep.findings))
     report(

@@ -19,7 +19,7 @@ from tanisaki import cli, groebner, ideals, lambda_ring, linalg
 from tanisaki.ideals import k_tanisaki_generators, tanisaki_generators
 from tanisaki.partitions import Partition, enumerate_partitions
 
-from conftest import child_env
+from conftest import child_env, without_smallest_prime
 
 with open(os.path.join(os.path.dirname(cli.__file__), "report_schema.json")) as fh:
     SCHEMA = json.load(fh)
@@ -196,7 +196,7 @@ class TestReports:
             "--suite", "gamma",
         )
         assert code == 0
-        assert doc["schema_version"] == 4
+        assert doc["schema_version"] == 5
         assert doc["config"]["suites"] == ["rank-lemma", "gamma"]
         res = doc["results"][0]
         assert set(res["suites"]) == {"rank-lemma", "gamma"}
@@ -236,20 +236,20 @@ class TestReports:
 # a change that means to alter one of them updates its digest here
 REPORT_DIGESTS = {
     "verify --n 4":
-        "efafc78cd490e82c4dfb122be042ce9abcb7810e1500bfec7de0cf31ad850869",
+        "ac13eb66687a85867603cc05a81588b2b6deab28544d465d9623de2980cb531e",
     "verify --n 4 --convention u --order lex --format csv":
         "554fd357b41836e1a0bbda267876a1a6dffdd0781661db287011e14de8ec600a",
     "presentation --partition 3,2,1 --flavor both":
-        "283682b61a87788f9abe43f65e1199f9f1053e23b5f098cfafda7528650e0b33",
+        "373c8b9be5267e796ec4b81428a4b03c002bb999d7e41c0eade7c81ef87c8f99",
     "gamma --partition 3,2 --subset 1,2,3 --d 1 --format text":
         "736f31e29096009ed41e85a53fa0f68c2d74052230e47740ceee4230914b27ea",
     "verify --n 5 --suite gamma --suite lambda --suite truncation --suite stability":
-        "a5c3abfb5404788dac232fe2a3ec22c79564e10fb43aaba2a398c4207639c095",
+        "7ba80fe491a739420a5c427d374583f6a7578ef6bb94b05998d9cb8e4bc35dda",
     "presentation --partition 3,2,1 --flavor ktheory --convention u --order lex":
-        "0d5c0c0ab9dea0eddd7aced0a3e30a5f1ea7a03552b40ebb476c47672555783b",
+        "0ae5cc5dc51203969207270a3ab589715b48250dee959e4de11d49ac4f9a14a1",
     # normal form -u2 - u3 - u4 - u5 + 4: nonzero and not constant
     "gamma --partition 3,2 --subset 1 --d 1 --convention u":
-        "97616385ddcac4a19deba6cf3a7777540ed26d44ff902a2e380944c2402fc9fb",
+        "eea4b3f806cec4c99ac74670c070f2bf5327f06b38c5250f9d60a98462e0e855",
 }
 
 
@@ -598,6 +598,7 @@ class TestPlantedFailures:
             {"d": 1, "rank": 1, "nonunit_factors": [2]},
             {"d": 2, "rank": 6, "nonunit_factors": [2, 2, 2]},
         ]
+        assert rep["primes"] == [{"p": 2, "series": [1, 3, 3]}]
         # the Smith forms of the slices agree: same ranks, and as many
         # invariant factors divisible by 2 as the certificate lists
         for row in rep["degrees"]:
@@ -605,26 +606,47 @@ class TestPlantedFailures:
             assert rank == row["rank"]
             assert len([f for f in factors if f % 2 == 0]) == len(row["nonunit_factors"])
 
+    def test_torsion_beside_a_skipped_prime_exits_one_naming_the_prime(self, capsys,
+                                                                       monkeypatch):
+        # the F_2 series is the only witness of the torsion: with it dropped
+        # no degree lists torsion, and the block fails on the prime it lacks
+        planted = planted_torsion(Partition((2, 1)))
+        monkeypatch.setattr(cli, "tanisaki_generators", lambda p: planted)
+        monkeypatch.setattr(groebner, "modular_series", without_smallest_prime)
+        code, doc = run_json(capsys, "verify", "--partition", "2,1", "--suite", "freeness")
+        assert code == 1
+        rep = doc["results"][0]["suites"]["freeness"]
+        assert rep["primes"] == [{"p": 2, "series": None}]
+        assert [row["nonunit_factors"] for row in rep["degrees"]] == [[], []]
+
     @pytest.mark.parametrize("fmt", ["csv", "text"])
-    def test_torsion_degrees_named_in_csv_and_text(self, capsys, monkeypatch, fmt):
-        # the degrees the json report lists, prime 2 in degrees 1 and 2, are
-        # the detail of the csv row and the counterexamples of the text block
+    @pytest.mark.parametrize("skip, detail", [
+        # the degrees the json report lists, prime 2 in degrees 1 and 2
+        pytest.param(False, [{"d": 1, "nonunit_factors": [2], "rank": 1},
+                             {"d": 2, "nonunit_factors": [2, 2, 2], "rank": 6}], id="torsion"),
+        # the prime with no F_2 series, which hides the torsion
+        pytest.param(True, [{"p": 2, "series": None}], id="skipped-prime"),
+    ])
+    def test_torsion_degrees_named_in_csv_and_text(self, capsys, monkeypatch, fmt, skip,
+                                                   detail):
+        # what the json block fails on is the detail of the csv row and the
+        # counterexamples of the text block
         lam = Partition((2, 1))
         planted = planted_torsion(lam)
         monkeypatch.setattr(cli, "tanisaki_generators", lambda p: planted)
+        if skip:
+            monkeypatch.setattr(groebner, "modular_series", without_smallest_prime)
         code, out = run_cli(capsys, "verify", "--partition", "2,1", "--suite", "freeness",
                             "--format", fmt)
         assert code == 1
-        degrees = [{"d": 1, "nonunit_factors": [2], "rank": 1},
-                   {"d": 2, "nonunit_factors": [2, 2, 2], "rank": 6}]
         if fmt == "csv":
             assert list(csv.reader(io.StringIO(out))) == [
                 ["partition", "suite", "status", "detail"],
-                ["2,1", "freeness", "fail", json.dumps(degrees, sort_keys=True)],
+                ["2,1", "freeness", "fail", json.dumps(detail, sort_keys=True)],
             ]
         else:
             assert out.splitlines()[2:] == ["  freeness     FAIL"] + [
-                f"    counterexample: {json.dumps(row, sort_keys=True)}" for row in degrees]
+                f"    counterexample: {json.dumps(row, sort_keys=True)}" for row in detail]
 
     def test_rank_lemma_mismatch_named_in_csv_and_text(self, capsys, monkeypatch):
         lam = Partition((2, 1))

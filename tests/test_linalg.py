@@ -173,20 +173,20 @@ def projection_graded_dims(lam, top):
 class TestFiltration:
     def test_point(self):
         rep = filtration_of(Partition((3,)))
-        assert rep.verdict
+        assert rep.ok
         quotient = [s - i for _, s, i, _ in rep.rows]
         assert quotient == [1, 0]
 
     def test_hook(self):
         rep = filtration_of(Partition((2, 1)))
-        assert rep.verdict
+        assert rep.ok
         quotient = [s - i for _, s, i, _ in rep.rows]
         assert quotient == [1, 2, 0]
 
     def test_n4_sweep(self):
         for lam in enumerate_partitions(4):
             rep = filtration_of(lam)
-            assert rep.verdict, (lam, rep.to_dict())
+            assert rep.ok, (lam, rep.to_dict())
             assert rep.mismatch_degree is None
             # gr and ideal columns agree row by row
             for _, _, i, g in rep.rows:
@@ -202,7 +202,7 @@ class TestFiltration:
         for lam in enumerate_partitions(4):
             rep = filtration_of(lam)
             gb = buchberger(k_tanisaki_generators(lam, "v"))
-            assert rep.verdict
+            assert rep.ok
             assert len(standard_monomials(gb)) == lam.multinomial_rank()
 
     def test_gr_column_matches_echelon_oracle(self):
@@ -215,7 +215,7 @@ class TestFiltration:
     def test_report_serialization(self):
         rep = filtration_of(Partition((2, 2)))
         doc = rep.to_dict()
-        assert doc["verdict"] == "pass" and doc["ok"] is True
+        assert doc["ok"] is True and "verdict" not in doc
         assert len(doc["rows"]) == len(rep.rows)
 
 
@@ -235,14 +235,23 @@ class TestFreeness:
     def test_torsion_is_listed_per_prime_and_degree(self):
         # the certificate lists a p-primary summand as p in its degree
         lam = Partition((2, 1))
-        rep = integral_freeness_check(lam, (1, 2), {2: (1, 3, 3), 3: (1, 2)})
+        rep = integral_freeness_check(lam, (1, 2), {2, 3}, {2: (1, 3, 3), 3: (1, 2)})
         assert not rep.ok
         assert rep.degrees == ((1, 1, (2,)), (2, 6, (2, 2, 2)))
         assert rep.to_dict()["degrees"][0] == {"d": 1, "rank": 1, "nonunit_factors": [2]}
+        assert rep.to_dict()["primes"] == [{"p": 2, "series": [1, 3, 3]},
+                                           {"p": 3, "series": [1, 2]}]
+
+    def test_recorded_prime_without_a_series_fails_naming_it(self):
+        # no F_3 series: nothing rules out 3-torsion, so the check fails closed
+        rep = integral_freeness_check(Partition((2, 1)), (1, 2), {2, 3}, {2: (1, 2)})
+        assert not rep.ok and rep.primes == ((2, (1, 2)), (3, None))
+        assert all(not bad for _, _, bad in rep.degrees)
+        assert integral_freeness_check(Partition((2, 1)), (1, 2), (), {}).ok
 
     def test_modular_count_below_rational_is_refused(self):
         with pytest.raises(ValueError, match="F_2 staircase below"):
-            integral_freeness_check(Partition((2, 1)), (1, 2), {2: (1, 1)})
+            integral_freeness_check(Partition((2, 1)), (1, 2), {2}, {2: (1, 1)})
 
 
 class TestFiltrationAgainstGarsiaProcesi:
@@ -251,5 +260,5 @@ class TestFiltrationAgainstGarsiaProcesi:
         # is the multinomial rank, but degree 1 leaves Garsia-Procesi
         lam = Partition((1, 1, 1))
         rep = filtration_check(lam, (1, 1, 3, 1))
-        assert not rep.verdict and rep.mismatch_degree == 1
+        assert not rep.ok and rep.mismatch_degree == 1
         assert any("Garsia-Procesi" in f for f in rep.findings)

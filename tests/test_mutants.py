@@ -1,7 +1,8 @@
 """The mutant table: each row plants one fault on one layer of the CLI and
 lists the runs that must see it.  A case is an argv and the one result
 its planted run gives: exit 1 with no stdout and the pinned stderr line,
-exit 1 with the pinned set of failing suites, or SURVIVES, the unplanted
+exit 1 with the pinned set of failing suites (a command without suites
+is one block, named by the command), or SURVIVES, the unplanted
 run's exit code and stdout.  Every argv passes unplanted first, in the
 same process, so each exit 1 comes from the plant."""
 
@@ -14,7 +15,7 @@ from tanisaki.ideals import k_tanisaki_generators, tanisaki_generators
 from tanisaki.partitions import Partition
 from tanisaki.polynomial import Polynomial
 
-from conftest import variables
+from conftest import variables, without_smallest_prime
 
 SURVIVES = None
 
@@ -41,14 +42,24 @@ def staircase_loses_a_monomial(gb, max_degree=None):
 
 def planted_basis(shape):
     """A cached_buchberger that completes the cohomology presentation of the
-    partition shape(n) of the asked presentation's n, in the asked order:
-    the only presentation a command completes is the cohomology one, and in
-    u and in v the K basis is that completion."""
+    partition shape(parts) of the asked presentation's parts, in the asked
+    order: the only presentation a command completes is the cohomology one,
+    and in u and in v the K basis is that completion."""
     def planted(pres, *args):
         assert pres.flavor == ideals.COHOMOLOGY
-        return _cached_buchberger(tanisaki_generators(Partition(shape(pres.n))), *args)
+        parts = shape(pres.partition.parts)
+        return _cached_buchberger(tanisaki_generators(Partition(parts)), *args)
 
     return planted
+
+
+# partitions of 7 with the same multinomial rank, 210, and the same top degree, 6
+SWAPPED = {(3, 2, 2): (4, 1, 1, 1), (4, 1, 1, 1): (3, 2, 2)}
+
+
+def shifted_window(s, q):
+    """`kept_degrees` one degree later: d = s+2-q..s+1."""
+    return range(s + 2 - q, s + 2)
 
 
 def translated_kv(lam, convention="u"):
@@ -126,7 +137,7 @@ MUTANTS = {
     # to 0 on its basis: only the staircase size tells, which every reader
     # of the basis is held to, not only the filtration suite
     "_Context basis: the point ideal of (n)": (
-        (groebner, "cached_buchberger", planted_basis(lambda n: (n,))),
+        (groebner, "cached_buchberger", planted_basis(lambda parts: (sum(parts),))),
         [(("verify", *P21, *MEMBERSHIP_SUITES), wrong_basis("2,1", 1, 3)),
          (("verify", "--partition", "2,2", "--convention", "u", "--order", "lex",
            *MEMBERSHIP_SUITES), wrong_basis("2,2", 1, 6)),
@@ -143,9 +154,19 @@ MUTANTS = {
     # the smaller, full-flag ideal: refused by its staircase size before
     # any suite runs
     "_Context basis: the full-flag ideal (1^n)": (
-        (groebner, "cached_buchberger", planted_basis(lambda n: (1,) * n)),
+        (groebner, "cached_buchberger", planted_basis(lambda parts: (1,) * sum(parts))),
         [(("verify", *P21, "--suite", "gamma", "--suite", "truncation", "--suite",
            "stability", *u), wrong_basis("2,1", 6, 3)) for u in [(), ("--convention", "u")]],
+    ),
+    # the bases of two partitions of the same rank and top degree, swapped:
+    # the staircase-size check passes them and verify cannot reach n = 7, so
+    # a claimed gamma relation that fails on the other basis tells (a
+    # presentation run prints the other basis and exits 0)
+    "_Context basis: (3,2,2) and (4,1,1,1) swapped": (
+        (groebner, "cached_buchberger", planted_basis(lambda parts: SWAPPED.get(parts, parts))),
+        [(("gamma", "--partition", parts, "--subset", subset, "--d", d, "--convention", c),
+          {"gamma"}) for parts, subset, d in [("3,2,2", "1,2,3,4,5,6", "3"),
+                                              ("4,1,1,1", "1,2,3,4", "4")] for c in "uv"],
     ),
     # the plant's u presentation is the true one, and a u run certifies the
     # u presentation, not the v one, so the plant changes nothing in u
@@ -193,10 +214,23 @@ MUTANTS = {
         (ideals, "lambda_coefficient", substituted(lambda y: [y[0] + y[1], *y[1:]])),
         [(n4("u"), refused("u", 4, 1, 1)), (n4("v"), {"stability"})],
     ),
+    # the cohomology and K builders and the certificate read the same
+    # shifted window; the K generator h_{s+1} of a subset of size 1 is not
+    # 0, but the cohomology e_{s+1} is, so the certificate refuses it
+    "builder: the kept window one degree later": (
+        (ideals, "kept_degrees", shifted_window),
+        [(n4(c), refused(c, 4, 1, 2)) for c in "uv"],
+    ),
     # over Q the same ideal; only its Z-form changes
     "builder: y_i -> y_i + (y_1 + ... + y_n)": (
         (ideals, "lambda_coefficient", substituted(lambda y: [x + sum(y[1:], y[0]) for x in y])),
         [(n4("u"), refused("u", 4, 1, 1)), (n4("v"), {"freeness"})],
+    ),
+    # at n <= 5, (2,2) and (2,2,1) record 2 and (3,2) records 3
+    "modular: the smallest recorded prime skipped": (
+        (groebner, "modular_series", without_smallest_prime),
+        [(("verify", "--n", "5", "--suite", "freeness", "--convention", c), {"freeness"})
+         for c in "uv"],
     ),
 }
 
@@ -216,7 +250,7 @@ def test_planted_run(capsys, monkeypatch, plant, argv, expected):
         assert (code, out, err) == (1, "", expected)
     else:
         failing = {suite for r in json.loads(out)["results"]
-                   for suite, doc in r["suites"].items() if not doc["ok"]}
+                   for suite, doc in r.get("suites", {argv[0]: r}).items() if not doc["ok"]}
         assert (code, failing, err) == (1, expected, "")
 
 

@@ -10,6 +10,7 @@ from tanisaki.partitions import (
     check_subset,
     enumerate_partitions,
     enumerate_subsets,
+    garsia_procesi_series,
     parse_partition,
 )
 
@@ -104,6 +105,16 @@ class TestRankAndDimension:
         for n in range(1, 9):
             assert Partition((n,)).springer_dimension() == 0
             assert Partition((1,) * n).springer_dimension() == n * (n - 1) // 2
+
+    def test_garsia_procesi_series_has_the_rank_and_ends_at_the_dimension(self):
+        # the filtration check compares only per degree: a series equal to
+        # this one then has the multinomial rank and nothing past dim
+        for n in range(1, 13):
+            for lam in enumerate_partitions(n):
+                series = garsia_procesi_series(lam)
+                assert sum(series) == lam.multinomial_rank(), lam
+                assert len(series) == lam.springer_dimension() + 1, lam
+                assert series[-1] != 0, lam
 
 
 class TestSubsets:
