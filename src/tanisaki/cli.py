@@ -8,9 +8,9 @@ All output is deterministic for a fixed configuration; wall-clock timings
 
 Every basis a command reads comes from `_Context.basis`, in the run's own
 order.  Only the cohomology presentation is completed, once per partition,
-and a basis whose staircase size is not the multinomial rank exits 1 before
-any report is written.  No command eliminates: `linalg` judges counts and
-series.  `ideals.k_certificate` checks, once per partition, that the K
+and a basis whose staircase series is not the Garsia-Procesi series exits 1
+before any report is written.  No command eliminates: `linalg` judges counts
+and series.  `ideals.k_certificate` checks, once per partition, that the K
 presentation is the Tanisaki one written in v (in u: after u_i = v_i + 1);
 the K basis is then the cohomology completion itself, read in v, with its
 staircase.  A refused presentation exits 1 the same way (stderr names the
@@ -96,8 +96,8 @@ def _partition_block(p: Partition) -> dict:
 
 
 class WrongBasis(Exception):
-    """A reduced basis whose staircase size is not the multinomial rank, or
-    a K presentation that `ideals.k_certificate` refuses."""
+    """A reduced basis whose staircase series is not the Garsia-Procesi
+    series, or a K presentation that `ideals.k_certificate` refuses."""
 
 
 def _in_convention(q, convention: str):
@@ -115,7 +115,7 @@ class _Context:
         self.cfg = cfg
         self.presentations = {}
         self.bases = {}
-        self.members = None
+        self.members = self.series = self.filtration = None
 
     def presentation(self, flavor: str):
         """The flavor's generators (K: in the run's convention), built once per context."""
@@ -138,7 +138,7 @@ class _Context:
         the v one.  A refused presentation raises WrongBasis naming the
         subset and d.
 
-        The staircase must have the multinomial rank's size; otherwise
+        The staircase series must be the Garsia-Procesi series; otherwise
         WrongBasis is raised.  A basis of a larger ideal reduces every
         relation to 0, so without this check it would pass every membership
         suite."""
@@ -148,14 +148,17 @@ class _Context:
         return self.bases[flavor]
 
     def _completed(self):
-        """The cohomology presentation completed under the run's order, and its staircase."""
+        """The cohomology presentation completed under the run's order, and
+        its staircase; the series and the filtration report that judged it
+        are kept, and a wrong series raises WrongBasis."""
         gb = groebner.cached_buchberger(self.presentation(ideals.COHOMOLOGY), self.cfg.order,
                                         self.cfg.cache_dir)
         monos = groebner.standard_monomials(gb)
-        rank = self.p.multinomial_rank()
-        if len(monos) != rank:
+        self.series = groebner.staircase_series(monos)
+        self.filtration = linalg.filtration_check(self.p, self.series)
+        if not self.filtration.ok:
             raise WrongBasis(f"wrong cohomology basis: partition {self.p}: "
-                             f"staircase size {len(monos)}, multinomial rank {rank}")
+                             f"{self.filtration.findings[0]}")
         return gb, monos
 
     def _certified(self):
@@ -221,12 +224,12 @@ def _presentation_block(ctx: _Context, flavor: str) -> dict:
         "quotient_rank": len(monos),
     }
     if flavor == ideals.COHOMOLOGY:
-        block["hilbert_series"] = list(groebner.staircase_series(monos))
+        block["hilbert_series"] = list(ctx.series)
     return block
 
 
 def cmd_presentation(cfg: RunConfig) -> dict:
-    """A basis of the wrong rank raises WrongBasis, so a report is always ok."""
+    """A basis of the wrong series raises WrongBasis, so a report is always ok."""
     ctx = _Context(cfg.partitions[0], cfg)
     flavors = [cfg.flavor] if cfg.flavor != "both" else [ideals.COHOMOLOGY, ideals.KTHEORY]
     result = {**_partition_block(ctx.p), "ok": True,
@@ -242,22 +245,21 @@ def _suite_rank_lemma(ctx: _Context) -> dict:
 
 
 def _suite_filtration(ctx: _Context) -> dict:
-    """The staircase of the K basis, which is the cohomology one.  Asking for
-    it runs the certificate, which makes the K(v) ideal the cohomology ideal
-    written in v; that ideal is homogeneous, so under any order the staircase
-    counts the graded pieces of the quotient."""
-    monos = ctx.basis(ideals.KTHEORY)[1]
-    return linalg.filtration_check(ctx.p, groebner.staircase_series(monos)).to_dict()
+    """The kept report on the staircase of the K basis, the cohomology one.
+    Asking for that basis runs the certificate first: the K(v) ideal is then
+    the cohomology ideal written in v, homogeneous, so under any order the
+    staircase counts the graded pieces of the quotient."""
+    ctx.basis(ideals.KTHEORY)
+    return ctx.filtration.to_dict()
 
 
 def _suite_freeness(ctx: _Context) -> dict:
     """Z-freeness from the prime certificate of the cohomology completion:
-    its staircase against those over F_p at each of its recorded primes,
-    counted through degree dim + 1."""
-    gb, monos = ctx.basis(ideals.COHOMOLOGY)
+    its judged staircase series against those over F_p at each of its
+    recorded primes, counted through degree dim + 1."""
+    gb = ctx.basis(ideals.COHOMOLOGY)[0]
     modular = groebner.modular_series(gb, ctx.p.springer_dimension() + 1)
-    return linalg.integral_freeness_check(
-        ctx.p, groebner.staircase_series(monos), gb.primes, modular).to_dict()
+    return linalg.integral_freeness_check(ctx.p, ctx.series, gb.primes, modular).to_dict()
 
 
 def _suite_stability(ctx: _Context) -> dict:

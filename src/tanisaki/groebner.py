@@ -142,8 +142,9 @@ class _Packing:
         self.units = tuple(units)
         self.graded = order.kind != "lex"
 
-    def pack(self, exps: tuple[int, ...]) -> int:
-        widest = sum(exps) if self.graded else max(exps, default=0)
+    def pack(self, exps: tuple[int, ...], degree: int | None = None) -> int:
+        """exps as one int; degree, when the caller has it, is sum(exps)."""
+        widest = (degree or sum(exps)) if self.graded else max(exps, default=0)
         if widest >= _LIMIT:
             raise GroebnerError(f"monomial {exps} is too wide to pack below {_LIMIT}")
         return sum(map(mul, exps, self.units))
@@ -157,7 +158,8 @@ class _Packing:
         if not any(map(min, ea, eb)):
             return None
         m = tuple(map(max, ea, eb))
-        return sum(m), self.pack(m)
+        degree = sum(m)
+        return degree, self.pack(m, degree)
 
 
 def _primitive(terms, lm, divisors):

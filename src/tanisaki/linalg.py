@@ -176,25 +176,21 @@ def filtration_check(partition: Partition, series) -> FiltrationReport:
     counts 0.  The ideal is homogeneous, so under any order the degree-d
     standard monomials are a basis of the degree-d piece of the quotient,
     and the ideal column dim S_d - series[d] is also the gr column.  Per
-    degree d <= dim + 1 it must be dim S_d - GP_d, GP the Garsia-Procesi
-    series.  That is the whole check: GP sums to the multinomial rank and
-    ends at degree dim, so a matching series gives the quotient that rank
-    and a full slice in degree dim + 1, past which the staircase, closed
-    under division, is empty.
+    degree d <= dim + 1, series[d] must be GP_d, GP the Garsia-Procesi
+    series, and the finding names the first degree where it is not.  That
+    is the whole check: GP sums to the multinomial rank and ends at degree
+    dim, so a matching series gives the quotient that rank and a full slice
+    in degree dim + 1, past which the staircase, closed under division, is
+    empty.
     """
-    n = partition.n
-    top = partition.springer_dimension() + 1
     gp = garsia_procesi_series(partition)
-    s_dims = [dim_graded_piece(n, d) for d in range(top + 1)]
-    ideal_dims = [s_dims[d] - _count(series, d) for d in range(top + 1)]
-    gp_dims = [s_dims[d] - _count(gp, d) for d in range(top + 1)]
-    mismatch = next((d for d in range(top + 1) if ideal_dims[d] != gp_dims[d]), None)
-    findings = ()
-    if mismatch is not None:
-        dim = ideal_dims[mismatch]
-        findings = (f"degree {mismatch}: ideal rank {dim} and gr dimension "
-                    f"{dim} vs {gp_dims[mismatch]} from the Garsia-Procesi series",)
-    rows = tuple((d, s_dims[d], ideal_dims[d], ideal_dims[d]) for d in range(top + 1))
+    counts = [_count(series, d) for d in range(partition.springer_dimension() + 2)]
+    s_dims = [dim_graded_piece(partition.n, d) for d in range(len(counts))]
+    mismatch = next((d for d, c in enumerate(counts) if c != _count(gp, d)), None)
+    findings = () if mismatch is None else (
+        f"degree {mismatch}: staircase count {counts[mismatch]} vs {_count(gp, mismatch)} "
+        "from the Garsia-Procesi series",)
+    rows = tuple((d, s, s - c, s - c) for d, (s, c) in enumerate(zip(s_dims, counts)))
     return FiltrationReport(partition, rows, mismatch is None, mismatch, findings)
 
 

@@ -261,4 +261,5 @@ class TestFiltrationAgainstGarsiaProcesi:
         lam = Partition((1, 1, 1))
         rep = filtration_check(lam, (1, 1, 3, 1))
         assert not rep.ok and rep.mismatch_degree == 1
-        assert any("Garsia-Procesi" in f for f in rep.findings)
+        # each count once: the staircase's against Garsia-Procesi's
+        assert rep.findings == ("degree 1: staircase count 1 vs 2 from the Garsia-Procesi series",)

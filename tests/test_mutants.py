@@ -103,9 +103,9 @@ def substituted(images):
     return planted
 
 
-def wrong_basis(parts, size, rank):
-    return (f"error: wrong cohomology basis: partition {parts}: staircase size {size}, "
-            f"multinomial rank {rank}\n")
+def wrong_basis(parts, d, count, gp):
+    return (f"error: wrong cohomology basis: partition {parts}: degree {d}: staircase count "
+            f"{count} vs {gp} from the Garsia-Procesi series\n")
 
 
 def refused(convention, parts, subset, d):
@@ -131,42 +131,46 @@ MUTANTS = {
     ),
     "engine: staircase loses a monomial": (
         (groebner, "standard_monomials", staircase_loses_a_monomial),
-        [(n4(c), wrong_basis(4, 0, 1)) for c in "uv"],
+        [(n4(c), wrong_basis(4, 0, 0, 1)) for c in "uv"],
     ),
     # the point ideal of (n) holds the true one, so every relation reduces
-    # to 0 on its basis: only the staircase size tells, which every reader
-    # of the basis is held to, not only the filtration suite
+    # to 0 on its basis: only the staircase series tells, which every
+    # reader of the basis is held to, not only the filtration suite
     "_Context basis: the point ideal of (n)": (
         (groebner, "cached_buchberger", planted_basis(lambda parts: (sum(parts),))),
-        [(("verify", *P21, *MEMBERSHIP_SUITES), wrong_basis("2,1", 1, 3)),
+        [(("verify", *P21, *MEMBERSHIP_SUITES), wrong_basis("2,1", 1, 0, 2)),
          (("verify", "--partition", "2,2", "--convention", "u", "--order", "lex",
-           *MEMBERSHIP_SUITES), wrong_basis("2,2", 1, 6)),
+           *MEMBERSHIP_SUITES), wrong_basis("2,2", 1, 0, 3)),
          (("verify", "--partition", "2,2", "--jobs", "2", "--partition", "3,1",
-           *MEMBERSHIP_SUITES), wrong_basis("2,2", 1, 6)),
-         (("gamma", *P21, "--subset", "1,2", "--d", "2"), wrong_basis("2,1", 1, 3)),
-         (("verify", *P21, "--suite", "freeness"), wrong_basis("2,1", 1, 3)),
-         (("sweep", *P21), wrong_basis("2,1", 1, 3)),
-         (("presentation", *P21, "--flavor", "cohomology"), wrong_basis("2,1", 1, 3)),
+           *MEMBERSHIP_SUITES), wrong_basis("2,2", 1, 0, 3)),
+         (("gamma", *P21, "--subset", "1,2", "--d", "2"), wrong_basis("2,1", 1, 0, 2)),
+         (("verify", *P21, "--suite", "freeness"), wrong_basis("2,1", 1, 0, 2)),
+         (("sweep", *P21), wrong_basis("2,1", 1, 0, 2)),
+         (("presentation", *P21, "--flavor", "cohomology"), wrong_basis("2,1", 1, 0, 2)),
          # the K basis is walked first; the planted one gets a walk of its own
          (("verify", *P21, "--suite", "gamma", "--suite", "freeness"),
-          wrong_basis("2,1", 1, 3))],
+          wrong_basis("2,1", 1, 0, 2))],
     ),
-    # the smaller, full-flag ideal: refused by its staircase size before
-    # any suite runs
+    # the smaller, full-flag ideal: refused by its staircase series before
+    # any suite runs, in degree 2, past the top degree of (2,1)
     "_Context basis: the full-flag ideal (1^n)": (
         (groebner, "cached_buchberger", planted_basis(lambda parts: (1,) * sum(parts))),
         [(("verify", *P21, "--suite", "gamma", "--suite", "truncation", "--suite",
-           "stability", *u), wrong_basis("2,1", 6, 3)) for u in [(), ("--convention", "u")]],
+           "stability", *u), wrong_basis("2,1", 2, 2, 0)) for u in [(), ("--convention", "u")]],
     ),
-    # the bases of two partitions of the same rank and top degree, swapped:
-    # the staircase-size check passes them and verify cannot reach n = 7, so
-    # a claimed gamma relation that fails on the other basis tells (a
-    # presentation run prints the other basis and exits 0)
+    # the bases of two partitions of the same rank and top degree, swapped,
+    # at n = 7, past verify's cap: their series part in degree 3, so every
+    # command that reads either basis refuses it before any report
     "_Context basis: (3,2,2) and (4,1,1,1) swapped": (
         (groebner, "cached_buchberger", planted_basis(lambda parts: SWAPPED.get(parts, parts))),
         [(("gamma", "--partition", parts, "--subset", subset, "--d", d, "--convention", c),
-          {"gamma"}) for parts, subset, d in [("3,2,2", "1,2,3,4,5,6", "3"),
-                                              ("4,1,1,1", "1,2,3,4", "4")] for c in "uv"],
+          wrong_basis(parts, 3, count, gp))
+         for parts, subset, d, count, gp in [("3,2,2", "1,2,3,4,5,6", "3", 49, 43),
+                                             ("4,1,1,1", "1,2,3,4", "4", 43, 49)]
+         for c in "uv"]
+        + [(("presentation", "--partition", parts, "--flavor", "both", "--convention", c),
+            wrong_basis(parts, 3, count, gp))
+           for parts, count, gp in [("3,2,2", 49, 43), ("4,1,1,1", 43, 49)] for c in "uv"],
     ),
     # the plant's u presentation is the true one, and a u run certifies the
     # u presentation, not the v one, so the plant changes nothing in u
