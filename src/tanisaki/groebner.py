@@ -575,11 +575,11 @@ def cache_path(pres: IdealPresentation, order: MonomialOrder, cache_dir: str) ->
 
 def write_basis(pres: IdealPresentation, polys, order: MonomialOrder, cache_dir: str) -> None:
     """Write polys, the reduced basis of pres under the order, in pres's
-    variables, to their file under cache_dir, atomically."""
+    variables, to their file in cache_dir, atomically; the directory must
+    exist (`cli.main` creates and checks it before any work)."""
     # imported here: shutil and random would otherwise load at every start
     import tempfile
 
-    os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

@@ -13,7 +13,9 @@ import pytest
 
 import tanisaki
 from tanisaki.groebner import (
+    DEGLEX,
     DEGREVLEX,
+    LEX,
     buchberger,
     modular_series,
     staircase_series,
@@ -21,6 +23,7 @@ from tanisaki.groebner import (
 )
 from tanisaki.ideals import k_tanisaki_generators, lambda_coefficient, tanisaki_generators
 from tanisaki.linalg import filtration_check, integral_freeness_check
+from tanisaki.partitions import enumerate_partitions
 from tanisaki.polynomial import Polynomial, PolynomialError, _norm_coeff, degrevlex_key
 
 
@@ -257,6 +260,18 @@ def cohomology_basis(lam):
 def kbasis(lam, order=DEGREVLEX):
     """The K-basis in the v-convention, under order (degrevlex by default)."""
     return buchberger(k_tanisaki_generators(lam, "v"), order)
+
+
+@functools.cache
+def primes_cases():
+    """(presentation, order, rational basis): every partition of n <= 6 under
+    lex, deglex and degrevlex, in cohomology and in both K conventions;
+    completed once per session, for every test that reads them."""
+    return tuple((pres, order, buchberger(pres, order))
+                 for n in range(1, 7) for lam in enumerate_partitions(n)
+                 for order in (LEX, DEGLEX, DEGREVLEX)
+                 for pres in (tanisaki_generators(lam), k_tanisaki_generators(lam, "u"),
+                              k_tanisaki_generators(lam, "v")))
 
 
 def series_of(gb):

@@ -1,7 +1,6 @@
 import concurrent.futures
 import csv
 import errno
-import gc
 import hashlib
 import io
 import json
@@ -10,7 +9,6 @@ import re
 import shlex
 import subprocess
 import sys
-import weakref
 
 import jsonschema
 import pytest
@@ -360,6 +358,7 @@ class TestCacheIntegration:
         # would give: the schema version, the order and the basis
         lam = Partition((3, 2, 1))
         run, direct = tmp_path / "run", tmp_path / "direct"
+        direct.mkdir()  # `main` creates the run's directory; `write_basis` creates none
         for order in ("degrevlex", "lex"):
             code, _ = run_cli(capsys, "presentation", "--partition", str(lam), "--convention",
                               convention, "--order", order, "--cache-dir", str(run))
@@ -377,228 +376,16 @@ class TestCacheIntegration:
             assert (doc["schema_version"], doc["order"]["kind"]) == (2, order)
 
 
-class TestSharedPartitionWork:
-    def test_no_basis_outlives_its_call(self, capsys, monkeypatch):
-        # each call's _Context owns its bases; nothing memoises them past it
-        refs = []
-        buchberger = groebner.buchberger
-
-        def recording(*args):
-            gb = buchberger(*args)
-            refs.append(weakref.ref(gb))
-            return gb
-
-        monkeypatch.setattr(groebner, "buchberger", recording)
-        for argv in (("verify", "--n", "3"),
-                     ("presentation", "--partition", "2,1", "--flavor", "both"),
-                     ("sweep", "--n", "3")):
-            code, _ = run_cli(capsys, *argv)
-            assert code == 0
-        gc.collect()
-        assert refs and [r for r in refs if r() is not None] == []
-
-    def test_each_generator_reduced_once_per_basis(self, capsys, monkeypatch):
-        # verify reduces only in the membership pass: each cohomology
-        # generator once, in order, on its partition's basis, though three
-        # suites report the pass; and each normal form is one reduction
-        pairs = []  # (polynomial, basis) per normal_form call; keeps each basis alive
-        depth = [0]
-        reductions = []
-        normal_form = groebner.normal_form
-        reduce = groebner._Engine.reduce
-
-        def recording(p, gb):
-            pairs.append((p, gb))
-            depth[0] += 1
-            try:
-                return normal_form(p, gb)
-            finally:
-                depth[0] -= 1
-
-        def counting(self, *args, **kwargs):
-            if depth[0]:
-                reductions.append(1)
-            return reduce(self, *args, **kwargs)
-
-        monkeypatch.setattr(groebner, "normal_form", recording)
-        monkeypatch.setattr(lambda_ring, "normal_form", recording)
-        monkeypatch.setattr(groebner._Engine, "reduce", counting)
-        code, _ = run_cli(capsys, "verify", "--n", "4")
-        assert code == 0
-        assert len(reductions) == len(pairs)
-        reduced = {}
-        for p, gb in pairs:
-            reduced.setdefault(id(gb), (gb.source.partition.parts, []))[1].append(p)
-        assert list(reduced.values()) == [(lam.parts, tanisaki_generators(lam).polynomials())
-                                          for lam in enumerate_partitions(4)]
-
-    def test_no_cohomology_slice_eliminated(self, capsys, monkeypatch):
-        # no command eliminates: every suite runs, (2,2) has the prime 2 in
-        # its certificate, so an F_2 completion runs, and the rank lemma
-        # counts the rows of Jordan powers up to n = 8
-        def eliminating(*args):
-            raise AssertionError("a command reached the elimination route")
-
-        for name in ("_unit_pivots", "_invariant_factors_sparse", "smith_normal_form"):
-            monkeypatch.setattr(linalg, name, eliminating)
-        for argv in (("verify", "--n", "4"),
-                     ("verify", "--n", "4", "--convention", "u", "--order", "lex"),
-                     ("rank-lemma", "--n", "8")):
-            assert run_cli(capsys, *argv)[0] == 0, argv
-
-    @pytest.mark.parametrize("order", ["degrevlex", "deglex", "lex"])
-    @pytest.mark.parametrize("convention", ["u", "v"])
-    @pytest.mark.parametrize("argv,partitions", [
-        (("presentation", "--partition", "2,2", "--flavor", "both"), [(2, 2)]),
-        (("verify", "--partition", "2,2", "--n", "3"), [(2, 2), (3,), (2, 1), (1, 1, 1)]),
-        (("gamma", "--partition", "2,1", "--subset", "1,2", "--d", "2"), [(2, 1)]),
-        (("sweep", "--n", "4"), [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]),
-    ], ids=["presentation", "verify", "gamma", "sweep"])
-    def test_one_completion_walk_and_certificate_per_partition(
-            self, capsys, monkeypatch, argv, partitions, convention, order):
-        # every basis a run reads is in its own order and convention, so
-        # each partition is completed over Q once, its staircase walked
-        # once, its K presentation certified once and, in verify, its
-        # generators checked for membership once, whatever the flags.
-        # Every completion is of the cohomology presentation, since the K
-        # bases re-present it.
-        # (2,2) alone records a prime, 2, under every order: verify's
-        # freeness suite completes it once over F_2 (that walk is not counted)
-        seen = {"flavors": set(), "rational": [], "modular": [], "walks": [], "certified": [],
-                "membership": []}
-        buchberger = groebner.buchberger
-        standard_monomials = groebner.standard_monomials
-        k_certificate = ideals.k_certificate
-        membership = cli._membership
-
-        def completing(pres, order=groebner.DEGREVLEX, modulus=0):
-            seen["flavors"].add(pres.flavor)
-            seen["modular" if modulus else "rational"].append(pres.partition.parts)
-            return buchberger(pres, order, modulus)
-
-        def walking(gb, *args):
-            if not gb.engine.modulus:
-                seen["walks"].append(gb.source.partition.parts)
-            return standard_monomials(gb, *args)
-
-        def certifying(cohomology, ktheory):
-            seen["certified"].append(ktheory.partition.parts)
-            return k_certificate(cohomology, ktheory)
-
-        def checking(pres, gb):
-            seen["membership"].append(pres.partition.parts)
-            return membership(pres, gb)
-
-        monkeypatch.setattr(groebner, "buchberger", completing)
-        monkeypatch.setattr(groebner, "standard_monomials", walking)
-        monkeypatch.setattr(ideals, "k_certificate", certifying)
-        monkeypatch.setattr(cli, "_membership", checking)
-        assert cli.main([*argv, "--convention", convention, "--order", order]) == 0
-        capsys.readouterr()
-        verify = argv[0] == "verify"
-        assert seen == {"flavors": {ideals.COHOMOLOGY}, "rational": partitions,
-                        "modular": [(2, 2)] if verify else [], "walks": partitions,
-                        "certified": partitions, "membership": partitions if verify else []}
-
-    @pytest.mark.parametrize("argv", [
-        ("verify", "--n", "4"),
-        ("presentation", "--partition", "3,2,1", "--flavor", "both"),
-        ("presentation", "--partition", "2,2", "--flavor", "both", "--convention", "u"),
-        ("sweep", "--n", "6", "--order", "lex"),
-        ("verify", "--n", "5", "--order", "deglex", "--convention", "u"),
-    ])
-    def test_one_series_verdict_per_completed_basis(self, capsys, monkeypatch, argv):
-        # the staircase series of each completed basis is judged against
-        # Garsia-Procesi once, and every true basis passes, under every
-        # order and convention; verify's filtration suite reports that
-        # verdict without judging again
-        completed, judged = [], []
-        buchberger = groebner.buchberger
-        filtration_check = linalg.filtration_check
-
-        def completing(pres, order=groebner.DEGREVLEX, modulus=0):
-            if not modulus:
-                completed.append(pres.partition.parts)
-            return buchberger(pres, order, modulus)
-
-        def judging(p, series):
-            rep = filtration_check(p, series)
-            judged.append((p.parts, rep.ok))
-            return rep
-
-        monkeypatch.setattr(groebner, "buchberger", completing)
-        monkeypatch.setattr(linalg, "filtration_check", judging)
-        assert cli.main(list(argv)) == 0
-        capsys.readouterr()
-        assert completed and judged == [(parts, True) for parts in completed]
-
-
-class TestSharedVBasis:
-    """The K basis, in either convention, is the certified cohomology
-    completion; the direct K(v) completion, which no command runs, is the
-    oracle."""
-
-    @pytest.mark.parametrize("order", [groebner.DEGREVLEX, groebner.DEGLEX, groebner.LEX])
-    def test_equals_the_direct_completion(self, order):
-        for n in range(1, 7):
-            for lam in enumerate_partitions(n):
-                direct = groebner.buchberger(k_tanisaki_generators(lam, "v"), order)
-                for convention in ("u", "v"):
-                    ctx = cli._Context(lam, cli.RunConfig([lam], convention=convention,
-                                                          order=order))
-                    gb, monos = ctx.basis(ideals.KTHEORY)
-                    coh, coh_monos = ctx.basis(ideals.COHOMOLOGY)
-                    assert gb is coh and monos is coh_monos
-                    assert gb.polys == direct.polys
-
-
-class TestSharedUBasis:
-    """A u run reads the certified cohomology completion as its K basis and
-    renders it with v_i = u_i - 1 substituted; `TestSharedLeadingMonomials`
-    compares that rendering with the direct K(u) completion, which no
-    command runs."""
-
-    def test_certified_once_per_convention(self, monkeypatch):
-        certified = []
-        k_certificate = ideals.k_certificate
-
-        def certifying(cohomology, ktheory):
-            certified.append(ktheory.convention)
-            return k_certificate(cohomology, ktheory)
-
-        monkeypatch.setattr(ideals, "k_certificate", certifying)
-        lam = Partition((3, 2, 1))
-        for order in (groebner.DEGREVLEX, groebner.LEX):
-            for convention in ("u", "v"):
-                certified.clear()
-                ctx = cli._Context(lam, cli.RunConfig([lam], convention=convention, order=order))
-                for _ in range(2):
-                    gb, monos = ctx.basis(ideals.KTHEORY)
-                    coh, coh_monos = ctx.basis(ideals.COHOMOLOGY)
-                    assert gb is coh and monos is coh_monos
-                assert certified == [convention]
-
-
 class TestFiltrationFlags:
-    def test_filtration_reads_the_runs_order_with_the_same_report(self, capsys, monkeypatch):
-        _, default = run_json(capsys, "verify", "--n", "4", "--suite", "filtration")
+    def test_filtration_reads_the_runs_order_with_the_same_report(self, capsys):
         # the ideal is homogeneous, so its staircase series is the same under
-        # every order; also check which basis the suite asks for
-        asked = []
-        buchberger = groebner.buchberger
-
-        def recording(pres, *args):
-            asked.append((pres.convention, args))
-            return buchberger(pres, *args)
-
-        monkeypatch.setattr(groebner, "buchberger", recording)
+        # every order; which basis the suite completes is a ledger row
+        _, default = run_json(capsys, "verify", "--n", "4", "--suite", "filtration")
         _, other = run_json(capsys, "verify", "--n", "4", "--suite", "filtration",
                             "--convention", "u", "--order", "lex")
         blocks = [r["suites"]["filtration"] for r in default["results"]]
         assert blocks == [r["suites"]["filtration"] for r in other["results"]]
         assert all(b["ok"] for b in blocks)
-        # only the cohomology basis in the run's order: the K(u) side shares it
-        assert asked == [("y", (groebner.LEX,))] * len(blocks)
 
 
 def planted_torsion(lam):

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -28,6 +27,7 @@ from tanisaki.groebner import (
     _integral,
 )
 from tanisaki.ideals import (
+    COHOMOLOGY,
     KTHEORY,
     GeneratorRecord,
     extra_degrees,
@@ -44,6 +44,7 @@ from conftest import (
     coinvariant_series_oracle,
     leading_monomial,
     order_key,
+    primes_cases,
     random_path_normal_form,
     s_polynomial,
     shift_variables,
@@ -175,18 +176,6 @@ def golden_lines():
             basis = "; ".join(p.render(pres.convention) for p in gb.polys)
             stairs = " ".join(map(str, standard_monomials(gb)))
             yield f"{lam.parts} {pres.flavor} {pres.convention} {order.kind}: {basis} | {stairs}"
-
-
-@functools.cache
-def primes_cases():
-    """(presentation, order, rational basis): every partition of n <= 6 under
-    lex, deglex and degrevlex, in cohomology and in both K conventions;
-    completed once per session, for the two tests that read them."""
-    return tuple((pres, order, buchberger(pres, order))
-                 for n in range(1, 7) for lam in enumerate_partitions(n)
-                 for order in (LEX, DEGLEX, DEGREVLEX)
-                 for pres in (tanisaki_generators(lam), k_tanisaki_generators(lam, "u"),
-                              k_tanisaki_generators(lam, "v")))
 
 
 def primes_lines():
@@ -480,32 +469,42 @@ class TestSharedLeadingMonomials:
     monomial of a minimal basis are standard, and so is every divisor of a
     standard monomial, so the substituted reduced basis is already reduced
     and T maps the span of the staircase onto itself: NF_u(T f) = T(NF_v f).
-    So the CLI reduces only in v and renders u; the direct K(u) completion,
-    which no command runs, is the oracle."""
+    So the CLI reduces only in v and renders u; the direct K(v) and K(u)
+    completions of `primes_cases`, which no command runs, are the oracles."""
 
     @pytest.mark.parametrize("order,max_n", [
         pytest.param(DEGREVLEX, 6, id="degrevlex"),
         pytest.param(DEGLEX, 5, id="deglex"),
         pytest.param(LEX, 5, id="lex"),
     ])
-    def test_cli_k_u_basis_is_the_u_completion(self, order, max_n):
-        # NF_u(T f) = T(NF_v f), with f built in v and T f in u, on each
-        # gamma-sweep row and, for remainders other than 0, on gamma^d of
-        # the unshifted class of its subset.  The oracles are the direct
-        # K(u) completions of `primes_cases`, and conftest's v_i = u_i - 1
-        oracles = [(pres.partition, gb) for pres, kind, gb in primes_cases()
-                   if pres.convention == "u" and kind == order and pres.n <= max_n]
-        assert len(oracles) == sum(len(enumerate_partitions(n)) for n in range(1, max_n + 1))
-        for lam, oracle in oracles:
-            ctx = cli._Context(lam, cli.RunConfig([lam], convention="u", order=order))
-            gb, monos = ctx.basis(KTHEORY)
-            assert oracle.polys == tuple(shift_variables(p, -1) for p in gb.polys), lam
-            assert monos == standard_monomials(oracle), lam
+    def test_cli_k_basis_is_both_direct_completions(self, order, max_n):
+        # for every lam |- n <= 6, in u and in v, the CLI's K basis is its
+        # cohomology completion, with the K(v) oracle's polys, and with the
+        # K(u) oracle's once v_i = u_i - 1 is substituted (conftest's).
+        # For n <= max_n, NF_u(T f) = T(NF_v f), with f built in v and T f
+        # in u, on each gamma-sweep row and, for remainders other than 0, on
+        # gamma^d of the unshifted class of its subset
+        oracles = {(pres.partition, pres.convention): gb for pres, kind, gb in primes_cases()
+                   if pres.flavor == KTHEORY and kind == order}
+        lams = [lam for n in range(1, 7) for lam in enumerate_partitions(n)]
+        assert set(oracles) == {(lam, c) for lam in lams for c in "uv"}
+        for lam in lams:
+            k_u = oracles[lam, "u"]
+            for convention in ("v", "u"):
+                ctx = cli._Context(lam, cli.RunConfig([lam], convention=convention, order=order))
+                gb, monos = ctx.basis(KTHEORY)
+                coh, coh_monos = ctx.basis(COHOMOLOGY)
+                assert gb is coh and monos is coh_monos, (lam, convention)
+                assert gb.polys == oracles[lam, "v"].polys, (lam, convention)
+                assert k_u.polys == tuple(shift_variables(p, -1) for p in gb.polys), lam
+                assert monos == standard_monomials(k_u), (lam, convention)
+            if lam.n > max_n:
+                continue
             for subset, q in relation_grid(lam):
                 s = len(subset)
                 for d in (*kept_degrees(s, q), *extra_degrees(s)):
                     for shift in (-s, 0):
-                        nf_u = normal_form(gamma_op(lam.n, subset, shift, d, "u"), oracle)
+                        nf_u = normal_form(gamma_op(lam.n, subset, shift, d, "u"), k_u)
                         nf_v = normal_form(gamma_op(lam.n, subset, shift, d, "v"), gb)
                         assert nf_u == shift_variables(nf_v, -1), (lam, subset, shift, d)
 

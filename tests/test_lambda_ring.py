@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tanisaki import cli, ideals
+from tanisaki import cli
 from tanisaki.groebner import buchberger, normal_form
 from tanisaki.ideals import (
     k_tanisaki_generators,
@@ -75,16 +75,6 @@ class TestLambdaSeries:
                 for k in range(d + 1):
                     conv = conv + a[k] * b[d - k]
                 assert conv == c[d]
-
-    def test_line_product_expanded_once_per_subset(self, capsys):
-        # the 7 nonempty subsets of {1, 2, 3}, shared by the three partitions
-        # of 3, hold 19 pairs (subset, k) with k <= |subset|: each e_k is
-        # expanded at most once and then reread
-        ideals._line_terms.cache_clear()
-        assert cli.main(["verify", "--n", "3", "--suite", "gamma", "--suite", "lambda"]) == 0
-        capsys.readouterr()
-        info = ideals._line_terms.cache_info()
-        assert 0 < info.misses <= 19 and info.hits > info.misses
 
 
 class TestGammaOp:
