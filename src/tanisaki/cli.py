@@ -491,20 +491,33 @@ def _render_text(doc: dict) -> str:
 # -- argument plumbing ------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--partition", action="append", default=[],
-                     help="comma-separated parts, e.g. 5,4,4,2,2,2,1 (repeatable)")
-    sub.add_argument("--n", type=int, default=None,
-                     help="run over every partition of n")
-    sub.add_argument("--flavor", choices=["cohomology", "ktheory", "both"], default="both")
-    sub.add_argument("--convention", choices=["u", "v"], default="v",
-                     help="variable convention for K-theory computations")
-    sub.add_argument("--order", choices=["degrevlex", "deglex", "lex"], default="degrevlex")
-    sub.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    sub.add_argument("--cache-dir", default=None,
-                     help="directory to write each reduced Groebner basis to as JSON "
-                          "(written, never read back)")
-    sub.add_argument("--jobs", type=int, default=1)
+# every flag once, with its argparse settings; a `dest` names the RunConfig field
+_FLAGS = {
+    "--partition": dict(action="append", default=[],
+                        help="comma-separated parts, e.g. 5,4,4,2,2,2,1 (repeatable)"),
+    "--n": dict(type=int, help="run over every partition of n"),
+    "--flavor": dict(choices=["cohomology", "ktheory", "both"], default="both"),
+    "--convention": dict(choices=["u", "v"], default="v",
+                         help="variable convention for K-theory computations"),
+    "--order": dict(choices=["degrevlex", "deglex", "lex"], default="degrevlex"),
+    "--format": dict(dest="fmt", choices=["json", "csv", "text"], default="json"),
+    "--cache-dir": dict(help="directory to write each reduced Groebner basis to as JSON "
+                             "(written, never read back)"),
+    "--jobs": dict(type=int, default=1),
+    "--suite": dict(dest="suites", action="append", choices=list(ALL_SUITES),
+                    help="suites to run (default: all)"),
+    "--subset": dict(required=True, help="comma-separated line indices, e.g. 1,2"),
+    "--d": dict(required=True, type=int),
+}
+
+# the flags each command reads; argparse refuses any other, or an abbreviation, with exit 2
+COMMAND_FLAGS = {
+    "presentation": "--partition --flavor --convention --order --format --cache-dir",
+    "verify": "--partition --n --convention --order --format --cache-dir --jobs --suite",
+    "sweep": "--partition --n --convention --order --format --cache-dir",
+    "gamma": "--partition --convention --order --format --cache-dir --subset --d",
+    "rank-lemma": "--partition --n --format",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,44 +527,41 @@ def build_parser() -> argparse.ArgumentParser:
                     "Tanisaki ideals, Groebner bases, and exact verification.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("presentation", "verify", "sweep", "gamma", "rank-lemma"):
-        sub = subs.add_parser(name)
-        _add_common(sub)
-        if name == "verify":
-            sub.add_argument("--suite", action="append", choices=list(ALL_SUITES),
-                             default=[], help="suites to run (default: all)")
-        if name == "gamma":
-            sub.add_argument("--subset", required=True,
-                             help="comma-separated line indices, e.g. 1,2")
-            sub.add_argument("--d", required=True, type=int)
+    for name, flags in COMMAND_FLAGS.items():
+        sub = subs.add_parser(name, allow_abbrev=False)
+        for flag in flags.split():
+            sub.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
-def _n_cap(args) -> tuple[int, str]:
+def _n_cap(command: str, suites) -> tuple[int, str]:
     """The largest n the command accepts, and how to name that cap."""
-    if args.command in ("presentation", "gamma"):
-        return PRESENTATION_MAX_N, args.command
-    if args.command == "sweep":
+    if command in ("presentation", "gamma"):
+        return PRESENTATION_MAX_N, command
+    if command == "sweep":
         return SWEEP_MAX_N, "sweep"
-    if args.command == "verify" and set(args.suite or ALL_SUITES) & set(HEAVY_SUITES):
+    if command == "verify" and set(suites) & set(HEAVY_SUITES):
         return VERIFY_MAX_N, "verify with suites other than rank-lemma"
     return RANK_LEMMA_MAX_N, "the rank lemma"
 
 
-def _resolve_partitions(args) -> list[Partition]:
+def _resolve_partitions(command: str, read: dict, suites) -> list[Partition]:
     """The partitions to run; an n over the command's cap is refused before
     any partition of it is enumerated or used."""
-    parts = [parse_partition(t) for t in args.partition]
+    parts = [parse_partition(t) for t in read["partition"]]
     sizes = [p.n for p in parts]
-    if args.n is not None:
-        if args.n < 1:
-            raise PartitionError(f"--n must be >= 1, got {args.n}")
-        sizes.append(args.n)
-    cap, name = _n_cap(args)
-    if any(n > cap for n in sizes):
+    n = read.get("n")
+    if n is not None:
+        if n < 1:
+            raise PartitionError(f"--n must be >= 1, got {n}")
+        sizes.append(n)
+    cap, name = _n_cap(command, suites)
+    if any(size > cap for size in sizes):
         raise PartitionError(f"{name} is capped at n={cap}, got n={max(sizes)}")
-    if args.n is not None:
-        parts.extend(enumerate_partitions(args.n))
+    if n is not None:
+        parts.extend(enumerate_partitions(n))
+    if command in ("presentation", "gamma") and len(parts) != 1:
+        raise PartitionError(f"{command} takes exactly one partition")
     if not parts:
         raise PartitionError("no partitions given: use --partition or --n")
     return parts
@@ -571,42 +581,35 @@ def _check_cache_dir(path: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        partitions = _resolve_partitions(args)
-        if args.jobs < 1:
-            raise PartitionError(f"--jobs must be >= 1, got {args.jobs}")
-        if args.cache_dir is not None:
-            _check_cache_dir(args.cache_dir)
-        cfg = RunConfig(
-            partitions=partitions,
-            flavor=args.flavor,
-            convention=args.convention,
-            order=MonomialOrder(args.order),
-            fmt=args.format,
-            cache_dir=args.cache_dir,
-            jobs=args.jobs,
-            suites=tuple(args.suite) if getattr(args, "suite", None) else ALL_SUITES,
-        )
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has written its refusal (2) or the help (0)
+        return exc.code
+    read = vars(args)  # the command and the flags it reads; RunConfig defaults the rest
+    fields = {f: read[f] for f in RunConfig._fields if f in read}
+    if "order" in fields:
+        fields["order"] = MonomialOrder(fields["order"])
+    fields["suites"] = tuple(dict.fromkeys(read.get("suites") or ALL_SUITES))
+    try:
+        cfg = RunConfig(_resolve_partitions(args.command, read, fields["suites"]), **fields)
+        if cfg.jobs < 1:
+            raise PartitionError(f"--jobs must be >= 1, got {cfg.jobs}")
+        if cfg.cache_dir is not None:
+            _check_cache_dir(cfg.cache_dir)
         if args.command == "presentation":
-            if len(partitions) != 1:
-                raise PartitionError("presentation takes exactly one partition")
             doc = cmd_presentation(cfg)
         elif args.command == "verify":
             doc = cmd_verify(cfg)
         elif args.command == "sweep":
             doc = cmd_sweep(cfg)
         elif args.command == "gamma":
-            if len(partitions) != 1:
-                raise PartitionError("gamma takes exactly one partition")
             subset = check_subset(parse_integers(args.subset, "--subset position"),
-                                  partitions[0].n)
+                                  cfg.partitions[0].n)
             if args.d < 0:
                 raise PartitionError("--d must be >= 0")
             # the relation grid stops at the last extra degree, and gamma^d(sum [L_i] - s),
             # the t^d coefficient of prod(1 + ([L_i] - 1) t), is zero for d > s
-            d_max = ideals.extra_degrees(partitions[0].n)[-1]
+            d_max = ideals.extra_degrees(cfg.partitions[0].n)[-1]
             if args.d > d_max:
                 raise PartitionError(f"--d must be <= n + 2 = {d_max}, got {args.d}")
             doc = cmd_gamma(cfg, subset, args.d)

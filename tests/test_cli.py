@@ -47,75 +47,114 @@ def run_json(capsys, *argv):
     return code, doc
 
 
+# the layers a refused argv must not start, each under every name it is called by
+LAYERS = {
+    "partitions": ((cli, "enumerate_partitions"), (Partition, "dual")),
+    "completion": ((groebner, "buchberger"),),
+    # the K generators and the gamma relation
+    "lambda": ((ideals, "lambda_coefficient"), (lambda_ring, "lambda_coefficient")),
+}
+
+# a valid argv of each command, and the flags it reads: a literal copy of
+# cli.COMMAND_FLAGS, so a flag added to a command is added here too
+READS = {
+    "presentation --partition 2,1":
+        "--partition --flavor --convention --order --format --cache-dir",
+    "verify --n 3": "--partition --n --convention --order --format --cache-dir --jobs --suite",
+    "sweep --n 3": "--partition --n --convention --order --format --cache-dir",
+    "gamma --partition 2,1 --subset 1 --d 1":
+        "--partition --convention --order --format --cache-dir --subset --d",
+    "rank-lemma --n 3": "--partition --n --format",
+}
+# a value for each flag that some command does not read
+UNREAD = {"--n": "3", "--flavor": "both", "--convention": "u", "--order": "lex",
+          "--cache-dir": "{dir}/cache", "--jobs": "2"}
+
+# the layers that must not start: argv ({dir} is a directory holding one
+# plain file, blocker) and the stderr fragment that names the reason
+USAGE_ERRORS = {
+    "partitions": [
+        ("verify --partition 2,1,1,1,1,1", "other than rank-lemma is capped at n=5, got n=7"),
+        ("sweep --n 9", "sweep is capped at n=7, got n=9"),
+        ("rank-lemma --partition 0_2", "part 1 ('0_2') is not an integer"),  # not read as 2
+        ("presentation --partition 99999999999", "presentation is capped at n=8"),
+        ("presentation --partition 25", "presentation is capped at n=8, got n=25"),
+        ("presentation --partition 9", "presentation is capped at n=8, got n=9"),
+        ("gamma --partition 99999999999 --subset 1 --d 1", "gamma is capped at n=8"),
+        ("rank-lemma --partition 99999999999", "the rank lemma is capped at n=40"),
+        ("rank-lemma --n 41", "the rank lemma is capped at n=40, got n=41"),
+        ("verify --partition 99999999999 --suite rank-lemma", "the rank lemma is capped at n=40"),
+        ("verify --n 100", "other than rank-lemma is capped at n=5, got n=100"),
+        ("sweep --n 100", "sweep is capped at n=7, got n=100"),
+        ("verify", "no partitions given: use --partition or --n"),
+        ("sweep", "no partitions given: use --partition or --n"),
+        ("rank-lemma", "no partitions given: use --partition or --n"),
+    ],
+    "completion": [
+        ("presentation --partition 1,2", "part 2 (=2) exceeds part 1 (=1)"),
+        ("gamma --partition 2,1 --subset a,b --d 1", "position 1 ('a') is not an integer"),
+        ("presentation", "presentation takes exactly one partition"),
+        ("verify --n 2 --jobs 0", "--jobs must be >= 1, got 0"),
+        ("verify --n 2 --jobs -3", "--jobs must be >= 1, got -3"),
+        ("presentation --partition 2,1 --cache-dir {dir}/blocker",
+         "--cache-dir '{dir}/blocker' is not a directory"),
+        ("presentation --partition 2,1 --cache-dir {dir}/blocker/sub",
+         "--cache-dir '{dir}/blocker/sub' cannot be created: Not a directory"),
+        ("gamma --partition 3,2,2,1 --subset 9 --d 1", "index 9 out of range 1..8"),
+        ("gamma --partition 3,2,2,1 --subset 3,1 --d 1", "position 2 (=1)"),
+        ("gamma --partition 3,2,2,1 --subset 0_1 --d 1", "position 1 ('0_1')"),
+    ],
+    "lambda": [
+        ("gamma --partition 2,1 --subset 1 --d 6", "--d must be <= n + 2 = 5, got 6"),
+        ("gamma --partition 2,1 --subset 1 --d 1000000000", "--d must be <= n + 2 = 5"),
+    ],
+    "partitions completion": [
+        ("presentation --partition 2,1 --escalation-depth 1",
+         "unrecognized arguments: --escalation-depth"),
+        ("presentation --partition 2,1 --degree-cap 1", "unrecognized arguments: --degree-cap"),
+        # an abbreviation of a flag the command reads
+        ("verify --n 2 --suite rank-lemma --jo 2", "unrecognized arguments: --jo 2"),
+        ("rank-lemma --n 3 --f json", "unrecognized arguments: --f json"),
+        *[(f"{argv} {flag} {value}", f"unrecognized arguments: {flag}")
+          for argv, reads in READS.items() for flag, value in UNREAD.items()
+          if flag not in reads.split()],
+    ],
+}
+USAGE_ROWS = [pytest.param(argv, reason, layers, id=argv)
+              for layers, rows in USAGE_ERRORS.items() for argv, reason in rows]
+
+
 class TestExitCodes:
     def test_pass_is_zero(self, capsys):
         code, _ = run_json(capsys, "rank-lemma", "--partition", "2,1")
         assert code == 0
 
-    def test_usage_errors_are_two(self, capsys):
-        assert cli.main(["presentation", "--partition", "1,2"]) == 2
-        capsys.readouterr()
-        assert cli.main(["verify", "--partition", "2,1,1,1,1,1"]) == 2  # n=7 heavy
-        capsys.readouterr()
-        assert cli.main(["sweep", "--n", "9"]) == 2
-        capsys.readouterr()
-        assert cli.main(["gamma", "--partition", "2,1", "--subset", "a,b", "--d", "1"]) == 2
-        capsys.readouterr()
-        assert cli.main(["presentation"]) == 2  # no partitions at all
-        capsys.readouterr()
-        assert cli.main(["rank-lemma", "--partition", "0_2"]) == 2  # not read as 2
-        capsys.readouterr()
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        [subs] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        taken = {name: " ".join(flag for a in sub._actions if a.dest != "help"
+                                for flag in a.option_strings)
+                 for name, sub in subs.choices.items()}
+        assert taken == {argv.split()[0]: reads for argv, reads in READS.items()}
+        assert sum(len(reads.split()) for reads in taken.values()) == 30
 
-    @pytest.mark.parametrize("argv", [
-        ("presentation", "--partition", "99999999999"),
-        ("presentation", "--partition", "25"),
-        ("presentation", "--partition", "9"),
-        ("gamma", "--partition", "99999999999", "--subset", "1", "--d", "1"),
-        ("rank-lemma", "--partition", "99999999999"),
-        ("rank-lemma", "--n", "41"),
-        ("verify", "--partition", "99999999999", "--suite", "rank-lemma"),
-        ("verify", "--n", "100"),
-        ("sweep", "--n", "100"),
-    ])
-    def test_n_over_the_command_cap_is_two(self, capsys, monkeypatch, argv):
-        def started(*args):
-            raise AssertionError("partition work started past the cap")
+    @pytest.mark.parametrize("argv, reason, layers", USAGE_ROWS)
+    def test_usage_error_is_two(self, capsys, monkeypatch, tmp_path, argv, reason, layers):
+        def started(*args, **kwargs):
+            raise AssertionError(f"{layers} started before {argv!r} was refused")
 
-        # refused before any partition is enumerated or used
-        monkeypatch.setattr(cli, "enumerate_partitions", started)
-        monkeypatch.setattr(Partition, "dual", started)
-        assert cli.main(list(argv)) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "capped at n=" in captured.err
+        for layer in layers.split():
+            for owner, name in LAYERS[layer]:
+                monkeypatch.setattr(owner, name, started)
+        (tmp_path / "blocker").write_text("")
+        code = cli.main(argv.format(dir=tmp_path).split())
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert reason.format(dir=tmp_path) in err
+        assert os.listdir(tmp_path) == ["blocker"]  # no --cache-dir was created
 
     def test_rank_lemma_runs_at_its_cap(self, capsys):
         code, doc = run_json(capsys, "rank-lemma", "--partition", "20,20")
         assert code == 0 and doc["results"][0]["n"] == cli.RANK_LEMMA_MAX_N
-
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_two(self, capsys, jobs):
-        assert cli.main(["rank-lemma", "--n", "2", "--jobs", jobs]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--jobs must be >= 1" in captured.err
-
-    @pytest.mark.parametrize("flag", ["--escalation-depth", "--degree-cap"])
-    def test_removed_flags_are_rejected(self, capsys, flag):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["presentation", "--partition", "2,1", flag, "1"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("below", [(), ("sub",)])
-    def test_unusable_cache_dir_is_two(self, capsys, tmp_path, below):
-        blocker = tmp_path / "plain-file"
-        blocker.write_text("")
-        cache = os.path.join(str(blocker), *below)
-        assert cli.main(["presentation", "--partition", "2,1", "--cache-dir", cache]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--cache-dir" in captured.err
 
     def test_verification_failure_is_one(self, capsys, monkeypatch):
         def broken(ctx):
@@ -126,34 +165,6 @@ class TestExitCodes:
             capsys, "verify", "--partition", "2,1", "--suite", "rank-lemma"
         )
         assert code == 1
-
-    @pytest.mark.parametrize("d", ["6", "1000000000"])
-    def test_gamma_degree_over_n_plus_two_is_two(self, capsys, monkeypatch, d):
-        def expanded(*args):
-            raise AssertionError("lambda coefficient built past the bound")
-
-        # under both names it is called by: the K generators and the gamma relation
-        monkeypatch.setattr(ideals, "lambda_coefficient", expanded)
-        monkeypatch.setattr(lambda_ring, "lambda_coefficient", expanded)
-        assert cli.main(["gamma", "--partition", "2,1", "--subset", "1", "--d", d]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--d must be <= n + 2 = 5" in captured.err
-
-    @pytest.mark.parametrize("subset, named", [("9", "index 9 out of range 1..8"),
-                                               ("3,1", "position 2 (=1)"),
-                                               ("0_1", "position 1 ('0_1')")])
-    def test_gamma_subset_checked_before_any_completion(self, capsys, monkeypatch,
-                                                        subset, named):
-        def completed(*args):
-            raise AssertionError("basis completed before --subset was checked")
-
-        monkeypatch.setattr(groebner, "buchberger", completed)
-        argv = ["gamma", "--partition", "3,2,2,1", "--subset", subset, "--d", "1"]
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert named in captured.err
 
     def test_gamma_at_n_plus_two_runs(self, capsys):
         code, doc = run_json(capsys, "gamma", "--partition", "2,1", "--subset", "1", "--d", "5")
@@ -189,10 +200,9 @@ class TestReports:
         assert flavors["ktheory"]["quotient_rank"] == 3
 
     def test_verify_report_embeds_config_and_partition_data(self, capsys):
-        code, doc = run_json(
-            capsys, "verify", "--partition", "2,1", "--suite", "rank-lemma",
-            "--suite", "gamma",
-        )
+        # a repeated suite is named once, where it was first given
+        code, doc = run_json(capsys, "verify", "--partition", "2,1", "--suite", "rank-lemma",
+                             "--suite", "gamma", "--suite", "rank-lemma")
         assert code == 0
         assert doc["schema_version"] == 5
         assert doc["config"]["suites"] == ["rank-lemma", "gamma"]
@@ -248,6 +258,10 @@ REPORT_DIGESTS = {
     # normal form -u2 - u3 - u4 - u5 + 4: nonzero and not constant
     "gamma --partition 3,2 --subset 1 --d 1 --convention u":
         "eea4b3f806cec4c99ac74670c070f2bf5327f06b38c5250f9d60a98462e0e855",
+    "rank-lemma --n 6":
+        "46f46ac46f80be4539c7c0531a52fab1eb593d7c7c9d7ed9e81c6db42c8f84f7",
+    "rank-lemma --partition 3,2,1 --format text":
+        "78bfaa264be88e1d5ac874966bc0bd2132498ca4bc77b94504d641c6c87d4132",
 }
 
 
@@ -277,6 +291,11 @@ class TestDeterminism:
             for row in doc["results"]:
                 row.pop("time_ms")
         assert a == b
+
+    def test_repeated_suite_runs_once(self, capsys):
+        once = run_cli(capsys, "verify", "--n", "3", "--suite", "stability")
+        assert run_cli(capsys, "verify", "--n", "3", "--suite", "stability",
+                       "--suite", "stability") == once
 
     def test_presentation_byte_identical(self, capsys):
         args = ("presentation", "--partition", "2,2", "--flavor", "ktheory")
@@ -688,7 +707,8 @@ runpy.run_module("tanisaki.cli", run_name="__main__", alter_sys=True)
     (("presentation", "--partition", "3,1", "--flavor", "both"), 0, False),
     (("verify", "--partition", "2,1", "--suite", "rank-lemma", "--format", "text"), 1, True),
     (("presentation", "--partition", "9"), 2, False),
-], ids=["pass", "planted-failure", "capped-n"])
+    (("rank-lemma", "--partition", "2,1", "--order", "lex"), 2, False),
+], ids=["pass", "planted-failure", "capped-n", "unread-flag"])
 def test_module_entry_point_matches_main(capsys, monkeypatch, argv, code, planted):
     head = ["-c", PLANTED_CHILD] if planted else ["-m", "tanisaki.cli"]
     proc = subprocess.run(
